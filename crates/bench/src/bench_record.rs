@@ -21,7 +21,6 @@
 
 use std::path::Path;
 
-use idyll_serve::json::Json;
 use mgpu_system::config::SystemConfig;
 use mgpu_system::system::SimError;
 use mgpu_system::System;
@@ -30,6 +29,7 @@ use sim_engine::trace::Tracer;
 use uvm_driver::policy::MigrationPolicy;
 use workloads::{AppId, WorkloadSpec};
 
+use crate::json::Json;
 use crate::HarnessConfig;
 
 /// Schema tag every record carries; bump when the shape changes.

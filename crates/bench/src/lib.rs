@@ -90,9 +90,19 @@ impl Default for HarnessConfig {
 
 pub mod bench_record;
 pub mod grid_metrics;
+mod json;
 
 /// `results[app][scheme]` for a completed grid.
 pub type Grid = BTreeMap<String, BTreeMap<String, SimReport>>;
+
+/// One grid cell described by value; its workload is generated when it runs.
+struct Cell {
+    /// `{row}\u{1}{scheme}` composite key, split again by `collect_grid`.
+    scheme: String,
+    config: SystemConfig,
+    spec: WorkloadSpec,
+    seed: u64,
+}
 
 /// The experiment harness.
 #[derive(Debug, Clone, Copy)]
@@ -152,38 +162,9 @@ impl Harness {
         Ok(timed.into_iter().map(|t| (t.scheme, t.report)).collect())
     }
 
-    /// Runs spec-level grid cells, preferring a running experiment daemon.
-    ///
-    /// When `IDYLL_SERVE_ADDR` names a reachable `idyll-serve` daemon the
-    /// cells are submitted there as one dependency graph per grid (every
-    /// cell plus a terminal reduce job that fans in from all of them) —
-    /// repeat sweeps then come back from its content-addressed result
-    /// cache byte-identical to local runs, and a daemon restart mid-grid
-    /// resumes from its durable job log. On any daemon error
-    /// (unreachable, draining, failed job) the grid falls back to local
-    /// execution: the daemon is an accelerator, never a requirement.
-    /// Local and remote paths produce identical reports because
-    /// workloads regenerate deterministically from `(spec, n_gpus,
-    /// seed)` on either side.
-    fn run_cells_recorded(
-        &self,
-        cells: Vec<idyll_serve::RemoteCell>,
-    ) -> Result<Vec<(String, SimReport)>, SimError> {
-        if let Ok(addr) = std::env::var("IDYLL_SERVE_ADDR") {
-            if !addr.is_empty() {
-                match idyll_serve::run_cells_dag(&addr, &cells) {
-                    Ok(timed) => {
-                        grid_metrics::record(&timed);
-                        return Ok(timed.into_iter().map(|t| (t.scheme, t.report)).collect());
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "idyll-bench: daemon at {addr} unavailable ({e}); running locally"
-                        );
-                    }
-                }
-            }
-        }
+    /// Runs spec-level grid cells, generating each cell's workload
+    /// deterministically from `(spec, n_gpus, seed)`.
+    fn run_cells_recorded(&self, cells: Vec<Cell>) -> Result<Vec<(String, SimReport)>, SimError> {
         let jobs = cells
             .into_iter()
             .map(|cell| Job {
@@ -208,7 +189,7 @@ impl Harness {
         let mut cells = Vec::new();
         for &app in apps {
             for (name, cfg) in schemes {
-                cells.push(idyll_serve::RemoteCell {
+                cells.push(Cell {
                     scheme: format!("{app}\u{1}{name}"),
                     config: cfg.clone(),
                     spec: WorkloadSpec::paper_default(app, self.cfg.scale),
@@ -770,7 +751,7 @@ impl Harness {
         for app in AppId::ALL {
             let spec = WorkloadSpec::paper_default(app, self.cfg.scale).enlarged(4);
             for (name, cfg) in &schemes {
-                cells.push(idyll_serve::RemoteCell {
+                cells.push(Cell {
                     scheme: format!("{app}\u{1}{name}"),
                     config: cfg.clone(),
                     spec: spec.clone(),

@@ -1,18 +1,16 @@
-//! System interconnect: NVLink mesh between GPUs plus the PCIe host link.
+//! System interconnect: endpoints and link parameters of the NVLink mesh
+//! between GPUs plus the PCIe host link.
 //!
 //! The baseline (Table 2) uses 300 GB/s NVLink-v2 between GPUs and 32 GB/s
 //! PCIe-v4 between CPU and each GPU. At the 1 GHz simulation clock that is
-//! 300 B/cycle and 32 B/cycle respectively. Every pair of endpoints gets a
-//! dedicated full-duplex pipe pair, approximating a fully-connected NVLink
-//! topology (as in DGX-class systems).
+//! 300 B/cycle and 32 B/cycle respectively. The simulator gives every pair
+//! of endpoints a dedicated full-duplex pipe pair, approximating a
+//! fully-connected NVLink topology (as in DGX-class systems).
 
-use sim_engine::{resource::BandwidthPipe, Cycle};
+use sim_engine::Cycle;
 
 /// Identifier of a GPU in the system (0-based).
 pub type GpuId = usize;
-
-/// One directed pipe's diagnostics: (label, transfers, bytes, next_free).
-pub type PipeStat = (String, u64, u64, Cycle);
 
 /// An endpoint on the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,228 +56,5 @@ impl Default for InterconnectConfig {
             pcie_bytes_per_cycle: 32.0,
             pcie_latency: Cycle(150),
         }
-    }
-}
-
-/// The system interconnect: one full-duplex pipe per directed endpoint pair.
-///
-/// # Example
-///
-/// ```
-/// use mem_model::interconnect::{Interconnect, InterconnectConfig, Node};
-/// use sim_engine::Cycle;
-///
-/// let mut net = Interconnect::new(2, InterconnectConfig::default());
-/// // A 64-byte cacheline from GPU 0 to GPU 1.
-/// let done = net.send(Cycle(0), Node::Gpu(0), Node::Gpu(1), 64);
-/// assert!(done > Cycle(0));
-/// ```
-#[derive(Debug)]
-pub struct Interconnect {
-    n_gpus: usize,
-    /// `gpu_links[src][dst]` — directed GPU-to-GPU pipes.
-    gpu_links: Vec<Vec<BandwidthPipe>>,
-    /// `host_down[g]`: host→GPU g; `host_up[g]`: GPU g→host.
-    host_down: Vec<BandwidthPipe>,
-    host_up: Vec<BandwidthPipe>,
-    config: InterconnectConfig,
-}
-
-impl Interconnect {
-    /// Builds an interconnect for `n_gpus` GPUs.
-    ///
-    /// # Panics
-    /// Panics if `n_gpus == 0`.
-    pub fn new(n_gpus: usize, config: InterconnectConfig) -> Self {
-        assert!(n_gpus > 0, "need at least one GPU");
-        let per_pair = config.nvlink_bytes_per_cycle / (n_gpus.saturating_sub(1).max(1)) as f64;
-        let nv = |_: usize| BandwidthPipe::new(per_pair, config.nvlink_latency);
-        let pc = |_: usize| BandwidthPipe::new(config.pcie_bytes_per_cycle, config.pcie_latency);
-        Interconnect {
-            n_gpus,
-            gpu_links: (0..n_gpus).map(|_| (0..n_gpus).map(nv).collect()).collect(),
-            host_down: (0..n_gpus).map(pc).collect(),
-            host_up: (0..n_gpus).map(pc).collect(),
-            config,
-        }
-    }
-
-    /// Number of GPUs attached.
-    pub fn n_gpus(&self) -> usize {
-        self.n_gpus
-    }
-
-    /// Configuration in force.
-    pub fn config(&self) -> InterconnectConfig {
-        self.config
-    }
-
-    /// Sends `bytes` from `src` to `dst` starting at `now`; returns delivery
-    /// time.
-    ///
-    /// # Panics
-    /// Panics on a GPU id out of range, or on a `Host → Host` transfer
-    /// (meaningless in this topology).
-    pub fn send(&mut self, now: Cycle, src: Node, dst: Node, bytes: u64) -> Cycle {
-        match (src, dst) {
-            (Node::Gpu(a), Node::Gpu(b)) => {
-                assert!(a < self.n_gpus && b < self.n_gpus, "gpu id out of range");
-                if a == b {
-                    // Local: no interconnect traversal.
-                    return now;
-                }
-                self.gpu_links[a][b].transfer(now, bytes)
-            }
-            (Node::Host, Node::Gpu(g)) => {
-                assert!(g < self.n_gpus, "gpu id out of range");
-                self.host_down[g].transfer(now, bytes)
-            }
-            (Node::Gpu(g), Node::Host) => {
-                assert!(g < self.n_gpus, "gpu id out of range");
-                self.host_up[g].transfer(now, bytes)
-            }
-            (Node::Host, Node::Host) => panic!("host-to-host transfer is meaningless"),
-        }
-    }
-
-    /// One-way propagation latency between two endpoints, ignoring load.
-    pub fn latency(&self, src: Node, dst: Node) -> Cycle {
-        match (src, dst) {
-            (Node::Gpu(a), Node::Gpu(b)) if a == b => Cycle::ZERO,
-            (Node::Gpu(_), Node::Gpu(_)) => self.config.nvlink_latency,
-            (Node::Host, Node::Host) => Cycle::ZERO,
-            _ => self.config.pcie_latency,
-        }
-    }
-
-    /// Per-directed-pipe diagnostics: (label, transfers, bytes, next_free).
-    pub fn pipe_stats(&self) -> Vec<PipeStat> {
-        let mut out = Vec::new();
-        for (a, row) in self.gpu_links.iter().enumerate() {
-            for (b, p) in row.iter().enumerate() {
-                if p.transfers() > 0 {
-                    out.push((
-                        format!("g{a}->g{b}"),
-                        p.transfers(),
-                        p.bytes_total(),
-                        p.next_free(),
-                    ));
-                }
-            }
-        }
-        for (g, p) in self.host_down.iter().enumerate() {
-            if p.transfers() > 0 {
-                out.push((
-                    format!("host->g{g}"),
-                    p.transfers(),
-                    p.bytes_total(),
-                    p.next_free(),
-                ));
-            }
-        }
-        for (g, p) in self.host_up.iter().enumerate() {
-            if p.transfers() > 0 {
-                out.push((
-                    format!("g{g}->host"),
-                    p.transfers(),
-                    p.bytes_total(),
-                    p.next_free(),
-                ));
-            }
-        }
-        out
-    }
-
-    /// Total bytes moved over GPU↔GPU links.
-    pub fn nvlink_bytes(&self) -> u64 {
-        self.gpu_links
-            .iter()
-            .flat_map(|row| row.iter().map(|p| p.bytes_total()))
-            .sum()
-    }
-
-    /// Total bytes moved over host links (both directions).
-    pub fn pcie_bytes(&self) -> u64 {
-        self.host_down
-            .iter()
-            .chain(self.host_up.iter())
-            .map(|p| p.bytes_total())
-            .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn net() -> Interconnect {
-        Interconnect::new(4, InterconnectConfig::default())
-    }
-
-    #[test]
-    fn gpu_to_gpu_uses_nvlink_latency() {
-        let mut n = net();
-        let done = n.send(Cycle(0), Node::Gpu(0), Node::Gpu(1), 64);
-        // 64B at 100B/cy per pair rounds to 1 cycle occupancy + 150 latency.
-        assert_eq!(done, Cycle(151));
-        assert_eq!(n.nvlink_bytes(), 64);
-        assert_eq!(n.pcie_bytes(), 0);
-    }
-
-    #[test]
-    fn host_link_is_slower() {
-        let mut n = net();
-        let via_pcie = n.send(Cycle(0), Node::Gpu(0), Node::Host, 4096);
-        let mut n2 = net();
-        let via_nvlink = n2.send(Cycle(0), Node::Gpu(0), Node::Gpu(1), 4096);
-        assert!(via_pcie > via_nvlink);
-    }
-
-    #[test]
-    fn local_transfer_is_free() {
-        let mut n = net();
-        assert_eq!(
-            n.send(Cycle(42), Node::Gpu(2), Node::Gpu(2), 1 << 20),
-            Cycle(42)
-        );
-    }
-
-    #[test]
-    fn links_are_independent() {
-        let mut n = net();
-        // Saturate 0→1.
-        let busy = n.send(Cycle(0), Node::Gpu(0), Node::Gpu(1), 3_000_000);
-        assert!(busy > Cycle(10_000));
-        // 0→2 is unaffected.
-        let other = n.send(Cycle(0), Node::Gpu(0), Node::Gpu(2), 64);
-        assert_eq!(other, Cycle(151));
-        // 1→0 (reverse direction) also unaffected: full duplex.
-        let rev = n.send(Cycle(0), Node::Gpu(1), Node::Gpu(0), 64);
-        assert_eq!(rev, Cycle(151));
-    }
-
-    #[test]
-    fn same_link_serialises() {
-        let mut n = net();
-        // Per-pair bandwidth in a 4-GPU system: 100 B/cy.
-        let t1 = n.send(Cycle(0), Node::Gpu(0), Node::Gpu(1), 3000);
-        let t2 = n.send(Cycle(0), Node::Gpu(0), Node::Gpu(1), 3000);
-        assert_eq!(t1, Cycle(180));
-        assert_eq!(t2, Cycle(210));
-    }
-
-    #[test]
-    fn latency_probe() {
-        let n = net();
-        assert_eq!(n.latency(Node::Gpu(0), Node::Gpu(1)), Cycle(150));
-        assert_eq!(n.latency(Node::Gpu(0), Node::Gpu(0)), Cycle::ZERO);
-        assert_eq!(n.latency(Node::Host, Node::Gpu(3)), Cycle(150));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_gpu_id_panics() {
-        let mut n = net();
-        n.send(Cycle(0), Node::Gpu(0), Node::Gpu(9), 64);
     }
 }

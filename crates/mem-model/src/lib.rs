@@ -9,8 +9,8 @@
 //! * [`mshr::Mshr`] — miss-status holding registers that merge concurrent
 //!   misses to the same block;
 //! * [`dram::Dram`] — a banked latency/bandwidth DRAM model;
-//! * [`interconnect::Interconnect`] — the NVLink mesh between GPUs plus the
-//!   PCIe link to the host.
+//! * [`interconnect::InterconnectConfig`] — link parameters of the NVLink
+//!   mesh between GPUs plus the PCIe link to the host.
 //!
 //! # Example
 //!

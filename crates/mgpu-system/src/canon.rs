@@ -1,13 +1,13 @@
 //! Canonical text encodings of configurations, workload specs and reports,
 //! plus the content-address derived from them.
 //!
-//! The experiment service (`idyll-serve`) identifies a simulation cell by
-//! *content*, not by name: the cache key is a stable hash of the canonical
-//! encoding of `(SystemConfig, WorkloadSpec, seed)`. For that to be sound
-//! the encoding must be **total** (every field appears — adding a field
-//! changes every key, which is exactly right), **deterministic** (identical
-//! values render to identical bytes on every platform) and **invertible**
-//! (the daemon rebuilds the exact configuration a client hashed).
+//! A simulation cell is identified by *content*, not by name: [`job_key`]
+//! is a stable hash of the canonical encoding of
+//! `(SystemConfig, WorkloadSpec, seed)`. For that to be sound the encoding
+//! must be **total** (every field appears — adding a field changes every
+//! key, which is exactly right), **deterministic** (identical values render
+//! to identical bytes on every platform) and **invertible** (decoding
+//! rebuilds the exact configuration that was hashed).
 //!
 //! The format is the same line-oriented `key value` style as the trace
 //! format in `workloads::serialize`: a version header, then one field per

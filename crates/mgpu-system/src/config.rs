@@ -299,6 +299,17 @@ mod tests {
     }
 
     #[test]
+    fn nvlink_bandwidth_splits_across_peers() {
+        // 300 B/cy aggregate over 3 peers at 4 GPUs: 100 B/cy per directed
+        // pipe, so 3000 B occupies 30 cycles ahead of the 150-cycle latency.
+        let mut egress = crate::system::Egress::new(&SystemConfig::baseline(4));
+        assert_eq!(egress.gpu_to_gpu(Cycle(0), 0, 1, 64), Cycle(151));
+        assert_eq!(egress.gpu_to_gpu(Cycle(0), 0, 2, 3000), Cycle(180));
+        assert_eq!(egress.gpu_to_gpu(Cycle(0), 0, 2, 3000), Cycle(210));
+        assert_eq!(egress.gpu_to_gpu(Cycle(42), 0, 0, 1 << 20), Cycle(42));
+    }
+
+    #[test]
     fn large_pages_adjust_levels() {
         let cfg = SystemConfig::baseline(4).with_large_pages();
         assert_eq!(cfg.page_size, PageSize::Size2M);

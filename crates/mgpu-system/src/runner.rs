@@ -2,14 +2,13 @@
 //! OS threads) and formats the paper-style result tables.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use sim_engine::prof::Profiler;
 use workloads::{AppId, Scale, Workload, WorkloadSpec};
 
 use crate::config::SystemConfig;
 use crate::metrics::SimReport;
-use crate::system::{QueuePool, RunProgress, SimError, System};
+use crate::system::{QueuePool, SimError, System};
 
 /// One (scheme, workload) cell to simulate.
 #[derive(Debug, Clone)]
@@ -51,16 +50,11 @@ impl TimedRun {
     }
 }
 
-/// Host-side observation knobs for a batch of runs: progress callbacks and
-/// self-profiling. The default observer observes nothing and leaves every
+/// Host-side observation knobs for a batch of runs: self-profiling and
+/// lane threads. The default observer observes nothing and leaves every
 /// run on its single-branch disabled instrumentation paths.
 #[derive(Clone, Default)]
 pub struct RunObserver {
-    /// Progress-callback period in processed events (0 = no callbacks).
-    pub progress_every: u64,
-    /// Invoked with `(job index, snapshot)` every `progress_every` events,
-    /// on the thread simulating that job.
-    pub on_progress: Option<Arc<dyn Fn(usize, RunProgress) + Send + Sync>>,
     /// Install an enabled self-profiler on every run (the per-phase profile
     /// lands in [`TimedRun::profile`]).
     pub profile: bool,
@@ -71,12 +65,7 @@ pub struct RunObserver {
     pub sim_threads: usize,
 }
 
-fn run_one(
-    index: usize,
-    job: Job,
-    obs: &RunObserver,
-    pool: &mut QueuePool,
-) -> Result<TimedRun, SimError> {
+fn run_one(job: Job, obs: &RunObserver, pool: &mut QueuePool) -> Result<TimedRun, SimError> {
     // Wall-clock measures host throughput for the grid-metrics export; it
     // never feeds simulation state or determinism-tested artifacts.
     // simlint: allow(wall-clock) — harness throughput metric only
@@ -90,11 +79,6 @@ fn run_one(
     sys.set_threads(obs.sim_threads.max(1));
     if obs.profile {
         sys.set_profiler(Profiler::enabled());
-    }
-    if obs.progress_every > 0 {
-        if let Some(cb) = obs.on_progress.clone() {
-            sys.set_progress_callback(obs.progress_every, Box::new(move |p| cb(index, p)));
-        }
     }
     let report = sys.run();
     let profile = obs.profile.then(|| sys.profiler().clone());
@@ -135,7 +119,7 @@ pub fn run_jobs_timed(jobs: Vec<Job>, threads: usize) -> Result<Vec<TimedRun>, S
 }
 
 /// Like [`run_jobs_timed`], with host-side observation: `obs` can install a
-/// per-run self-profiler and/or a progress callback keyed by job index.
+/// per-run self-profiler and set each simulation's lane threads.
 ///
 /// # Errors
 /// Propagates the first [`SimError`] encountered.
@@ -152,8 +136,7 @@ pub fn run_jobs_timed_observed(
         let mut pool = QueuePool::new();
         return jobs
             .into_iter()
-            .enumerate()
-            .map(|(idx, job)| run_one(idx, job, obs, &mut pool))
+            .map(|job| run_one(job, obs, &mut pool))
             .collect();
     }
     let n = jobs.len();
@@ -173,7 +156,7 @@ pub fn run_jobs_timed_observed(
                         q.pop()
                     };
                     let Some((idx, job)) = job else { break };
-                    let result = run_one(idx, job, obs, &mut pool);
+                    let result = run_one(job, obs, &mut pool);
                     out.lock().expect("out lock")[idx] = Some(result);
                 }
             });

@@ -34,7 +34,7 @@ use idyll_core::irmb::Irmb;
 use idyll_core::transfw::TransFw;
 use idyll_core::vm_table::VmDirectory;
 use mem_model::gpuset::GpuSet;
-use mem_model::interconnect::{Node, PipeStat};
+use mem_model::interconnect::Node;
 use sim_engine::collections::{DetHashMap, DetHashSet};
 use sim_engine::lane::{LanePool, LaneQueue};
 use sim_engine::prof::{Phase, Profiler};
@@ -204,8 +204,8 @@ pub enum SimError {
     OutOfMemory(String),
     /// An internal protocol invariant was violated mid-run (e.g. an event
     /// referenced a request that no longer exists). Always a simulator bug;
-    /// surfaced as a typed error instead of a panic so one bad job cannot
-    /// kill a long-lived `idyll-serve` worker.
+    /// surfaced as a typed error instead of a panic so one bad cell cannot
+    /// abort the whole figure grid.
     Invariant(&'static str),
 }
 
@@ -289,6 +289,21 @@ pub(crate) struct Egress {
 }
 
 impl Egress {
+    /// One GPU's egress pipes for `cfg`. In the fully-connected topology
+    /// each directed NVLink pipe gets `aggregate / (n_gpus - 1)` of the
+    /// GPU's NVLink bandwidth.
+    pub(crate) fn new(cfg: &SystemConfig) -> Egress {
+        let net = cfg.interconnect;
+        let per_pair = net.nvlink_bytes_per_cycle / (cfg.n_gpus.saturating_sub(1).max(1)) as f64;
+        Egress {
+            nvlink: (0..cfg.n_gpus)
+                .map(|_| BandwidthPipe::new(per_pair, net.nvlink_latency))
+                .collect(),
+            pcie_up: BandwidthPipe::new(net.pcie_bytes_per_cycle, net.pcie_latency),
+            nvlink_latency: net.nvlink_latency,
+        }
+    }
+
     /// Reserves the directed GPU→GPU pipe; a same-GPU transfer is free.
     pub(crate) fn gpu_to_gpu(&mut self, at: Cycle, src: usize, dst: usize, bytes: u64) -> Cycle {
         if src == dst {
@@ -699,8 +714,6 @@ impl System {
             Some(p) => p.inner.take(hint),
             None => LaneQueue::with_capacity(hint),
         };
-        let per_pair =
-            cfg.interconnect.nvlink_bytes_per_cycle / (cfg.n_gpus.saturating_sub(1).max(1)) as f64;
         let mut lanes: Vec<GpuLane> = (0..cfg.n_gpus)
             .map(|g| GpuLane {
                 id: g,
@@ -729,16 +742,7 @@ impl System {
                 now: Cycle::ZERO,
                 events_processed: 0,
                 error: None,
-                egress: Egress {
-                    nvlink: (0..cfg.n_gpus)
-                        .map(|_| BandwidthPipe::new(per_pair, cfg.interconnect.nvlink_latency))
-                        .collect(),
-                    pcie_up: BandwidthPipe::new(
-                        cfg.interconnect.pcie_bytes_per_cycle,
-                        cfg.interconnect.pcie_latency,
-                    ),
-                    nvlink_latency: cfg.interconnect.nvlink_latency,
-                },
+                egress: Egress::new(&cfg),
                 demand_miss_latency: Accumulator::new(),
                 access_latency: Accumulator::new(),
                 remote_data_latency: Accumulator::new(),
@@ -843,21 +847,6 @@ impl System {
             Ok(()) => Ok(self.report()),
             Err(e) => Err((e, self.debug_dump())),
         }
-    }
-
-    /// Runs to completion and also returns interconnect pipe diagnostics.
-    ///
-    /// # Errors
-    /// Same as [`System::run`], except that a drained queue is not an error
-    /// here: partial pipe statistics are still useful when diagnosing the
-    /// stall itself.
-    pub fn run_with_pipes(&mut self) -> Result<(SimReport, Vec<PipeStat>), SimError> {
-        match self.run_inner(60) {
-            Ok(()) | Err(SimError::Stalled { .. }) => {}
-            Err(e) => return Err(e),
-        }
-        let pipes = self.pipe_stats();
-        Ok((self.report(), pipes))
     }
 
     /// Runs the simulation to completion.
@@ -1026,53 +1015,5 @@ impl System {
             }
         }
         stale
-    }
-
-    /// Interconnect diagnostics (pipe occupancy) — debug aid. Labels and
-    /// order match the pre-lane global interconnect: `g{a}->g{b}` a-major,
-    /// then `host->g{g}`, then `g{g}->host`, pipes with traffic only.
-    pub fn debug_pipe_stats(&self) -> Vec<PipeStat> {
-        self.pipe_stats()
-    }
-
-    fn pipe_stats(&self) -> Vec<PipeStat> {
-        let mut out = Vec::new();
-        for a in 0..self.lanes.len() {
-            let lane = lock_lane(&self.lanes, a);
-            for (b, p) in lane.egress.nvlink.iter().enumerate() {
-                if p.transfers() > 0 {
-                    out.push((
-                        format!("g{a}->g{b}"),
-                        p.transfers(),
-                        p.bytes_total(),
-                        p.next_free(),
-                    ));
-                }
-            }
-        }
-        let host = read_host(&self.host);
-        for (g, p) in host.pcie_down.iter().enumerate() {
-            if p.transfers() > 0 {
-                out.push((
-                    format!("host->g{g}"),
-                    p.transfers(),
-                    p.bytes_total(),
-                    p.next_free(),
-                ));
-            }
-        }
-        for g in 0..self.lanes.len() {
-            let lane = lock_lane(&self.lanes, g);
-            let p = &lane.egress.pcie_up;
-            if p.transfers() > 0 {
-                out.push((
-                    format!("g{g}->host"),
-                    p.transfers(),
-                    p.bytes_total(),
-                    p.next_free(),
-                ));
-            }
-        }
-        out
     }
 }

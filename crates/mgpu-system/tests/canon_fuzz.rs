@@ -1,8 +1,8 @@
 //! Fuzz-style property tests for the strict canon decoders.
 //!
-//! `idyll-serve` feeds cache files straight into `decode_config` /
-//! `decode_spec` / `decode_report`, so the decoders must be total over
-//! arbitrary text: malformed, truncated, reordered or duplicated input
+//! Canonical documents may be read back from files, so `decode_config` /
+//! `decode_spec` / `decode_report` must be total over arbitrary text:
+//! malformed, truncated, reordered or duplicated input
 //! returns a [`CanonError`] — it never panics — and every value the encoders
 //! can produce round-trips to an identical document.
 

@@ -115,16 +115,6 @@ impl MetricsRegistry {
         );
     }
 
-    /// Copies every entry of `other` into this registry (last write wins on
-    /// name collisions). Long-lived processes use this to combine registries
-    /// produced by independent components — e.g. the experiment service
-    /// merging its own counters with the grid recorder's — into one export.
-    pub fn extend(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.entries {
-            self.entries.insert(name.clone(), value.clone());
-        }
-    }
-
     /// A borrow that prefixes every registered name with `prefix` + `.`;
     /// nests (`reg.scope("gpu0").scope("gmmu")` yields `gpu0.gmmu.*`).
     pub fn scope(&mut self, prefix: impl Into<String>) -> Scope<'_> {
@@ -339,20 +329,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn extend_copies_and_overwrites() {
-        let mut a = MetricsRegistry::new();
-        a.count("x", 1);
-        a.count("y", 2);
-        let mut b = MetricsRegistry::new();
-        b.count("y", 20);
-        b.gauge("z", 0.5);
-        a.extend(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get("y"), Some(&MetricValue::Count(20)));
-        assert_eq!(a.get("z"), Some(&MetricValue::Gauge(0.5)));
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub struct BandwidthPipe {
     /// artificially cap a 300 B/cy link at one 64 B message per cycle).
     next_free: f64,
     bytes_total: u64,
-    transfers: u64,
 }
 
 impl BandwidthPipe {
@@ -127,7 +126,6 @@ impl BandwidthPipe {
             latency,
             next_free: 0.0,
             bytes_total: 0,
-            transfers: 0,
         }
     }
 
@@ -137,7 +135,6 @@ impl BandwidthPipe {
         let start = self.next_free.max(now.raw() as f64);
         self.next_free = start + bytes as f64 / self.bytes_per_cycle;
         self.bytes_total += bytes;
-        self.transfers += 1;
         // simlint: allow(lossy-cast) — quantises fractional cycles up; cycle counts sit far below 2^53
         Cycle(self.next_free.ceil() as u64) + self.latency
     }
@@ -155,20 +152,9 @@ impl BandwidthPipe {
         self.latency
     }
 
-    /// The cycle at which the pipe next becomes free (diagnostic).
-    pub fn next_free(&self) -> Cycle {
-        // simlint: allow(lossy-cast) — quantises fractional cycles up; cycle counts sit far below 2^53
-        Cycle(self.next_free.ceil() as u64)
-    }
-
     /// Total bytes moved.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
-    }
-
-    /// Number of transfers served.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
     }
 }
 
@@ -210,7 +196,6 @@ mod tests {
         let t3 = pipe.transfer(Cycle(100), 4);
         assert_eq!(t3, Cycle(106));
         assert_eq!(pipe.bytes_total(), 84);
-        assert_eq!(pipe.transfers(), 3);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The `canon-coverage` rule: keeps `mgpu_system::canon` honest.
 //!
-//! `idyll-serve` keys its result cache on the canonical text encodings of
-//! `SystemConfig`/`WorkloadSpec`, so a config field that canon does not
-//! encode makes the cache serve stale results for *distinct* configs — the
-//! single nastiest latent bug in the repo. This module cross-checks, at
-//! lint time:
+//! `canon::job_key` identifies a simulation cell by the canonical text
+//! encodings of `SystemConfig`/`WorkloadSpec`, so a config field that canon
+//! does not encode makes *distinct* configs share one key — anything keyed
+//! on it (result reuse, cell dedupe) then returns stale results. This
+//! module cross-checks, at lint time:
 //!
 //! 1. **Coverage** — every member of every type in [`CANON_COVERED`] is
 //!    mentioned by the encoder/decoder bodies in `canon.rs` (as an

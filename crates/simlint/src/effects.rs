@@ -8,7 +8,7 @@
 //! lead. The fixpoint is computed bottom-up over Tarjan's strongly connected
 //! components — each SCC's members share one summary (mutual recursion
 //! cannot add effects round-by-round), and SCCs are visited callees-first,
-//! so a single pass converges. See DESIGN.md §10 for the lattice and the
+//! so a single pass converges. See DESIGN.md §9 for the lattice and the
 //! documented over-approximations.
 //!
 //! The trigger sets deliberately mirror the token-tier rules where one

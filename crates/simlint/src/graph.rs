@@ -2,7 +2,7 @@
 //! streams and a conservative call graph on top of it.
 //!
 //! The graph exists for one question: *which functions can run inside a GPU
-//! lane's epoch?* The parallel event core (DESIGN.md §9) is only sound if
+//! lane's epoch?* The parallel event core (DESIGN.md §8) is only sound if
 //! GPU-phase code never touches host/driver state outside the outbox
 //! mailboxes — and the token-level `cross-domain-mutation` rule only sees
 //! the `impl GpuLane` bodies themselves, so any helper *called from* a lane
@@ -44,7 +44,7 @@
 //!   `impl` type resolves to nothing: the callee lives in std, and edging
 //!   into every same-named workspace fn would only manufacture noise.
 //!
-//! Known holes, accepted and documented (DESIGN.md §10): calls through
+//! Known holes, accepted and documented (DESIGN.md §9): calls through
 //! function pointers / closures passed as values (`map(Self::g)` without
 //! parentheses at the use site), macro-generated bodies, and trait-object
 //! dynamic dispatch to a method name the call site never utters. None occur

@@ -98,8 +98,8 @@ pub const EXEMPT_CRATES: &[&str] = &["bench", "proptest", "simlint"];
 
 /// Workspace-relative path prefixes of the modules whose bodies run inside
 /// the simulation event loop. `hot-path-panic` fires only here: a panic in
-/// these modules kills a whole `idyll-serve` worker mid-job, so failures
-/// must surface as typed `SimError`s instead.
+/// these modules aborts the whole figure grid over one bad cell, so
+/// failures must surface as typed `SimError`s instead.
 pub const HOT_PATHS: &[&str] = &[
     "crates/mgpu-system/src/system/",
     "crates/gpu-model/src/gmmu.rs",
@@ -857,7 +857,7 @@ fn lint_crate_analyses(crate_name: &str, analyses: &[FileAnalysis], diags: &mut 
                                 Rule::HotPathPanic,
                                 t,
                                 format!(
-                                    "`.{word}()` in a sim-loop event handler can kill an idyll-serve worker; return a typed `SimError` instead"
+                                    "`.{word}()` in a sim-loop event handler lets one bad cell abort the whole figure grid; return a typed `SimError` instead"
                                 ),
                             );
                         }
@@ -866,7 +866,7 @@ fn lint_crate_analyses(crate_name: &str, analyses: &[FileAnalysis], diags: &mut 
                                 Rule::HotPathPanic,
                                 t,
                                 format!(
-                                    "`{word}!` in a sim-loop event handler can kill an idyll-serve worker; return a typed `SimError` instead"
+                                    "`{word}!` in a sim-loop event handler lets one bad cell abort the whole figure grid; return a typed `SimError` instead"
                                 ),
                             );
                         }

@@ -6,7 +6,7 @@
 //! built from the model crates' already-lexed token streams — no file is
 //! re-read or re-lexed here — and the effect-site rules consume the
 //! [`effects`](crate::effects) fixpoint summaries computed over that graph.
-//! See DESIGN.md §10 for the conservatism contract.
+//! See DESIGN.md §9 for the conservatism contract.
 
 use crate::effects::{EffectSet, Effects, SiteKind};
 use crate::graph::SymbolGraph;
@@ -187,7 +187,7 @@ fn lane_race(
 /// the summaries lead to — the witness chain names the root and the
 /// effectful callee. Allocation and IO sites behind an observability gate
 /// (`if …is_enabled()…`) are exempt: the default path is effect-free.
-/// Panic sites are *not* exempt (a gated panic still kills the worker when
+/// Panic sites are *not* exempt (a gated panic still aborts the grid when
 /// tracing is on), but sites in [`crate::HOT_PATHS`] files stay the token
 /// tier's territory so nothing is reported twice.
 fn hot_path_effects(
@@ -253,8 +253,8 @@ fn hot_path_effects(
                 (
                     Rule::HotPathPanic,
                     format!(
-                        "`{what}` in `{}`{via} can panic on the event path and kill an \
-                         idyll-serve worker; return a typed `SimError` instead",
+                        "`{what}` in `{}`{via} can panic on the event path, so one bad \
+                         cell aborts the whole figure grid; return a typed `SimError` instead",
                         def.qualified()
                     ),
                 )

@@ -1,4 +1,4 @@
-//! Property tests for the effect-inference fixpoint (DESIGN.md §10): on a
+//! Property tests for the effect-inference fixpoint (DESIGN.md §9): on a
 //! random call graph — cycles and mutual recursion included — the SCC-based
 //! single pass must land exactly on the least fixpoint, i.e. every
 //! function's summary equals the union of the *direct* effects of everything

@@ -1,4 +1,4 @@
-//! Property test for the call graph's soundness contract (DESIGN.md §10):
+//! Property test for the call graph's soundness contract (DESIGN.md §9):
 //! a *direct textual call chain* from a GPU-lane handler must never produce
 //! a false negative — every function on the chain is reachable, whatever
 //! mix of call shapes (bare, qualified, method) and definition kinds (free

@@ -51,7 +51,7 @@ if [ -n "$sarif_out" ]; then
 fi
 
 # --effects <file>: dump the interprocedural effect summaries (byte-stable
-# JSON, DESIGN.md §10) as a CI artifact next to the SARIF log. Like the
+# JSON, DESIGN.md §9) as a CI artifact next to the SARIF log. Like the
 # SARIF pass this never blocks; it exists so a reviewer can diff summaries
 # across commits without re-running the scan.
 if [ -n "$effects_out" ]; then
