@@ -166,10 +166,7 @@ fn build_workload(args: &Args) -> Result<Workload, String> {
             args.seed,
         )),
         name => {
-            let app = AppId::ALL
-                .into_iter()
-                .find(|a| a.name() == name)
-                .ok_or_else(|| format!("unknown app `{name}`"))?;
+            let app = AppId::from_name(name).ok_or_else(|| format!("unknown app `{name}`"))?;
             Ok(workloads::generate(
                 &WorkloadSpec::paper_default(app, args.scale),
                 args.gpus,

@@ -5,18 +5,18 @@
 //! is a stable hash of the canonical encoding of
 //! `(SystemConfig, WorkloadSpec, seed)`. For that to be sound the encoding
 //! must be **total** (every field appears — adding a field changes every
-//! key, which is exactly right), **deterministic** (identical values render
-//! to identical bytes on every platform) and **invertible** (decoding
-//! rebuilds the exact configuration that was hashed).
+//! key, which is exactly right) and **deterministic** (identical values
+//! render to identical bytes on every platform).
+//!
+//! Totality is enforced by the compiler: every encoder binds its structs
+//! with an exhaustive destructuring pattern (no `..`), and every enum is
+//! rendered by an exhaustive `match`, so a new field or variant that is not
+//! encoded fails to build.
 //!
 //! The format is the same line-oriented `key value` style as the trace
 //! format in `workloads::serialize`: a version header, then one field per
 //! line in a fixed order. Floats use Rust's shortest-roundtrip formatting,
-//! which is deterministic for equal bit patterns and parses back to the
-//! identical value.
-//!
-//! Decoding is strict: unknown keys, duplicate keys and missing fields are
-//! errors, so a key can never silently cover two different configurations.
+//! which is deterministic for equal bit patterns.
 //!
 //! # Example
 //!
@@ -27,172 +27,59 @@
 //!
 //! let cfg = SystemConfig::idyll(4);
 //! let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
-//! let text = canon::encode_config(&cfg);
-//! assert_eq!(canon::decode_config(&text).unwrap(), cfg);
+//! assert!(canon::encode_config(&cfg).starts_with("# idyll-canon config v1\n"));
 //! let key = canon::job_key(&cfg, &spec, 42);
 //! assert_eq!(key.len(), 32); // 128-bit hex
 //! ```
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::hash::{BuildHasher, Hasher};
 
+use gpu_model::gmmu::GmmuConfig;
+use gpu_model::gpu::GpuConfig;
 use gpu_model::scheduler::CtaSchedule;
 use idyll_core::irmb::{IrmbConfig, IrmbReplacement};
 use idyll_core::transfw::TransFwConfig;
-use mem_model::cache::CacheGeometry;
+use mem_model::interconnect::InterconnectConfig;
 use sim_engine::collections::DetState;
 use sim_engine::stats::Accumulator;
-use sim_engine::Cycle;
 use uvm_driver::policy::MigrationPolicy;
 use vm_model::addr::PageSize;
 use vm_model::tlb::TlbConfig;
-use workloads::{AppId, WorkloadSpec};
+use vm_model::walker::WalkerConfig;
+use workloads::WorkloadSpec;
 
 use crate::config::{DirectoryMode, HostConfig, IdyllConfig, SystemConfig};
 use crate::metrics::{SimReport, WalkerMix};
 
 /// Version headers; bumped whenever a field is added, removed or re-ordered
-/// (which intentionally invalidates every cached result).
+/// (which intentionally changes every job key).
 const CONFIG_HEADER: &str = "# idyll-canon config v1";
 const SPEC_HEADER: &str = "# idyll-canon spec v1";
 const REPORT_HEADER: &str = "# idyll-canon report v1";
 
 /// Fixed seeds for the two 64-bit halves of the content address. These are
 /// deliberately *not* [`DetState::default`], which honours the
-/// `IDYLL_HASH_SEED` hostile override: cache keys must survive that attack
-/// unchanged (a key that moved under a hostile seed would orphan every
-/// cached result).
+/// `IDYLL_HASH_SEED` hostile override: job keys must survive that attack
+/// unchanged (a key that moved under a hostile seed would give the same
+/// cell two identities).
 const KEY_SEED_LO: u64 = 0x1D11_5EED_0000_0001;
 const KEY_SEED_HI: u64 = 0x1D11_5EED_0000_0002;
 
-/// A malformed canonical document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonError(pub String);
-
-impl std::fmt::Display for CanonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "canonical decode error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CanonError {}
-
-fn err(msg: impl Into<String>) -> CanonError {
-    CanonError(msg.into())
-}
-
-// ---------------------------------------------------------------------------
-// Field-map plumbing
-// ---------------------------------------------------------------------------
-
-/// Parsed `key value` lines with strict single-use semantics: every field
-/// must be taken exactly once, and [`Fields::finish`] rejects leftovers.
-struct Fields {
-    map: BTreeMap<String, String>,
-}
-
-impl Fields {
-    fn parse(text: &str, header: &'static str) -> Result<Fields, CanonError> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h.trim() == header => {}
-            other => {
-                return Err(err(format!(
-                    "expected header `{header}`, found `{}`",
-                    other.unwrap_or("<empty>")
-                )))
-            }
-        }
-        let mut map = BTreeMap::new();
-        for raw in lines {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-            if map.insert(key.to_string(), value.to_string()).is_some() {
-                return Err(err(format!("duplicate key `{key}`")));
-            }
-        }
-        Ok(Fields { map })
-    }
-
-    fn take(&mut self, key: &str) -> Result<String, CanonError> {
-        self.map
-            .remove(key)
-            .ok_or_else(|| err(format!("missing key `{key}`")))
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, CanonError> {
-        let v = self.take(key)?;
-        v.parse()
-            .map_err(|_| err(format!("cannot parse `{key} {v}`")))
-    }
-
-    fn take_cycle(&mut self, key: &str) -> Result<Cycle, CanonError> {
-        Ok(Cycle(self.take_parsed(key)?))
-    }
-
-    fn take_bool(&mut self, key: &str) -> Result<bool, CanonError> {
-        match self.take(key)?.as_str() {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            v => Err(err(format!("cannot parse `{key} {v}` as bool"))),
-        }
-    }
-
-    /// Splits a multi-word value into exactly `n` whitespace-separated parts.
-    fn take_words(&mut self, key: &str, n: usize) -> Result<Vec<String>, CanonError> {
-        let v = self.take(key)?;
-        let words: Vec<String> = v.split_whitespace().map(str::to_string).collect();
-        if words.len() == n {
-            Ok(words)
-        } else {
-            Err(err(format!("`{key}` expects {n} values, got `{v}`")))
-        }
-    }
-
-    fn finish(self) -> Result<(), CanonError> {
-        match self.map.into_keys().next() {
-            None => Ok(()),
-            Some(k) => Err(err(format!("unknown key `{k}`"))),
-        }
-    }
-}
-
-fn parse_word<T: std::str::FromStr>(
-    words: &[String],
-    i: usize,
-    key: &str,
-) -> Result<T, CanonError> {
-    words[i]
-        .parse()
-        .map_err(|_| err(format!("cannot parse `{key}` part {i}: `{}`", words[i])))
+/// Appends one `key value` line. `f64` values render through `Display`,
+/// i.e. shortest-roundtrip (`inf`/`-inf` included).
+fn kv(s: &mut String, key: &str, value: impl Display) {
+    let _ = writeln!(s, "{key} {value}");
 }
 
 // ---------------------------------------------------------------------------
 // Scalar leaf encodings
 // ---------------------------------------------------------------------------
 
-/// Shortest-roundtrip float rendering (deterministic for equal bit
-/// patterns; `parse` recovers the exact value, including `inf`/`-inf`).
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
-}
-
 fn page_size_str(p: PageSize) -> &'static str {
     match p {
         PageSize::Size4K => "4k",
         PageSize::Size2M => "2m",
-    }
-}
-
-fn parse_page_size(v: &str) -> Result<PageSize, CanonError> {
-    match v {
-        "4k" => Ok(PageSize::Size4K),
-        "2m" => Ok(PageSize::Size2M),
-        _ => Err(err(format!("unknown page size `{v}`"))),
     }
 }
 
@@ -204,37 +91,11 @@ fn cta_schedule_str(s: CtaSchedule) -> String {
     }
 }
 
-fn parse_cta_schedule(v: &str) -> Result<CtaSchedule, CanonError> {
-    match v.split_once(' ') {
-        None if v == "block-contiguous" => Ok(CtaSchedule::BlockContiguous),
-        None if v == "round-robin" => Ok(CtaSchedule::RoundRobin),
-        Some(("block-cyclic", n)) => {
-            Ok(CtaSchedule::BlockCyclic(n.parse().map_err(|_| {
-                err(format!("bad block-cyclic size `{n}`"))
-            })?))
-        }
-        _ => Err(err(format!("unknown cta schedule `{v}`"))),
-    }
-}
-
 fn policy_str(p: MigrationPolicy) -> String {
     match p {
         MigrationPolicy::FirstTouch => "first-touch".into(),
         MigrationPolicy::OnTouch => "on-touch".into(),
         MigrationPolicy::AccessCounter { threshold } => format!("access-counter {threshold}"),
-    }
-}
-
-fn parse_policy(v: &str) -> Result<MigrationPolicy, CanonError> {
-    match v.split_once(' ') {
-        None if v == "first-touch" => Ok(MigrationPolicy::FirstTouch),
-        None if v == "on-touch" => Ok(MigrationPolicy::OnTouch),
-        Some(("access-counter", t)) => Ok(MigrationPolicy::AccessCounter {
-            threshold: t
-                .parse()
-                .map_err(|_| err(format!("bad access-counter threshold `{t}`")))?,
-        }),
-        _ => Err(err(format!("unknown migration policy `{v}`"))),
     }
 }
 
@@ -246,41 +107,20 @@ fn directory_str(d: DirectoryMode) -> String {
     }
 }
 
-fn parse_directory(v: &str) -> Result<DirectoryMode, CanonError> {
-    match v.split_once(' ') {
-        None if v == "broadcast" => Ok(DirectoryMode::Broadcast),
-        None if v == "in-mem" => Ok(DirectoryMode::InMem),
-        Some(("in-pte", bits)) => Ok(DirectoryMode::InPte {
-            access_bits: bits
-                .parse()
-                .map_err(|_| err(format!("bad access bits `{bits}`")))?,
-        }),
-        _ => Err(err(format!("unknown directory mode `{v}`"))),
-    }
+fn tlb_str(t: &TlbConfig) -> String {
+    let TlbConfig {
+        entries,
+        ways,
+        latency,
+    } = t;
+    format!("{entries} {ways} {}", latency.raw())
 }
 
 fn accumulator_str(a: &Accumulator) -> String {
-    if a.count() == 0 {
-        "0 0 0 0".into()
-    } else {
-        format!(
-            "{} {} {} {}",
-            a.count(),
-            fmt_f64(a.sum()),
-            fmt_f64(a.min().expect("non-empty")),
-            fmt_f64(a.max().expect("non-empty"))
-        )
+    match (a.min(), a.max()) {
+        (Some(min), Some(max)) => format!("{} {} {min} {max}", a.count(), a.sum()),
+        _ => "0 0 0 0".into(),
     }
-}
-
-fn take_accumulator(fields: &mut Fields, key: &str) -> Result<Accumulator, CanonError> {
-    let w = fields.take_words(key, 4)?;
-    Ok(Accumulator::from_parts(
-        parse_word(&w, 0, key)?,
-        parse_word(&w, 1, key)?,
-        parse_word(&w, 2, key)?,
-        parse_word(&w, 3, key)?,
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -290,283 +130,7 @@ fn take_accumulator(fields: &mut Fields, key: &str) -> Result<Accumulator, Canon
 /// Renders a [`SystemConfig`] as the canonical `v1` text document.
 #[must_use]
 pub fn encode_config(cfg: &SystemConfig) -> String {
-    let mut s = String::with_capacity(1024);
-    let kv = |s: &mut String, k: &str, v: &str| {
-        let _ = writeln!(s, "{k} {v}");
-    };
-    s.push_str(CONFIG_HEADER);
-    s.push('\n');
-    kv(&mut s, "n_gpus", &cfg.n_gpus.to_string());
-    let g = &cfg.gpu;
-    kv(&mut s, "gpu.cus", &g.cus.to_string());
-    kv(&mut s, "gpu.warps_per_cu", &g.warps_per_cu.to_string());
-    let tlb = |t: &TlbConfig| format!("{} {} {}", t.entries, t.ways, t.latency.raw());
-    kv(&mut s, "gpu.l1_tlb", &tlb(&g.l1_tlb));
-    kv(&mut s, "gpu.l2_tlb", &tlb(&g.l2_tlb));
-    kv(
-        &mut s,
-        "gpu.l2_mshr_entries",
-        &g.l2_mshr_entries.to_string(),
-    );
-    kv(
-        &mut s,
-        "gpu.gmmu.walk_queue_entries",
-        &g.gmmu.walk_queue_entries.to_string(),
-    );
-    kv(
-        &mut s,
-        "gpu.gmmu.walker_threads",
-        &g.gmmu.walker_threads.to_string(),
-    );
-    kv(
-        &mut s,
-        "gpu.gmmu.pwc_entries",
-        &g.gmmu.pwc_entries.to_string(),
-    );
-    kv(&mut s, "gpu.gmmu.levels", &g.gmmu.levels.to_string());
-    kv(
-        &mut s,
-        "gpu.gmmu.walker.per_level_latency",
-        &g.gmmu.walker.per_level_latency.raw().to_string(),
-    );
-    kv(
-        &mut s,
-        "gpu.fault_buffer_entries",
-        &g.fault_buffer_entries.to_string(),
-    );
-    kv(
-        &mut s,
-        "gpu.l2_cache",
-        &format!(
-            "{} {} {}",
-            g.l2_cache.size_bytes(),
-            g.l2_cache.ways(),
-            g.l2_cache.line_bytes()
-        ),
-    );
-    kv(&mut s, "gpu.dram_banks", &g.dram_banks.to_string());
-    kv(
-        &mut s,
-        "gpu.dram_latency",
-        &g.dram_latency.raw().to_string(),
-    );
-    kv(&mut s, "gpu.dram_occupancy", &g.dram_occupancy.to_string());
-    kv(
-        &mut s,
-        "gpu.l1_hit_latency",
-        &g.l1_hit_latency.raw().to_string(),
-    );
-    kv(
-        &mut s,
-        "gpu.l2_hit_latency",
-        &g.l2_hit_latency.raw().to_string(),
-    );
-    kv(&mut s, "gpu.page_size", page_size_str(g.page_size));
-    kv(&mut s, "page_size", page_size_str(cfg.page_size));
-    kv(&mut s, "cta_schedule", &cta_schedule_str(cfg.cta_schedule));
-    kv(&mut s, "policy", &policy_str(cfg.policy));
-    kv(&mut s, "replication", &cfg.replication.to_string());
-    kv(
-        &mut s,
-        "zero_latency_invalidation",
-        &cfg.zero_latency_invalidation.to_string(),
-    );
-    match &cfg.idyll {
-        None => kv(&mut s, "idyll", "none"),
-        Some(i) => {
-            kv(&mut s, "idyll", "some");
-            kv(&mut s, "idyll.lazy", &i.lazy.to_string());
-            kv(&mut s, "idyll.directory", &directory_str(i.directory));
-            let repl = match i.irmb.replacement {
-                IrmbReplacement::Lru => "lru",
-                IrmbReplacement::Fifo => "fifo",
-            };
-            kv(
-                &mut s,
-                "idyll.irmb",
-                &format!("{} {} {repl}", i.irmb.bases, i.irmb.offsets_per_base),
-            );
-            kv(
-                &mut s,
-                "idyll.bypass_on_irmb_hit",
-                &i.bypass_on_irmb_hit.to_string(),
-            );
-        }
-    }
-    match &cfg.transfw {
-        None => kv(&mut s, "transfw", "none"),
-        Some(t) => kv(&mut s, "transfw", &t.fingerprints.to_string()),
-    }
-    kv(
-        &mut s,
-        "interconnect.nvlink_bytes_per_cycle",
-        &fmt_f64(cfg.interconnect.nvlink_bytes_per_cycle),
-    );
-    kv(
-        &mut s,
-        "interconnect.nvlink_latency",
-        &cfg.interconnect.nvlink_latency.raw().to_string(),
-    );
-    kv(
-        &mut s,
-        "interconnect.pcie_bytes_per_cycle",
-        &fmt_f64(cfg.interconnect.pcie_bytes_per_cycle),
-    );
-    kv(
-        &mut s,
-        "interconnect.pcie_latency",
-        &cfg.interconnect.pcie_latency.raw().to_string(),
-    );
-    let h = &cfg.host;
-    kv(
-        &mut s,
-        "host.walk_latency",
-        &h.walk_latency.raw().to_string(),
-    );
-    kv(&mut s, "host.walk_threads", &h.walk_threads.to_string());
-    kv(&mut s, "host.fault_batch", &h.fault_batch.to_string());
-    kv(
-        &mut s,
-        "host.batch_window",
-        &h.batch_window.raw().to_string(),
-    );
-    kv(
-        &mut s,
-        "host.vm_cache_latency",
-        &h.vm_cache_latency.raw().to_string(),
-    );
-    kv(
-        &mut s,
-        "host.vm_table_latency",
-        &h.vm_table_latency.raw().to_string(),
-    );
-    kv(&mut s, "host.prefetch", &h.prefetch.to_string());
-    kv(
-        &mut s,
-        "host.migration_cooldown",
-        &h.migration_cooldown.raw().to_string(),
-    );
-    kv(
-        &mut s,
-        "frames_per_device",
-        &cfg.frames_per_device.to_string(),
-    );
-    kv(&mut s, "seed", &cfg.seed.to_string());
-    kv(&mut s, "max_events", &cfg.max_events.to_string());
-    s
-}
-
-/// Parses a canonical `v1` config document back into a [`SystemConfig`].
-///
-/// # Errors
-/// [`CanonError`] on a bad header, unknown/duplicate/missing keys, or
-/// unparsable values.
-pub fn decode_config(text: &str) -> Result<SystemConfig, CanonError> {
-    let mut f = Fields::parse(text, CONFIG_HEADER)?;
-    let take_tlb = |f: &mut Fields, key: &str| -> Result<TlbConfig, CanonError> {
-        let w = f.take_words(key, 3)?;
-        Ok(TlbConfig {
-            entries: parse_word(&w, 0, key)?,
-            ways: parse_word(&w, 1, key)?,
-            latency: Cycle(parse_word(&w, 2, key)?),
-        })
-    };
-
-    let n_gpus = f.take_parsed("n_gpus")?;
-    // Full struct literals, not `Default` + assignment: the decoder fails
-    // to compile if a field is added without extending the format.
-    let gpu = gpu_model::gpu::GpuConfig {
-        cus: f.take_parsed("gpu.cus")?,
-        warps_per_cu: f.take_parsed("gpu.warps_per_cu")?,
-        l1_tlb: take_tlb(&mut f, "gpu.l1_tlb")?,
-        l2_tlb: take_tlb(&mut f, "gpu.l2_tlb")?,
-        l2_mshr_entries: f.take_parsed("gpu.l2_mshr_entries")?,
-        gmmu: gpu_model::gmmu::GmmuConfig {
-            walk_queue_entries: f.take_parsed("gpu.gmmu.walk_queue_entries")?,
-            walker_threads: f.take_parsed("gpu.gmmu.walker_threads")?,
-            pwc_entries: f.take_parsed("gpu.gmmu.pwc_entries")?,
-            levels: f.take_parsed("gpu.gmmu.levels")?,
-            walker: vm_model::walker::WalkerConfig {
-                per_level_latency: f.take_cycle("gpu.gmmu.walker.per_level_latency")?,
-            },
-        },
-        fault_buffer_entries: f.take_parsed("gpu.fault_buffer_entries")?,
-        l2_cache: {
-            let w = f.take_words("gpu.l2_cache", 3)?;
-            CacheGeometry::new(
-                parse_word(&w, 0, "gpu.l2_cache")?,
-                parse_word(&w, 1, "gpu.l2_cache")?,
-                parse_word(&w, 2, "gpu.l2_cache")?,
-            )
-        },
-        dram_banks: f.take_parsed("gpu.dram_banks")?,
-        dram_latency: f.take_cycle("gpu.dram_latency")?,
-        dram_occupancy: f.take_parsed("gpu.dram_occupancy")?,
-        l1_hit_latency: f.take_cycle("gpu.l1_hit_latency")?,
-        l2_hit_latency: f.take_cycle("gpu.l2_hit_latency")?,
-        page_size: parse_page_size(&f.take("gpu.page_size")?)?,
-    };
-
-    let page_size = parse_page_size(&f.take("page_size")?)?;
-    let cta_schedule = parse_cta_schedule(&f.take("cta_schedule")?)?;
-    let policy = parse_policy(&f.take("policy")?)?;
-    let replication = f.take_bool("replication")?;
-    let zero_latency_invalidation = f.take_bool("zero_latency_invalidation")?;
-
-    let idyll = match f.take("idyll")?.as_str() {
-        "none" => None,
-        "some" => {
-            let lazy = f.take_bool("idyll.lazy")?;
-            let directory = parse_directory(&f.take("idyll.directory")?)?;
-            let w = f.take_words("idyll.irmb", 3)?;
-            let replacement = match w[2].as_str() {
-                "lru" => IrmbReplacement::Lru,
-                "fifo" => IrmbReplacement::Fifo,
-                other => return Err(err(format!("unknown IRMB replacement `{other}`"))),
-            };
-            let irmb = IrmbConfig {
-                bases: parse_word(&w, 0, "idyll.irmb")?,
-                offsets_per_base: parse_word(&w, 1, "idyll.irmb")?,
-                replacement,
-            };
-            let bypass_on_irmb_hit = f.take_bool("idyll.bypass_on_irmb_hit")?;
-            Some(IdyllConfig {
-                lazy,
-                directory,
-                irmb,
-                bypass_on_irmb_hit,
-            })
-        }
-        v => return Err(err(format!("`idyll` must be none|some, got `{v}`"))),
-    };
-    let transfw = match f.take("transfw")?.as_str() {
-        "none" => None,
-        v => Some(TransFwConfig {
-            fingerprints: v
-                .parse()
-                .map_err(|_| err(format!("bad transfw fingerprints `{v}`")))?,
-        }),
-    };
-
-    let interconnect = mem_model::interconnect::InterconnectConfig {
-        nvlink_bytes_per_cycle: f.take_parsed("interconnect.nvlink_bytes_per_cycle")?,
-        nvlink_latency: f.take_cycle("interconnect.nvlink_latency")?,
-        pcie_bytes_per_cycle: f.take_parsed("interconnect.pcie_bytes_per_cycle")?,
-        pcie_latency: f.take_cycle("interconnect.pcie_latency")?,
-    };
-
-    let host = HostConfig {
-        walk_latency: f.take_cycle("host.walk_latency")?,
-        walk_threads: f.take_parsed("host.walk_threads")?,
-        fault_batch: f.take_parsed("host.fault_batch")?,
-        batch_window: f.take_cycle("host.batch_window")?,
-        vm_cache_latency: f.take_cycle("host.vm_cache_latency")?,
-        vm_table_latency: f.take_cycle("host.vm_table_latency")?,
-        prefetch: f.take_bool("host.prefetch")?,
-        migration_cooldown: f.take_cycle("host.migration_cooldown")?,
-    };
-
-    let cfg = SystemConfig {
+    let SystemConfig {
         n_gpus,
         gpu,
         page_size,
@@ -578,12 +142,150 @@ pub fn decode_config(text: &str) -> Result<SystemConfig, CanonError> {
         transfw,
         interconnect,
         host,
-        frames_per_device: f.take_parsed("frames_per_device")?,
-        seed: f.take_parsed("seed")?,
-        max_events: f.take_parsed("max_events")?,
-    };
-    f.finish()?;
-    Ok(cfg)
+        frames_per_device,
+        seed,
+        max_events,
+    } = cfg;
+    let GpuConfig {
+        cus,
+        warps_per_cu,
+        l1_tlb,
+        l2_tlb,
+        l2_mshr_entries,
+        gmmu,
+        fault_buffer_entries,
+        l2_cache,
+        dram_banks,
+        dram_latency,
+        dram_occupancy,
+        l1_hit_latency,
+        l2_hit_latency,
+        page_size: gpu_page_size,
+    } = gpu;
+    let GmmuConfig {
+        walk_queue_entries,
+        walker_threads,
+        pwc_entries,
+        levels,
+        walker: WalkerConfig { per_level_latency },
+    } = gmmu;
+    let InterconnectConfig {
+        nvlink_bytes_per_cycle,
+        nvlink_latency,
+        pcie_bytes_per_cycle,
+        pcie_latency,
+    } = interconnect;
+    let HostConfig {
+        walk_latency,
+        walk_threads,
+        fault_batch,
+        batch_window,
+        vm_cache_latency,
+        vm_table_latency,
+        prefetch,
+        migration_cooldown,
+    } = host;
+
+    let mut s = String::with_capacity(1024);
+    s.push_str(CONFIG_HEADER);
+    s.push('\n');
+    kv(&mut s, "n_gpus", n_gpus);
+    kv(&mut s, "gpu.cus", cus);
+    kv(&mut s, "gpu.warps_per_cu", warps_per_cu);
+    kv(&mut s, "gpu.l1_tlb", tlb_str(l1_tlb));
+    kv(&mut s, "gpu.l2_tlb", tlb_str(l2_tlb));
+    kv(&mut s, "gpu.l2_mshr_entries", l2_mshr_entries);
+    kv(&mut s, "gpu.gmmu.walk_queue_entries", walk_queue_entries);
+    kv(&mut s, "gpu.gmmu.walker_threads", walker_threads);
+    kv(&mut s, "gpu.gmmu.pwc_entries", pwc_entries);
+    kv(&mut s, "gpu.gmmu.levels", levels);
+    kv(
+        &mut s,
+        "gpu.gmmu.walker.per_level_latency",
+        per_level_latency.raw(),
+    );
+    kv(&mut s, "gpu.fault_buffer_entries", fault_buffer_entries);
+    kv(
+        &mut s,
+        "gpu.l2_cache",
+        format!(
+            "{} {} {}",
+            l2_cache.size_bytes(),
+            l2_cache.ways(),
+            l2_cache.line_bytes()
+        ),
+    );
+    kv(&mut s, "gpu.dram_banks", dram_banks);
+    kv(&mut s, "gpu.dram_latency", dram_latency.raw());
+    kv(&mut s, "gpu.dram_occupancy", dram_occupancy);
+    kv(&mut s, "gpu.l1_hit_latency", l1_hit_latency.raw());
+    kv(&mut s, "gpu.l2_hit_latency", l2_hit_latency.raw());
+    kv(&mut s, "gpu.page_size", page_size_str(*gpu_page_size));
+    kv(&mut s, "page_size", page_size_str(*page_size));
+    kv(&mut s, "cta_schedule", cta_schedule_str(*cta_schedule));
+    kv(&mut s, "policy", policy_str(*policy));
+    kv(&mut s, "replication", replication);
+    kv(
+        &mut s,
+        "zero_latency_invalidation",
+        zero_latency_invalidation,
+    );
+    match idyll {
+        None => kv(&mut s, "idyll", "none"),
+        Some(IdyllConfig {
+            lazy,
+            directory,
+            irmb:
+                IrmbConfig {
+                    bases,
+                    offsets_per_base,
+                    replacement,
+                },
+            bypass_on_irmb_hit,
+        }) => {
+            kv(&mut s, "idyll", "some");
+            kv(&mut s, "idyll.lazy", lazy);
+            kv(&mut s, "idyll.directory", directory_str(*directory));
+            let repl = match replacement {
+                IrmbReplacement::Lru => "lru",
+                IrmbReplacement::Fifo => "fifo",
+            };
+            kv(
+                &mut s,
+                "idyll.irmb",
+                format!("{bases} {offsets_per_base} {repl}"),
+            );
+            kv(&mut s, "idyll.bypass_on_irmb_hit", bypass_on_irmb_hit);
+        }
+    }
+    match transfw {
+        None => kv(&mut s, "transfw", "none"),
+        Some(TransFwConfig { fingerprints }) => kv(&mut s, "transfw", fingerprints),
+    }
+    kv(
+        &mut s,
+        "interconnect.nvlink_bytes_per_cycle",
+        nvlink_bytes_per_cycle,
+    );
+    kv(&mut s, "interconnect.nvlink_latency", nvlink_latency.raw());
+    kv(
+        &mut s,
+        "interconnect.pcie_bytes_per_cycle",
+        pcie_bytes_per_cycle,
+    );
+    kv(&mut s, "interconnect.pcie_latency", pcie_latency.raw());
+    kv(&mut s, "host.walk_latency", walk_latency.raw());
+    kv(&mut s, "host.walk_threads", walk_threads);
+    kv(&mut s, "host.fault_batch", fault_batch);
+    kv(&mut s, "host.batch_window", batch_window.raw());
+    kv(&mut s, "host.vm_cache_latency", vm_cache_latency.raw());
+    kv(&mut s, "host.vm_table_latency", vm_table_latency.raw());
+    kv(&mut s, "host.prefetch", prefetch);
+    kv(&mut s, "host.migration_cooldown", migration_cooldown.raw());
+    kv(&mut s, "frames_per_device", frames_per_device);
+    kv(&mut s, "seed", seed);
+    kv(&mut s, "max_events", max_events);
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -593,45 +295,32 @@ pub fn decode_config(text: &str) -> Result<SystemConfig, CanonError> {
 /// Renders a [`WorkloadSpec`] as the canonical `v1` text document.
 #[must_use]
 pub fn encode_spec(spec: &WorkloadSpec) -> String {
+    let WorkloadSpec {
+        app,
+        pages,
+        accesses_per_gpu,
+        write_fraction,
+        compute_gap,
+        reuse,
+        hot_fraction,
+        hot_pages,
+        cross_fraction,
+        zipf_theta,
+    } = spec;
     let mut s = String::with_capacity(256);
     s.push_str(SPEC_HEADER);
     s.push('\n');
-    let _ = writeln!(s, "app {}", spec.app.name());
-    let _ = writeln!(s, "pages {}", spec.pages);
-    let _ = writeln!(s, "accesses_per_gpu {}", spec.accesses_per_gpu);
-    let _ = writeln!(s, "write_fraction {}", fmt_f64(spec.write_fraction));
-    let _ = writeln!(s, "compute_gap {}", spec.compute_gap);
-    let _ = writeln!(s, "reuse {}", fmt_f64(spec.reuse));
-    let _ = writeln!(s, "hot_fraction {}", fmt_f64(spec.hot_fraction));
-    let _ = writeln!(s, "hot_pages {}", spec.hot_pages);
-    let _ = writeln!(s, "cross_fraction {}", fmt_f64(spec.cross_fraction));
-    let _ = writeln!(s, "zipf_theta {}", fmt_f64(spec.zipf_theta));
+    kv(&mut s, "app", app.name());
+    kv(&mut s, "pages", pages);
+    kv(&mut s, "accesses_per_gpu", accesses_per_gpu);
+    kv(&mut s, "write_fraction", write_fraction);
+    kv(&mut s, "compute_gap", compute_gap);
+    kv(&mut s, "reuse", reuse);
+    kv(&mut s, "hot_fraction", hot_fraction);
+    kv(&mut s, "hot_pages", hot_pages);
+    kv(&mut s, "cross_fraction", cross_fraction);
+    kv(&mut s, "zipf_theta", zipf_theta);
     s
-}
-
-/// Parses a canonical `v1` spec document back into a [`WorkloadSpec`].
-///
-/// # Errors
-/// [`CanonError`] on malformed input.
-pub fn decode_spec(text: &str) -> Result<WorkloadSpec, CanonError> {
-    let mut f = Fields::parse(text, SPEC_HEADER)?;
-    let app_name = f.take("app")?;
-    let app =
-        AppId::from_name(&app_name).ok_or_else(|| err(format!("unknown app `{app_name}`")))?;
-    let spec = WorkloadSpec {
-        app,
-        pages: f.take_parsed("pages")?,
-        accesses_per_gpu: f.take_parsed("accesses_per_gpu")?,
-        write_fraction: f.take_parsed("write_fraction")?,
-        compute_gap: f.take_parsed("compute_gap")?,
-        reuse: f.take_parsed("reuse")?,
-        hot_fraction: f.take_parsed("hot_fraction")?,
-        hot_pages: f.take_parsed("hot_pages")?,
-        cross_fraction: f.take_parsed("cross_fraction")?,
-        zipf_theta: f.take_parsed("zipf_theta")?,
-    };
-    f.finish()?;
-    Ok(spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -640,201 +329,12 @@ pub fn decode_spec(text: &str) -> Result<WorkloadSpec, CanonError> {
 
 /// Renders a [`SimReport`] as the canonical `v1` text document.
 ///
-/// The encoding covers every field, so `encode(decode(x)) == x` and a
-/// cached report is byte-identical to re-encoding a fresh run of the same
-/// deterministic simulation.
+/// The encoding covers every field, so two reports encode to the same bytes
+/// exactly when they agree field for field; a deterministic simulation
+/// re-run must therefore reproduce its encoding byte for byte.
 #[must_use]
 pub fn encode_report(r: &SimReport) -> String {
-    let mut s = String::with_capacity(1024);
-    let kv = |s: &mut String, k: &str, v: &str| {
-        let _ = writeln!(s, "{k} {v}");
-    };
-    s.push_str(REPORT_HEADER);
-    s.push('\n');
-    kv(&mut s, "scheme", &r.scheme);
-    kv(&mut s, "workload", &r.workload);
-    kv(&mut s, "exec_cycles", &r.exec_cycles.to_string());
-    kv(&mut s, "accesses", &r.accesses.to_string());
-    kv(&mut s, "instructions", &r.instructions.to_string());
-    kv(&mut s, "l1_tlb_hits", &r.l1_tlb_hits.to_string());
-    kv(&mut s, "l1_tlb_misses", &r.l1_tlb_misses.to_string());
-    kv(&mut s, "l2_tlb_hits", &r.l2_tlb_hits.to_string());
-    kv(&mut s, "l2_tlb_misses", &r.l2_tlb_misses.to_string());
-    kv(
-        &mut s,
-        "demand_miss_latency",
-        &accumulator_str(&r.demand_miss_latency),
-    );
-    kv(
-        &mut s,
-        "access_latency",
-        &accumulator_str(&r.access_latency),
-    );
-    kv(
-        &mut s,
-        "remote_data_latency",
-        &accumulator_str(&r.remote_data_latency),
-    );
-    kv(
-        &mut s,
-        "walker_mix",
-        &format!(
-            "{} {} {} {}",
-            r.walker_mix.demand,
-            r.walker_mix.invalidation_necessary,
-            r.walker_mix.invalidation_unnecessary,
-            r.walker_mix.update
-        ),
-    );
-    kv(
-        &mut s,
-        "invalidation_messages",
-        &r.invalidation_messages.to_string(),
-    );
-    kv(
-        &mut s,
-        "invalidation_latency",
-        &accumulator_str(&r.invalidation_latency),
-    );
-    kv(&mut s, "far_faults", &r.far_faults.to_string());
-    kv(&mut s, "migrations", &r.migrations.to_string());
-    kv(
-        &mut s,
-        "migration_waiting",
-        &accumulator_str(&r.migration_waiting),
-    );
-    kv(
-        &mut s,
-        "migration_total",
-        &accumulator_str(&r.migration_total),
-    );
-    kv(&mut s, "irmb_inserts", &r.irmb_inserts.to_string());
-    kv(&mut s, "irmb_bypasses", &r.irmb_bypasses.to_string());
-    kv(&mut s, "irmb_evictions", &r.irmb_evictions.to_string());
-    kv(&mut s, "irmb_superseded", &r.irmb_superseded.to_string());
-    kv(&mut s, "pwc_hit_rate", &fmt_f64(r.pwc_hit_rate));
-    match r.vm_cache_hit_rate {
-        None => kv(&mut s, "vm_cache_hit_rate", "none"),
-        Some(v) => kv(&mut s, "vm_cache_hit_rate", &fmt_f64(v)),
-    }
-    match r.transfw {
-        None => kv(&mut s, "transfw", "none"),
-        Some((p, h, fwd)) => kv(&mut s, "transfw", &format!("{p} {h} {fwd}")),
-    }
-    match r.replication {
-        None => kv(&mut s, "replication", "none"),
-        Some((repl, coll)) => kv(&mut s, "replication", &format!("{repl} {coll}")),
-    }
-    kv(&mut s, "nvlink_bytes", &r.nvlink_bytes.to_string());
-    kv(&mut s, "pcie_bytes", &r.pcie_bytes.to_string());
-    let mut dist = r.sharing_distribution.len().to_string();
-    for v in &r.sharing_distribution {
-        let _ = write!(dist, " {}", fmt_f64(*v));
-    }
-    kv(&mut s, "sharing_distribution", &dist);
-    kv(&mut s, "events_processed", &r.events_processed.to_string());
-    kv(
-        &mut s,
-        "stale_translations",
-        &r.stale_translations.to_string(),
-    );
-    s
-}
-
-/// Parses a canonical `v1` report document back into a [`SimReport`].
-///
-/// # Errors
-/// [`CanonError`] on malformed input.
-pub fn decode_report(text: &str) -> Result<SimReport, CanonError> {
-    let mut f = Fields::parse(text, REPORT_HEADER)?;
-    let scheme = f.take("scheme")?;
-    let workload = f.take("workload")?;
-    let exec_cycles = f.take_parsed("exec_cycles")?;
-    let accesses = f.take_parsed("accesses")?;
-    let instructions = f.take_parsed("instructions")?;
-    let l1_tlb_hits = f.take_parsed("l1_tlb_hits")?;
-    let l1_tlb_misses = f.take_parsed("l1_tlb_misses")?;
-    let l2_tlb_hits = f.take_parsed("l2_tlb_hits")?;
-    let l2_tlb_misses = f.take_parsed("l2_tlb_misses")?;
-    let demand_miss_latency = take_accumulator(&mut f, "demand_miss_latency")?;
-    let access_latency = take_accumulator(&mut f, "access_latency")?;
-    let remote_data_latency = take_accumulator(&mut f, "remote_data_latency")?;
-    let walker_mix = {
-        let w = f.take_words("walker_mix", 4)?;
-        WalkerMix {
-            demand: parse_word(&w, 0, "walker_mix")?,
-            invalidation_necessary: parse_word(&w, 1, "walker_mix")?,
-            invalidation_unnecessary: parse_word(&w, 2, "walker_mix")?,
-            update: parse_word(&w, 3, "walker_mix")?,
-        }
-    };
-    let invalidation_messages = f.take_parsed("invalidation_messages")?;
-    let invalidation_latency = take_accumulator(&mut f, "invalidation_latency")?;
-    let far_faults = f.take_parsed("far_faults")?;
-    let migrations = f.take_parsed("migrations")?;
-    let migration_waiting = take_accumulator(&mut f, "migration_waiting")?;
-    let migration_total = take_accumulator(&mut f, "migration_total")?;
-    let irmb_inserts = f.take_parsed("irmb_inserts")?;
-    let irmb_bypasses = f.take_parsed("irmb_bypasses")?;
-    let irmb_evictions = f.take_parsed("irmb_evictions")?;
-    let irmb_superseded = f.take_parsed("irmb_superseded")?;
-    let pwc_hit_rate = f.take_parsed("pwc_hit_rate")?;
-    let vm_cache_hit_rate = match f.take("vm_cache_hit_rate")?.as_str() {
-        "none" => None,
-        v => Some(
-            v.parse()
-                .map_err(|_| err(format!("bad vm_cache_hit_rate `{v}`")))?,
-        ),
-    };
-    let transfw = match f.take("transfw")?.as_str() {
-        "none" => None,
-        v => {
-            let w: Vec<String> = v.split_whitespace().map(str::to_string).collect();
-            if w.len() != 3 {
-                return Err(err(format!("`transfw` expects 3 values, got `{v}`")));
-            }
-            Some((
-                parse_word(&w, 0, "transfw")?,
-                parse_word(&w, 1, "transfw")?,
-                parse_word(&w, 2, "transfw")?,
-            ))
-        }
-    };
-    let replication = match f.take("replication")?.as_str() {
-        "none" => None,
-        v => {
-            let w: Vec<String> = v.split_whitespace().map(str::to_string).collect();
-            if w.len() != 2 {
-                return Err(err(format!("`replication` expects 2 values, got `{v}`")));
-            }
-            Some((
-                parse_word(&w, 0, "replication")?,
-                parse_word(&w, 1, "replication")?,
-            ))
-        }
-    };
-    let nvlink_bytes = f.take_parsed("nvlink_bytes")?;
-    let pcie_bytes = f.take_parsed("pcie_bytes")?;
-    let sharing_distribution = {
-        let v = f.take("sharing_distribution")?;
-        let w: Vec<String> = v.split_whitespace().map(str::to_string).collect();
-        if w.is_empty() {
-            return Err(err("empty `sharing_distribution`".to_string()));
-        }
-        let n: usize = parse_word(&w, 0, "sharing_distribution")?;
-        if w.len() != n + 1 {
-            return Err(err(format!(
-                "`sharing_distribution` declares {n} values, carries {}",
-                w.len() - 1
-            )));
-        }
-        let mut dist = Vec::with_capacity(n);
-        for i in 1..=n {
-            dist.push(parse_word(&w, i, "sharing_distribution")?);
-        }
-        dist
-    };
-    let report = SimReport {
+    let SimReport {
         scheme,
         workload,
         exec_cycles,
@@ -847,7 +347,13 @@ pub fn decode_report(text: &str) -> Result<SimReport, CanonError> {
         demand_miss_latency,
         access_latency,
         remote_data_latency,
-        walker_mix,
+        walker_mix:
+            WalkerMix {
+                demand,
+                invalidation_necessary,
+                invalidation_unnecessary,
+                update,
+            },
         invalidation_messages,
         invalidation_latency,
         far_faults,
@@ -865,11 +371,78 @@ pub fn decode_report(text: &str) -> Result<SimReport, CanonError> {
         nvlink_bytes,
         pcie_bytes,
         sharing_distribution,
-        events_processed: f.take_parsed("events_processed")?,
-        stale_translations: f.take_parsed("stale_translations")?,
-    };
-    f.finish()?;
-    Ok(report)
+        events_processed,
+        stale_translations,
+    } = r;
+    let mut s = String::with_capacity(1024);
+    s.push_str(REPORT_HEADER);
+    s.push('\n');
+    kv(&mut s, "scheme", scheme);
+    kv(&mut s, "workload", workload);
+    kv(&mut s, "exec_cycles", exec_cycles);
+    kv(&mut s, "accesses", accesses);
+    kv(&mut s, "instructions", instructions);
+    kv(&mut s, "l1_tlb_hits", l1_tlb_hits);
+    kv(&mut s, "l1_tlb_misses", l1_tlb_misses);
+    kv(&mut s, "l2_tlb_hits", l2_tlb_hits);
+    kv(&mut s, "l2_tlb_misses", l2_tlb_misses);
+    kv(
+        &mut s,
+        "demand_miss_latency",
+        accumulator_str(demand_miss_latency),
+    );
+    kv(&mut s, "access_latency", accumulator_str(access_latency));
+    kv(
+        &mut s,
+        "remote_data_latency",
+        accumulator_str(remote_data_latency),
+    );
+    kv(
+        &mut s,
+        "walker_mix",
+        format!("{demand} {invalidation_necessary} {invalidation_unnecessary} {update}"),
+    );
+    kv(&mut s, "invalidation_messages", invalidation_messages);
+    kv(
+        &mut s,
+        "invalidation_latency",
+        accumulator_str(invalidation_latency),
+    );
+    kv(&mut s, "far_faults", far_faults);
+    kv(&mut s, "migrations", migrations);
+    kv(
+        &mut s,
+        "migration_waiting",
+        accumulator_str(migration_waiting),
+    );
+    kv(&mut s, "migration_total", accumulator_str(migration_total));
+    kv(&mut s, "irmb_inserts", irmb_inserts);
+    kv(&mut s, "irmb_bypasses", irmb_bypasses);
+    kv(&mut s, "irmb_evictions", irmb_evictions);
+    kv(&mut s, "irmb_superseded", irmb_superseded);
+    kv(&mut s, "pwc_hit_rate", pwc_hit_rate);
+    match vm_cache_hit_rate {
+        None => kv(&mut s, "vm_cache_hit_rate", "none"),
+        Some(v) => kv(&mut s, "vm_cache_hit_rate", v),
+    }
+    match transfw {
+        None => kv(&mut s, "transfw", "none"),
+        Some((p, h, fwd)) => kv(&mut s, "transfw", format!("{p} {h} {fwd}")),
+    }
+    match replication {
+        None => kv(&mut s, "replication", "none"),
+        Some((repl, coll)) => kv(&mut s, "replication", format!("{repl} {coll}")),
+    }
+    kv(&mut s, "nvlink_bytes", nvlink_bytes);
+    kv(&mut s, "pcie_bytes", pcie_bytes);
+    let mut dist = sharing_distribution.len().to_string();
+    for v in sharing_distribution {
+        let _ = write!(dist, " {v}");
+    }
+    kv(&mut s, "sharing_distribution", dist);
+    kv(&mut s, "events_processed", events_processed);
+    kv(&mut s, "stale_translations", stale_translations);
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -904,13 +477,13 @@ pub fn job_key(cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
+    use workloads::{AppId, Scale};
 
-    fn exotic_config() -> SystemConfig {
+    #[test]
+    fn optional_sections_and_enum_payloads_are_spelled_out() {
         let mut cfg = SystemConfig::idyll(8).with_large_pages();
         cfg.cta_schedule = CtaSchedule::BlockCyclic(64);
         cfg.policy = MigrationPolicy::AccessCounter { threshold: 12 };
-        cfg.replication = true;
         cfg.transfw = Some(TransFwConfig { fingerprints: 500 });
         cfg.idyll = Some(IdyllConfig {
             lazy: true,
@@ -922,99 +495,22 @@ mod tests {
             },
             bypass_on_irmb_hit: false,
         });
-        cfg.host.prefetch = true;
-        cfg.seed = 99;
-        cfg.max_events = 123_456;
-        cfg
-    }
-
-    #[test]
-    fn config_roundtrips() {
-        for cfg in [
-            SystemConfig::baseline(4),
-            SystemConfig::idyll(2),
-            SystemConfig::test(4),
-            exotic_config(),
+        let text = encode_config(&cfg);
+        for line in [
+            "page_size 2m",
+            "cta_schedule block-cyclic 64",
+            "policy access-counter 12",
+            "idyll some",
+            "idyll.directory in-pte 4",
+            "idyll.irmb 16 8 fifo",
+            "idyll.bypass_on_irmb_hit false",
+            "transfw 500",
         ] {
-            let text = encode_config(&cfg);
-            let back = decode_config(&text).expect("decodes");
-            assert_eq!(back, cfg);
-            assert_eq!(encode_config(&back), text, "re-encode is byte-identical");
+            assert!(text.lines().any(|l| l == line), "missing `{line}`:\n{text}");
         }
-    }
-
-    #[test]
-    fn spec_roundtrips() {
-        for app in AppId::ALL {
-            for scale in [Scale::Test, Scale::Small, Scale::Full] {
-                let spec = WorkloadSpec::paper_default(app, scale);
-                let back = decode_spec(&encode_spec(&spec)).expect("decodes");
-                assert_eq!(back, spec);
-            }
-        }
-        let enlarged = WorkloadSpec::paper_default(AppId::Sc, Scale::Test).enlarged(4);
-        assert_eq!(decode_spec(&encode_spec(&enlarged)).unwrap(), enlarged);
-    }
-
-    #[test]
-    fn report_roundtrips_through_a_real_run() {
-        let cfg = SystemConfig::test(2);
-        let spec = WorkloadSpec::paper_default(AppId::Bs, Scale::Test);
-        let wl = workloads::generate(&spec, 2, 3);
-        let report = crate::system::System::new(cfg, &wl).run().expect("runs");
-        let text = encode_report(&report);
-        let back = decode_report(&text).expect("decodes");
-        assert_eq!(
-            encode_report(&back),
-            text,
-            "decode/re-encode must be byte-identical"
-        );
-        assert_eq!(back.exec_cycles, report.exec_cycles);
-        assert_eq!(back.events_processed, report.events_processed);
-        assert_eq!(
-            back.demand_miss_latency.sum(),
-            report.demand_miss_latency.sum()
-        );
-    }
-
-    #[test]
-    fn report_roundtrips_optionals_and_empty_accumulators() {
-        let report = SimReport {
-            scheme: "idyll+trans-fw".into(),
-            workload: "KM (16,8)".into(),
-            vm_cache_hit_rate: Some(0.25),
-            transfw: Some((10, 7, 1)),
-            replication: Some((3, 2)),
-            sharing_distribution: vec![0.5, 0.25, 0.125, 0.125],
-            ..SimReport::default()
-        };
-        let text = encode_report(&report);
-        let back = decode_report(&text).expect("decodes");
-        assert_eq!(encode_report(&back), text);
-        assert_eq!(back.transfw, Some((10, 7, 1)));
-        assert_eq!(back.sharing_distribution, report.sharing_distribution);
-        assert_eq!(back.access_latency.count(), 0);
-        assert_eq!(back.access_latency.mean(), None);
-    }
-
-    #[test]
-    fn decode_rejects_malformed_documents() {
-        assert!(decode_config("nope").is_err());
-        let good = encode_config(&SystemConfig::baseline(4));
-        // Unknown key.
-        assert!(decode_config(&format!("{good}bogus 1\n")).is_err());
-        // Duplicate key.
-        assert!(decode_config(&format!("{good}seed 1\n")).is_err());
-        // Missing key.
-        let truncated: String = good
-            .lines()
-            .filter(|l| !l.starts_with("seed "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(decode_config(&truncated).is_err());
-        // idyll none with stray idyll.* subkeys.
         let base = encode_config(&SystemConfig::baseline(4));
-        assert!(decode_config(&format!("{base}idyll.lazy true\n")).is_err());
+        assert!(base.lines().any(|l| l == "idyll none"), "{base}");
+        assert!(!base.contains("idyll.lazy"), "{base}");
     }
 
     #[test]
@@ -1053,34 +549,20 @@ mod tests {
         std::env::remove_var("IDYLL_HASH_SEED");
         assert_eq!(
             before, under_attack,
-            "cache keys must survive IDYLL_HASH_SEED"
+            "job keys must survive IDYLL_HASH_SEED"
         );
     }
 
     #[test]
     fn job_key_golden_value_pins_the_derivation() {
-        // Changing the canonical format or the key seeds re-keys every
-        // cached result; this golden value makes that a conscious decision.
+        // A literal, not a recomputation: any change to the canonical bytes
+        // or the key seeds re-keys every cell and must be a conscious
+        // decision (bump the version header and update this value).
         let key = job_key(
             &SystemConfig::baseline(4),
             &WorkloadSpec::paper_default(AppId::Km, Scale::Test),
             42,
         );
-        assert_eq!(key, expected_golden_key());
-    }
-
-    /// Computed by the same derivation, spelled out long-hand so the golden
-    /// test fails if either half of the key pipeline drifts.
-    fn expected_golden_key() -> String {
-        let doc = format!(
-            "{}\u{0}{}\u{0}42",
-            encode_config(&SystemConfig::baseline(4)),
-            encode_spec(&WorkloadSpec::paper_default(AppId::Km, Scale::Test))
-        );
-        format!(
-            "{:016x}{:016x}",
-            hash_with_seed(KEY_SEED_LO, doc.as_bytes()),
-            hash_with_seed(KEY_SEED_HI, doc.as_bytes())
-        )
+        assert_eq!(key, "a5f2c8ddf560d062183e07ddd626678f");
     }
 }

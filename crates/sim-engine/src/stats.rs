@@ -129,27 +129,9 @@ impl Accumulator {
         }
     }
 
-    /// Rebuilds an accumulator from its exported summary (the inverse of
-    /// reading `count`/`sum`/`min`/`max`), so serialized reports can be
-    /// decoded without loss. A zero `count` yields an empty accumulator
-    /// regardless of the other fields.
-    #[must_use]
-    pub fn from_parts(count: u64, sum: f64, min: f64, max: f64) -> Self {
-        if count == 0 {
-            Accumulator::new()
-        } else {
-            Accumulator {
-                sum,
-                count,
-                min,
-                max,
-            }
-        }
-    }
-
     /// Merges another accumulator into this one. The sample count
     /// saturates at `u64::MAX` instead of wrapping, so merging pathological
-    /// (e.g. deserialized) summaries stays well-defined.
+    /// (e.g. near-overflow) summaries stays well-defined.
     pub fn merge(&mut self, other: &Accumulator) {
         self.sum += other.sum;
         self.count = self.count.saturating_add(other.count);
@@ -324,7 +306,12 @@ mod tests {
 
     #[test]
     fn accumulator_merge_saturates_count() {
-        let mut a = Accumulator::from_parts(u64::MAX - 1, 10.0, 1.0, 9.0);
+        let mut a = Accumulator {
+            sum: 10.0,
+            count: u64::MAX - 1,
+            min: 1.0,
+            max: 9.0,
+        };
         let mut b = Accumulator::new();
         b.record(5.0);
         b.record(6.0);
@@ -378,19 +365,6 @@ mod tests {
         h.record(u64::MAX); // bucket 63; upper edge clamps to 1 << 63
         assert_eq!(h.bucket(63), 1);
         assert_eq!(h.approx_quantile(1.0), Some(1u64 << 63));
-    }
-
-    #[test]
-    fn accumulator_from_parts_roundtrips() {
-        let mut a = Accumulator::new();
-        a.record(2.5);
-        a.record(-1.0);
-        let b = Accumulator::from_parts(a.count(), a.sum(), a.min().unwrap(), a.max().unwrap());
-        assert_eq!(a, b);
-        // Empty summaries rebuild as the canonical empty accumulator.
-        let empty = Accumulator::from_parts(0, 123.0, 5.0, -5.0);
-        assert_eq!(empty, Accumulator::new());
-        assert_eq!(empty.mean(), None);
     }
 
     #[test]

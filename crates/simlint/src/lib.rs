@@ -17,7 +17,6 @@
 //! | `ambient-rng` | error | `thread_rng`, `rand::`, `fastrand`, `getrandom`; randomness must flow through `DetRng` |
 //! | `float-ord-key` | error | `f32`/`f64` keys in ordered containers (`BinaryHeap`, `BTreeMap`, `BTreeSet`) |
 //! | `unordered-iter` | error | `.iter()`/`.keys()`/`.values()`/`.drain()` over a known hash map in a model crate; visit order must never reach event scheduling or exports |
-//! | `canon-coverage` | error | a struct/enum covered by `canon.rs` has a member the canonical encoding does not mention, or its shape changed without a canon version bump (see [`CANON_COVERED`]) |
 //! | `lossy-cast` | error | an `as` cast that can truncate in a model crate: any cast to `u8`/`u16`/`u32`/`i8`/`i16`/`i32`/`f32`, or a float expression cast to an integer |
 //! | `hot-path-panic` | error | `unwrap`/`expect`/`panic!`-family calls, or slice indexing with an arithmetic index, inside event-handler modules reachable from the sim loop (see [`HOT_PATHS`]) — plus, via the [`effects`] summaries, any panic effect *reachable through calls* from a GPU-lane handler or event dispatch arm |
 //! | `hot-path-alloc` | error | an allocation effect (`Box`/`Vec`/`String` constructors, `vec!`/`format!`, `.collect()`/`.to_string()`/`.clone()`) reachable from a GPU-lane handler or an `Ev` dispatch arm; the per-event path must stay allocation-free |
@@ -25,18 +24,21 @@
 //! | `cross-domain-mutation` | error | `lanes`, `lock_lane`, `read_host` or `write_host` inside an `impl GpuLane` body; a lane handler owns only its own lane — cross-domain effects must ride the outbox mailbox drained at barrier epochs |
 //! | `lane-race` | error | a function transitively reachable from a GPU-lane handler (via the [`graph`] call graph) touches cross-domain state, a model-crate `static`, or an interior-mutability cell; `cross-domain-mutation` is its intra-`impl` fast path |
 //! | `shared-mutability` | error | `static mut`, lazy-global machinery, or an interior-mutability cell (`RefCell`/`Cell`/`Mutex`/atomics) in a model crate outside the sanctioned sync layer (see [`SYNC_SANCTIONED`]) |
-//! | `dead-event` | error | an audited event-enum variant (see [`EVENT_ENUMS`]) constructed but never matched by a dispatch arm, or dispatched but never constructed — schema drift, like canon-coverage for events |
+//! | `dead-event` | error | an audited event-enum variant (see [`EVENT_ENUMS`]) constructed but never matched by a dispatch arm, or dispatched but never constructed — schema drift between producers and dispatch |
 //! | `stale-allow` | warning | an inline `allow(...)` escape that no longer suppresses any finding (reported under `--check-allows`; error under `--strict`) |
 //! | `bare-allow` | warning | a `simlint: allow(...)` escape without a reason, or naming an unknown rule |
 //!
-//! The first ten rules are per-file token passes. The graph-tier families
-//! (`hot-path-alloc`, `io-in-sim-loop`, `lane-race`, `shared-mutability`,
-//! `dead-event`, and `hot-path-panic`'s interprocedural half) are *workspace*
-//! passes: [`graph`] builds a symbol index and conservative call graph over
-//! the model crates' token streams (each file is lexed exactly once and
-//! shared by every rule), [`effects`] computes per-function effect summaries
-//! over it, then the rule families in `rules_graph` run reachability from
-//! the GPU-phase and dispatch roots.
+//! `default-hasher-map`, `wall-clock`, `ambient-rng`, `float-ord-key`,
+//! `unordered-iter`, `lossy-cast`, `cross-domain-mutation`, `bare-allow`
+//! and `hot-path-panic`'s in-module half are per-file token passes. The
+//! graph-tier families (`hot-path-alloc`, `io-in-sim-loop`, `lane-race`,
+//! `shared-mutability`, `dead-event`, and `hot-path-panic`'s
+//! interprocedural half) are *workspace* passes: [`graph`] builds a symbol
+//! index and conservative call graph over the model crates' token streams
+//! (each file is lexed exactly once and shared by every rule), [`effects`]
+//! computes per-function effect summaries over it, then the rule families
+//! in `rules_graph` run reachability from the GPU-phase and dispatch roots.
+//! `stale-allow` runs last, once every pass has consulted the escapes.
 //!
 //! # Escape hatch
 //!
@@ -65,10 +67,8 @@ pub mod effects;
 pub mod graph;
 pub mod lexer;
 
-mod canon;
 mod rules_graph;
 
-pub use canon::{CanonKind, CANON_COVERED};
 pub use rules_graph::{CELL_TYPES, EVENT_ENUMS, LAZY_GLOBAL_IDENTS, SYNC_SANCTIONED};
 
 use std::collections::BTreeSet;
@@ -136,9 +136,6 @@ pub enum Rule {
     FloatOrdKey,
     /// Unordered-map iteration in a model crate.
     UnorderedIter,
-    /// Canon-covered struct/enum with an unencoded member or an unbumped
-    /// shape change.
-    CanonCoverage,
     /// Truncating `as` cast in a model crate.
     LossyCast,
     /// Panic path inside a sim-loop event-handler module, or reachable from
@@ -166,10 +163,9 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in diagnostic-id order.
-    pub const ALL: [Rule; 16] = [
+    pub const ALL: [Rule; 15] = [
         Rule::AmbientRng,
         Rule::BareAllow,
-        Rule::CanonCoverage,
         Rule::CrossDomainMutation,
         Rule::DeadEvent,
         Rule::DefaultHasherMap,
@@ -194,7 +190,6 @@ impl Rule {
             Rule::AmbientRng => "ambient-rng",
             Rule::FloatOrdKey => "float-ord-key",
             Rule::UnorderedIter => "unordered-iter",
-            Rule::CanonCoverage => "canon-coverage",
             Rule::LossyCast => "lossy-cast",
             Rule::HotPathPanic => "hot-path-panic",
             Rule::HotPathAlloc => "hot-path-alloc",
@@ -237,9 +232,6 @@ impl Rule {
             Rule::FloatOrdKey => "no f32/f64 keys in BinaryHeap/BTreeMap/BTreeSet ordering",
             Rule::UnorderedIter => {
                 "no iter()/keys()/values()/drain() over unordered maps in model crates"
-            }
-            Rule::CanonCoverage => {
-                "every member of a canon-covered struct/enum is encoded or waived, and shape changes bump the canon version"
             }
             Rule::LossyCast => {
                 "no truncating `as` casts (narrow integer targets, float→int) in model crates"
@@ -644,10 +636,10 @@ fn group_is_floaty(toks: &[Tok], close: usize) -> bool {
 
 /// Lints one crate given `(workspace-relative path, source)` pairs.
 ///
-/// Runs the per-crate rules (everything except `canon-coverage`, which
-/// needs the whole workspace): the first pass collects identifiers declared
-/// with hash-map types anywhere in the crate (fields in one file are
-/// iterated in another), the second walks each file's token stream.
+/// Runs the per-crate token rules (the graph tier needs the whole
+/// workspace): the first pass collects identifiers declared with hash-map
+/// types anywhere in the crate (fields in one file are iterated in another),
+/// the second walks each file's token stream.
 #[must_use]
 pub fn lint_crate(crate_name: &str, files: &[(String, String)]) -> Vec<Diagnostic> {
     let analyses: Vec<FileAnalysis> = files
@@ -1105,13 +1097,11 @@ fn workspace_sources(root: &Path) -> io::Result<CrateSources> {
 
 /// Scans a workspace rooted at `root`: the root package's `src/` (as crate
 /// `idyll`) plus every `crates/<name>/src/` with `<name>` not exempt, then
-/// the workspace-level `canon-coverage` check against the shape snapshot at
-/// `root/simlint.canon` (or `canon_snapshot` when given).
+/// the workspace graph tier over the model crates.
 ///
 /// # Errors
-/// Propagates I/O failures reading the workspace tree; a malformed shape
-/// snapshot is reported as [`io::ErrorKind::InvalidData`].
-pub fn lint_workspace_with(root: &Path, canon_snapshot: Option<&Path>) -> io::Result<ScanReport> {
+/// Propagates I/O failures reading the workspace tree.
+pub fn lint_workspace(root: &Path) -> io::Result<ScanReport> {
     let sources = workspace_sources(root)?;
     let mut diagnostics = Vec::new();
     let mut files_scanned = 0;
@@ -1140,17 +1130,6 @@ pub fn lint_workspace_with(root: &Path, canon_snapshot: Option<&Path>) -> io::Re
     let fx = effects::infer(&symbols, &model_files);
     rules_graph::check(&symbols, &fx, &model_files, &mut diagnostics);
 
-    let snapshot_path = canon_snapshot
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| root.join("simlint.canon"));
-    let snapshot = if snapshot_path.is_file() {
-        Some(fs::read_to_string(&snapshot_path)?)
-    } else {
-        None
-    };
-    canon::check(&all_files, snapshot.as_deref(), &mut diagnostics)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-
     diagnostics.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
@@ -1173,14 +1152,6 @@ pub fn lint_workspace_with(root: &Path, canon_snapshot: Option<&Path>) -> io::Re
     })
 }
 
-/// [`lint_workspace_with`] using the default snapshot location.
-///
-/// # Errors
-/// See [`lint_workspace_with`].
-pub fn lint_workspace(root: &Path) -> io::Result<ScanReport> {
-    lint_workspace_with(root, None)
-}
-
 /// Builds the byte-stable `--effects` dump for the workspace at `root`:
 /// every model-crate function's direct and summary effect sets as JSON.
 ///
@@ -1198,23 +1169,6 @@ pub fn render_effects_for(root: &Path) -> io::Result<String> {
     let symbols = graph::SymbolGraph::build(&refs);
     let fx = effects::infer(&symbols, &refs);
     Ok(effects::render_effects_json(&symbols, &fx))
-}
-
-/// Builds the canon shape snapshot text for the workspace at `root`
-/// (the `--write-canon` payload).
-///
-/// # Errors
-/// I/O failures, or [`io::ErrorKind::NotFound`] when the workspace has no
-/// `canon.rs`.
-pub fn render_canon_snapshot_for(root: &Path) -> io::Result<String> {
-    let sources = workspace_sources(root)?;
-    let all_files: Vec<FileAnalysis> = sources
-        .iter()
-        .flat_map(|(_, files)| files.iter())
-        .map(|(p, s)| FileAnalysis::new(p.clone(), s))
-        .collect();
-    canon::render_snapshot(&all_files)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "workspace has no canon.rs"))
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! cargo run -p simlint -- --format sarif       # SARIF 2.1.0 for CI code-scanning upload
 //! cargo run -p simlint -- --list-rules         # print the rule registry
 //! cargo run -p simlint -- --write-baseline     # grandfather current findings
-//! cargo run -p simlint -- --write-canon        # refresh the canon shape snapshot
 //! ```
 //!
 //! `--write-baseline` is reason-preserving: reasons already recorded in the
@@ -32,8 +31,7 @@ use simlint::{Baseline, Diagnostic, Rule, ScanReport, Severity};
 const USAGE: &str =
     "usage: simlint [--check] [--strict] [--check-allows] [--effects] \
                      [--format text|json|sarif] [--list-rules] \
-                     [--write-baseline] [--write-canon] [--root <dir>] [--baseline <file>] \
-                     [--canon <file>]";
+                     [--write-baseline] [--root <dir>] [--baseline <file>]";
 
 /// Output renderer for the scan report.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -50,9 +48,7 @@ fn main() {
 fn run() -> i32 {
     let mut root: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut canon_path: Option<PathBuf> = None;
     let mut write_baseline = false;
-    let mut write_canon = false;
     let mut list_rules = false;
     let mut strict = false;
     let mut check_allows = false;
@@ -67,7 +63,6 @@ fn run() -> i32 {
             "--effects" => effects = true,
             "--list-rules" => list_rules = true,
             "--write-baseline" => write_baseline = true,
-            "--write-canon" => write_canon = true,
             "--format" => match args.next().as_deref() {
                 Some("text") => format = OutFormat::Text,
                 Some("json") => format = OutFormat::Json,
@@ -86,10 +81,6 @@ fn run() -> i32 {
             "--baseline" => match args.next() {
                 Some(f) => baseline_path = Some(PathBuf::from(f)),
                 None => return usage_error("--baseline needs a file"),
-            },
-            "--canon" => match args.next() {
-                Some(f) => canon_path = Some(PathBuf::from(f)),
-                None => return usage_error("--canon needs a file"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -118,7 +109,6 @@ fn run() -> i32 {
         return 2;
     };
     let baseline_path = baseline_path.unwrap_or_else(|| root.join("simlint.baseline"));
-    let canon_path = canon_path.unwrap_or_else(|| root.join("simlint.canon"));
 
     if effects {
         match simlint::render_effects_for(&root) {
@@ -133,31 +123,7 @@ fn run() -> i32 {
         }
     }
 
-    if write_canon {
-        let text = match simlint::render_canon_snapshot_for(&root) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simlint: cannot build canon snapshot: {e}");
-                return 2;
-            }
-        };
-        if let Err(e) = std::fs::write(&canon_path, &text) {
-            eprintln!("simlint: cannot write {}: {e}", canon_path.display());
-            return 2;
-        }
-        let n = text
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .count();
-        println!(
-            "simlint: wrote {n} canon shape entr{} to {}",
-            if n == 1 { "y" } else { "ies" },
-            canon_path.display()
-        );
-        return 0;
-    }
-
-    let report = match simlint::lint_workspace_with(&root, Some(&canon_path)) {
+    let report = match simlint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simlint: scan failed: {e}");

@@ -53,7 +53,7 @@ impl AppId {
     }
 
     /// The inverse of [`AppId::name`]: resolves a paper abbreviation
-    /// (case-sensitive, e.g. `"MT"`). Used by the wire codecs.
+    /// (case-sensitive, e.g. `"MT"`). Used by `mgpu-sim --app`.
     pub fn from_name(name: &str) -> Option<AppId> {
         AppId::ALL.into_iter().find(|app| app.name() == name)
     }

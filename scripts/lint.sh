@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Workspace lint — the same invocation CI runs.
+# Workspace lint — the same invocation CI runs: simlint's fifteen
+# determinism/modeling rules (strict, with --check-allows), then pinned
+# clippy.
 #
 #   scripts/lint.sh                    # simlint (strict) + pinned clippy
 #   scripts/lint.sh --sarif out.sarif  # …also write a SARIF 2.1.0 log (non-blocking)
 #   scripts/lint.sh --effects out.json # …also dump the effect-inference summaries
 #   scripts/lint.sh --write-baseline   # grandfather current findings (use sparingly)
-#   scripts/lint.sh --write-canon      # refresh simlint.canon after a shape+version bump
 #
 # Exit codes: 0 clean, 1 findings outside the baseline (or stale baseline
 # entries / stale inline allows — strict mode), 2 usage/IO error.
@@ -13,10 +14,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Maintenance flags (--write-baseline / --write-canon) bypass the check run.
+# The maintenance flag --write-baseline bypasses the check run.
 for arg in "$@"; do
   case "$arg" in
-    --write-baseline|--write-canon)
+    --write-baseline)
       exec cargo run -q -p simlint -- "$arg"
       ;;
   esac

@@ -1,8 +1,11 @@
 //! Stress and failure-injection tests: tiny structural resources force the
 //! back-pressure, overflow and out-of-memory paths that normal-sized runs
-//! rarely exercise. Everything must still complete coherently.
+//! rarely exercise. Everything must still complete coherently. The last
+//! group pins configurations that once tripped the coherence audit or ran
+//! away (replication, Trans-FW, on-touch).
 
 use idyll::core::irmb::IrmbConfig;
+use idyll::core::transfw::TransFwConfig;
 use idyll::prelude::*;
 use idyll::vm::tlb::TlbConfig;
 
@@ -14,11 +17,17 @@ fn base() -> SystemConfig {
     cfg
 }
 
+/// Runs with a flight recorder, so a failure prints the state dump and the
+/// protocol history leading up to it.
 fn run(cfg: SystemConfig, app: AppId) -> SimReport {
     let spec = WorkloadSpec::paper_default(app, Scale::Test);
     let wl = workloads::generate(&spec, cfg.n_gpus, 42);
     let expected = wl.total_accesses();
-    let r = System::new(cfg, &wl).run().expect("completes under stress");
+    let mut sys = System::new(cfg, &wl);
+    sys.enable_trace_log(512);
+    let r = sys
+        .run_debug()
+        .unwrap_or_else(|(e, dump)| panic!("did not complete under stress: {e}\n{dump}"));
     assert_eq!(r.accesses, expected);
     assert_eq!(r.stale_translations, 0);
     r
@@ -140,4 +149,43 @@ fn combined_worst_case_configuration() {
         ..IdyllConfig::full()
     });
     run(cfg, AppId::Km);
+}
+
+#[test]
+fn replication_with_access_counter_migration_stays_coherent() {
+    let mut cfg = base();
+    cfg.replication = true;
+    run(cfg, AppId::Mt);
+}
+
+#[test]
+fn transfw_stays_coherent() {
+    let mut cfg = base();
+    cfg.transfw = Some(TransFwConfig::default());
+    run(cfg, AppId::St);
+}
+
+#[test]
+fn transfw_with_full_idyll_stays_coherent() {
+    let mut cfg = base();
+    cfg.transfw = Some(TransFwConfig::default());
+    cfg.idyll = Some(IdyllConfig::full());
+    run(cfg, AppId::St);
+}
+
+#[test]
+fn on_touch_terminates_without_livelock() {
+    let mut cfg = SystemConfig::test(2);
+    cfg.policy = MigrationPolicy::OnTouch;
+    cfg.max_events = 2_000_000;
+    run(cfg, AppId::Sc);
+}
+
+#[test]
+fn replication_with_low_counter_threshold_terminates() {
+    let mut cfg = SystemConfig::test(4);
+    cfg.replication = true;
+    cfg.policy = MigrationPolicy::AccessCounter { threshold: 4 };
+    cfg.max_events = 2_000_000;
+    run(cfg, AppId::Mt);
 }
