@@ -1,22 +1,38 @@
-//! Process-wide recorder for grid-run throughput (ROADMAP: surface per-run
-//! wall-clock and events-per-second from the `all_figures` fan-out).
+//! The evaluation ledger: process-wide record of what the figure grids
+//! simulated, and the reports they can share.
 //!
 //! Every grid the [`Harness`](crate::Harness) runs appends one
-//! [`RunRecord`] per job via [`record`]. The `all_figures` binary drains the
-//! recorder at the end into a [`MetricsRegistry`] JSON export
-//! (`results/grid_metrics.json`) so host-side simulation throughput can be
-//! tracked across commits alongside the figure outputs.
+//! [`RunRecord`] per simulation it actually ran. Spec-level cells are also
+//! memoised here: [`store`] keeps each cell's `SimReport` under its
+//! `mgpu_system::canon::job_key`, and a later figure that asks for the same
+//! cell takes the report from [`plan`] instead of simulating it again.
+//! `grid.runs` therefore counts *distinct* simulations, and `grid.reused`
+//! the cells served without one (ledger hits plus repeats within a batch).
+//!
+//! [`clear`] is the evaluation boundary: it forgets the records and the
+//! reports, so the next figure simulates every cell afresh. An
+//! `all_figures` process is one evaluation; perfbench clears before each
+//! repetition. The `all_figures` binary drains the recorder at the end into
+//! a [`MetricsRegistry`] JSON export (`results/grid_metrics.json`) so
+//! host-side simulation throughput can be tracked across commits alongside
+//! the figure outputs.
 //!
 //! Wall-clock numbers are host measurements and intentionally live outside
 //! the simulation: they never feed model state, and the determinism suite
 //! does not cover them (two runs of the same grid legitimately differ here).
+//!
+//! Reuse is sound because a report is a pure function of its key: the key
+//! covers every `SystemConfig` and `WorkloadSpec` field plus the seed, and
+//! lane threads never change a report.
 
 // Event counts are far below 2^52, so u64 → f64 throughput math is exact
 // enough for human-facing reporting.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use mgpu_system::runner::TimedRun;
+use mgpu_system::SimReport;
 use sim_engine::metrics::MetricsRegistry;
 
 /// Host-side cost of one completed grid job.
@@ -43,21 +59,38 @@ impl RunRecord {
     }
 }
 
-static RECORDS: Mutex<Vec<RunRecord>> = Mutex::new(Vec::new());
+/// Everything the current evaluation has simulated.
+struct Ledger {
+    records: Vec<RunRecord>,
+    /// Successful reports by job key.
+    reports: BTreeMap<String, SimReport>,
+    /// Cells served without a simulation of their own.
+    reused: u64,
+}
 
-// Lock poisoning cannot corrupt the Vec (pushes are atomic enough for a
-// best-effort recorder), so all three accessors just take the data back.
-fn lock() -> std::sync::MutexGuard<'static, Vec<RunRecord>> {
-    RECORDS
+impl Ledger {
+    const fn new() -> Self {
+        Ledger {
+            records: Vec::new(),
+            reports: BTreeMap::new(),
+            reused: 0,
+        }
+    }
+}
+
+static LEDGER: Mutex<Ledger> = Mutex::new(Ledger::new());
+
+// Lock poisoning cannot corrupt the ledger (every mutation is a single
+// push, insert, add or reset), so all accessors just take the data back.
+fn lock() -> std::sync::MutexGuard<'static, Ledger> {
+    LEDGER
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Appends one record per timed run to the process-wide recorder.
-pub fn record(runs: &[TimedRun]) {
-    let mut records = lock();
+fn push_records(ledger: &mut Ledger, runs: &[TimedRun]) {
     for run in runs {
-        records.push(RunRecord {
+        ledger.records.push(RunRecord {
             label: run.scheme.replace('\u{1}', "."),
             wall_secs: run.wall_secs,
             events: run.report.events_processed,
@@ -65,20 +98,69 @@ pub fn record(runs: &[TimedRun]) {
     }
 }
 
-/// Clears the recorder (tests and long-lived processes starting a new batch).
+/// Appends one record per timed run, without memoising the reports (for
+/// jobs that have no job key).
+pub fn record(runs: &[TimedRun]) {
+    push_records(&mut lock(), runs);
+}
+
+/// Plans a batch of cells keyed by job key: returns the reports this
+/// evaluation already holds for any of `keys`, and the index of the first
+/// cell of every other key, i.e. the cells left to simulate. Every cell not
+/// in that list (a ledger hit or a repeat within the batch) counts as
+/// reused.
+#[must_use]
+pub fn plan(keys: &[String]) -> (BTreeMap<String, SimReport>, Vec<usize>) {
+    let mut ledger = lock();
+    let mut hits = BTreeMap::new();
+    let mut misses = Vec::new();
+    let mut seen = BTreeSet::new();
+    for (i, key) in keys.iter().enumerate() {
+        if !seen.insert(key) {
+            continue;
+        }
+        match ledger.reports.get(key) {
+            Some(report) => {
+                hits.insert(key.clone(), report.clone());
+            }
+            None => misses.push(i),
+        }
+    }
+    ledger.reused += (keys.len() - misses.len()) as u64;
+    (hits, misses)
+}
+
+/// Records the runs of a batch's misses and memoises each report under its
+/// job key (`keys[i]` belongs to `runs[i]`).
+pub fn store(keys: &[String], runs: &[TimedRun]) {
+    let mut ledger = lock();
+    push_records(&mut ledger, runs);
+    for (key, run) in keys.iter().zip(runs) {
+        ledger.reports.insert(key.clone(), run.report.clone());
+    }
+}
+
+/// Starts a new evaluation: forgets the records, the memoised reports and
+/// the reuse count.
 pub fn clear() {
-    lock().clear();
+    *lock() = Ledger::new();
 }
 
 /// A copy of everything recorded so far, in completion-batch order.
 #[must_use]
 pub fn snapshot() -> Vec<RunRecord> {
-    lock().clone()
+    lock().records.clone()
+}
+
+/// Cells served from the ledger so far in this evaluation.
+#[must_use]
+pub fn reused() -> u64 {
+    lock().reused
 }
 
 /// Version of the `results/grid_metrics.json` layout; bump when the shape
 /// of the export changes so downstream tooling can detect old files.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Renders the recorder into a registry: aggregate totals under `grid.*`
 /// plus per-run entries under `grid.run.<index>.*` (indexed, not
@@ -96,6 +178,7 @@ pub fn registry(generated_at_unix_secs: u64) -> MetricsRegistry {
     reg.count("grid.schema_version", SCHEMA_VERSION);
     reg.count("grid.generated_at_unix_secs", generated_at_unix_secs);
     reg.count("grid.runs", records.len() as u64);
+    reg.count("grid.reused", reused());
     reg.gauge("grid.wall_secs", total_secs);
     reg.count("grid.events", total_events);
     reg.gauge(
@@ -131,15 +214,15 @@ pub fn summary_line() -> String {
         0.0
     };
     format!(
-        "grid throughput: {} runs, {total_events} events in {total_secs:.2}s of worker time ({eps:.0} events/s)",
-        records.len()
+        "grid throughput: {} runs ({} reused), {total_events} events in {total_secs:.2}s of worker time ({eps:.0} events/s)",
+        records.len(),
+        reused()
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_system::SimReport;
 
     fn timed(label: &str, secs: f64, events: u64) -> TimedRun {
         TimedRun {
@@ -181,8 +264,9 @@ mod tests {
         assert!(json.contains("\"grid.schema_version\""));
         assert!(json.contains("\"grid.generated_at_unix_secs\": 1700000000"));
         assert!(json.contains("\"grid.runs\""));
+        assert!(json.contains("\"grid.reused\""));
         assert!(json.contains("\"grid.events_per_sec\""));
         assert!(json.contains("KM.idyll.wall_secs"));
-        assert!(!summary_line().is_empty());
+        assert!(summary_line().contains(" reused), "));
     }
 }

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use idyll_core::irmb::IrmbConfig;
 use idyll_core::transfw::TransFwConfig;
+use mgpu_system::canon::job_key;
 use mgpu_system::config::{DirectoryMode, IdyllConfig, SystemConfig};
 use mgpu_system::runner::{format_table, run_jobs_timed_observed, Job, RunObserver};
 use mgpu_system::system::SimError;
@@ -150,30 +151,59 @@ impl Harness {
         cfg
     }
 
-    /// Runs jobs on the grid's thread pool, recording per-run wall-clock and
-    /// event counts into [`grid_metrics`] before stripping the timing.
-    fn run_jobs_recorded(&self, jobs: Vec<Job>) -> Result<Vec<(String, SimReport)>, SimError> {
-        let obs = RunObserver {
+    fn observer(&self) -> RunObserver {
+        RunObserver {
             sim_threads: self.cfg.sim_threads,
             ..RunObserver::default()
-        };
-        let timed = run_jobs_timed_observed(jobs, self.cfg.threads, &obs)?;
+        }
+    }
+
+    /// Runs jobs on the grid's thread pool, recording per-run wall-clock and
+    /// event counts into [`grid_metrics`] before stripping the timing. The
+    /// reports are not memoised: these jobs have no `WorkloadSpec` key.
+    fn run_jobs_recorded(&self, jobs: Vec<Job>) -> Result<Vec<(String, SimReport)>, SimError> {
+        let timed = run_jobs_timed_observed(jobs, self.cfg.threads, &self.observer())?;
         grid_metrics::record(&timed);
         Ok(timed.into_iter().map(|t| (t.scheme, t.report)).collect())
     }
 
-    /// Runs spec-level grid cells, generating each cell's workload
-    /// deterministically from `(spec, n_gpus, seed)`.
+    /// Runs spec-level grid cells through the evaluation ledger: each cell
+    /// is keyed by `job_key`, cells this evaluation already simulated (or
+    /// that repeat within the batch) are served from the ledger, and only
+    /// the distinct misses have their workload generated and run. Results
+    /// come back in cell order, assembled from a batch-local map so that a
+    /// concurrent `grid_metrics::clear` can cost a re-simulation but never
+    /// a missing report.
     fn run_cells_recorded(&self, cells: Vec<Cell>) -> Result<Vec<(String, SimReport)>, SimError> {
-        let jobs = cells
-            .into_iter()
-            .map(|cell| Job {
-                workload: workloads::generate(&cell.spec, cell.config.n_gpus, cell.seed),
-                scheme: cell.scheme,
-                config: cell.config,
+        let keys: Vec<String> = cells
+            .iter()
+            .map(|c| job_key(&c.config, &c.spec, c.seed))
+            .collect();
+        let (mut done, misses) = grid_metrics::plan(&keys);
+        let jobs = misses
+            .iter()
+            .map(|&i| {
+                let cell = &cells[i];
+                Job {
+                    workload: workloads::generate(&cell.spec, cell.config.n_gpus, cell.seed),
+                    scheme: cell.scheme.clone(),
+                    config: cell.config.clone(),
+                }
             })
             .collect();
-        self.run_jobs_recorded(jobs)
+        let miss_keys: Vec<String> = misses.iter().map(|&i| keys[i].clone()).collect();
+        let timed = run_jobs_timed_observed(jobs, self.cfg.threads, &self.observer())?;
+        grid_metrics::store(&miss_keys, &timed);
+        done.extend(
+            miss_keys
+                .into_iter()
+                .zip(timed.into_iter().map(|t| t.report)),
+        );
+        Ok(cells
+            .into_iter()
+            .zip(&keys)
+            .map(|(cell, key)| (cell.scheme, done[key].clone()))
+            .collect())
     }
 
     /// Runs `schemes` over the given apps at this harness's scale; returns

@@ -1,10 +1,8 @@
 //! Experiment runner: executes scheme × workload grids (in parallel across
 //! OS threads) and formats the paper-style result tables.
 
-use std::collections::BTreeMap;
-
 use sim_engine::prof::Profiler;
-use workloads::{AppId, Scale, Workload, WorkloadSpec};
+use workloads::{AppId, Workload};
 
 use crate::config::SystemConfig;
 use crate::metrics::SimReport;
@@ -95,7 +93,8 @@ fn run_one(job: Job, obs: &RunObserver, pool: &mut QueuePool) -> Result<TimedRun
 }
 
 /// Runs a set of jobs, using up to `threads` OS threads, preserving job
-/// order in the result.
+/// order in the result. Workers take the longest job (most trace accesses)
+/// first.
 ///
 /// # Errors
 /// Propagates the first [`SimError`] encountered.
@@ -141,7 +140,11 @@ pub fn run_jobs_timed_observed(
     }
     let n = jobs.len();
     let mut results: Vec<Option<Result<TimedRun, SimError>>> = (0..n).map(|_| None).collect();
-    let jobs: Vec<(usize, Job)> = jobs.into_iter().enumerate().collect();
+    // Longest first: workers `pop()` from the back, so sort the job with
+    // the most trace accesses (ties: lowest input index) to the end. A
+    // heavy cell started last would leave every other worker idle.
+    let mut jobs: Vec<(usize, Job)> = jobs.into_iter().enumerate().collect();
+    jobs.sort_by_key(|(idx, job)| (job.workload.total_accesses(), std::cmp::Reverse(*idx)));
     let queue = std::sync::Mutex::new(jobs);
     let out = std::sync::Mutex::new(&mut results);
     std::thread::scope(|scope| {
@@ -166,44 +169,6 @@ pub fn run_jobs_timed_observed(
         .into_iter()
         .map(|r| r.expect("every job ran"))
         .collect()
-}
-
-/// Convenience: run all nine Table 3 applications under each named
-/// configuration and return `results[app][scheme]`.
-///
-/// # Errors
-/// Propagates the first [`SimError`].
-///
-/// # Panics
-/// If a worker thread panics (see [`run_jobs_timed`]).
-pub fn run_matrix(
-    schemes: &[(&str, SystemConfig)],
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-) -> Result<BTreeMap<String, BTreeMap<String, SimReport>>, SimError> {
-    let mut jobs = Vec::new();
-    for app in AppId::ALL {
-        for (name, cfg) in schemes {
-            let spec = WorkloadSpec::paper_default(app, scale);
-            let workload = workloads::generate(&spec, cfg.n_gpus, seed);
-            jobs.push(Job {
-                scheme: format!("{app}\u{1}{name}"),
-                config: cfg.clone(),
-                workload,
-            });
-        }
-    }
-    let results = run_jobs(jobs, threads)?;
-    let mut table: BTreeMap<String, BTreeMap<String, SimReport>> = BTreeMap::new();
-    for (key, report) in results {
-        let (app, scheme) = key.split_once('\u{1}').expect("composite key");
-        table
-            .entry(app.to_string())
-            .or_default()
-            .insert(scheme.to_string(), report);
-    }
-    Ok(table)
 }
 
 /// Geometric mean of positive values (the paper averages speedups).
@@ -271,6 +236,7 @@ pub const FIGURE_ORDER: [AppId; 9] = AppId::ALL;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{Scale, WorkloadSpec};
 
     #[test]
     fn geomean_and_mean() {
@@ -328,5 +294,32 @@ mod tests {
         let results = run_jobs(jobs, 4).expect("runs");
         assert_eq!(results[0].0, "job0");
         assert_eq!(results[1].0, "job1");
+    }
+
+    #[test]
+    fn longest_first_dispatch_preserves_order() {
+        // One long job in the middle of short ones: it is dispatched first,
+        // yet every result still lands at its input index.
+        let short = WorkloadSpec::paper_default(AppId::Bs, Scale::Test);
+        let long = WorkloadSpec::paper_default(AppId::Pr, Scale::Test).enlarged(2);
+        let mut jobs = Vec::new();
+        for i in 0..6 {
+            let spec = if i == 2 { &long } else { &short };
+            jobs.push(Job {
+                scheme: format!("job{i}"),
+                config: SystemConfig::test(2),
+                workload: workloads::generate(spec, 2, i),
+            });
+        }
+        assert!(jobs.iter().all(|j| j.scheme == "job2"
+            || j.workload.total_accesses() < jobs[2].workload.total_accesses()));
+        let serial = run_jobs(jobs.clone(), 1).expect("runs");
+        let parallel = run_jobs(jobs, 3).expect("runs");
+        for (i, ((s_label, s), (p_label, p))) in serial.iter().zip(&parallel).enumerate() {
+            assert_eq!(p_label, &format!("job{i}"));
+            assert_eq!(s_label, p_label);
+            assert_eq!(s.exec_cycles, p.exec_cycles, "{p_label}");
+            assert_eq!(s.events_processed, p.events_processed, "{p_label}");
+        }
     }
 }
