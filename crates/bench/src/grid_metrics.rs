@@ -232,7 +232,6 @@ mod tests {
                 ..Default::default()
             },
             wall_secs: secs,
-            profile: None,
         }
     }
 

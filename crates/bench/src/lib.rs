@@ -21,7 +21,7 @@ use idyll_core::irmb::IrmbConfig;
 use idyll_core::transfw::TransFwConfig;
 use mgpu_system::canon::job_key;
 use mgpu_system::config::{DirectoryMode, IdyllConfig, SystemConfig};
-use mgpu_system::runner::{format_table, run_jobs_timed_observed, Job, RunObserver};
+use mgpu_system::runner::{format_table, run_jobs_timed, Job};
 use mgpu_system::system::SimError;
 use mgpu_system::SimReport;
 use uvm_driver::policy::MigrationPolicy;
@@ -89,9 +89,7 @@ impl Default for HarnessConfig {
     }
 }
 
-pub mod bench_record;
 pub mod grid_metrics;
-mod json;
 
 /// `results[app][scheme]` for a completed grid.
 pub type Grid = BTreeMap<String, BTreeMap<String, SimReport>>;
@@ -151,18 +149,11 @@ impl Harness {
         cfg
     }
 
-    fn observer(&self) -> RunObserver {
-        RunObserver {
-            sim_threads: self.cfg.sim_threads,
-            ..RunObserver::default()
-        }
-    }
-
     /// Runs jobs on the grid's thread pool, recording per-run wall-clock and
     /// event counts into [`grid_metrics`] before stripping the timing. The
     /// reports are not memoised: these jobs have no `WorkloadSpec` key.
     fn run_jobs_recorded(&self, jobs: Vec<Job>) -> Result<Vec<(String, SimReport)>, SimError> {
-        let timed = run_jobs_timed_observed(jobs, self.cfg.threads, &self.observer())?;
+        let timed = run_jobs_timed(jobs, self.cfg.threads, self.cfg.sim_threads)?;
         grid_metrics::record(&timed);
         Ok(timed.into_iter().map(|t| (t.scheme, t.report)).collect())
     }
@@ -192,7 +183,7 @@ impl Harness {
             })
             .collect();
         let miss_keys: Vec<String> = misses.iter().map(|&i| keys[i].clone()).collect();
-        let timed = run_jobs_timed_observed(jobs, self.cfg.threads, &self.observer())?;
+        let timed = run_jobs_timed(jobs, self.cfg.threads, self.cfg.sim_threads)?;
         grid_metrics::store(&miss_keys, &timed);
         done.extend(
             miss_keys

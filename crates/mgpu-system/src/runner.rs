@@ -1,7 +1,6 @@
 //! Experiment runner: executes scheme × workload grids (in parallel across
 //! OS threads) and formats the paper-style result tables.
 
-use sim_engine::prof::Profiler;
 use workloads::{AppId, Workload};
 
 use crate::config::SystemConfig;
@@ -31,9 +30,6 @@ pub struct TimedRun {
     pub report: SimReport,
     /// Host wall-clock seconds spent constructing and running the system.
     pub wall_secs: f64,
-    /// Per-phase self-profile, present when the run was observed with
-    /// [`RunObserver::profile`] set.
-    pub profile: Option<Profiler>,
 }
 
 impl TimedRun {
@@ -48,22 +44,7 @@ impl TimedRun {
     }
 }
 
-/// Host-side observation knobs for a batch of runs: self-profiling and
-/// lane threads. The default observer observes nothing and leaves every
-/// run on its single-branch disabled instrumentation paths.
-#[derive(Clone, Default)]
-pub struct RunObserver {
-    /// Install an enabled self-profiler on every run (the per-phase profile
-    /// lands in [`TimedRun::profile`]).
-    pub profile: bool,
-    /// Worker threads driving each simulation's event lanes (0 or 1 =
-    /// serial). Artifacts are byte-identical for any value; this only
-    /// changes wall-clock. Distinct from the `threads` argument of
-    /// [`run_jobs`], which parallelises across *jobs*.
-    pub sim_threads: usize,
-}
-
-fn run_one(job: Job, obs: &RunObserver, pool: &mut QueuePool) -> Result<TimedRun, SimError> {
+fn run_one(job: Job, sim_threads: usize, pool: &mut QueuePool) -> Result<TimedRun, SimError> {
     // Wall-clock measures host throughput for the grid-metrics export; it
     // never feeds simulation state or determinism-tested artifacts.
     // simlint: allow(wall-clock) — harness throughput metric only
@@ -74,12 +55,8 @@ fn run_one(job: Job, obs: &RunObserver, pool: &mut QueuePool) -> Result<TimedRun
         workload,
     } = job;
     let mut sys = System::new_with_pool(config, &workload, pool);
-    sys.set_threads(obs.sim_threads.max(1));
-    if obs.profile {
-        sys.set_profiler(Profiler::enabled());
-    }
+    sys.set_threads(sim_threads.max(1));
     let report = sys.run();
-    let profile = obs.profile.then(|| sys.profiler().clone());
     // Hand the lane heaps back so the worker's next grid cell schedules
     // into pre-grown buffers instead of re-growing from zero.
     sys.recycle(pool);
@@ -88,7 +65,6 @@ fn run_one(job: Job, obs: &RunObserver, pool: &mut QueuePool) -> Result<TimedRun
         scheme,
         report,
         wall_secs: t0.elapsed().as_secs_f64(),
-        profile,
     })
 }
 
@@ -99,7 +75,7 @@ fn run_one(job: Job, obs: &RunObserver, pool: &mut QueuePool) -> Result<TimedRun
 /// # Errors
 /// Propagates the first [`SimError`] encountered.
 pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Result<Vec<(String, SimReport)>, SimError> {
-    Ok(run_jobs_timed(jobs, threads)?
+    Ok(run_jobs_timed(jobs, threads, 1)?
         .into_iter()
         .map(|t| (t.scheme, t.report))
         .collect())
@@ -107,35 +83,25 @@ pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Result<Vec<(String, SimReport
 
 /// Like [`run_jobs`], but each result carries its wall-clock cost so callers
 /// can surface per-run throughput (see `bench`'s grid-metrics export).
+/// `sim_threads` drives each simulation's event lanes (0 or 1 = serial);
+/// artifacts are byte-identical for any value, only wall-clock changes.
 ///
 /// # Errors
 /// Propagates the first [`SimError`] encountered.
 ///
 /// # Panics
 /// If a worker thread panics (poisoning the internal queue locks).
-pub fn run_jobs_timed(jobs: Vec<Job>, threads: usize) -> Result<Vec<TimedRun>, SimError> {
-    run_jobs_timed_observed(jobs, threads, &RunObserver::default())
-}
-
-/// Like [`run_jobs_timed`], with host-side observation: `obs` can install a
-/// per-run self-profiler and set each simulation's lane threads.
-///
-/// # Errors
-/// Propagates the first [`SimError`] encountered.
-///
-/// # Panics
-/// If a worker thread panics (poisoning the internal queue locks).
-pub fn run_jobs_timed_observed(
+pub fn run_jobs_timed(
     jobs: Vec<Job>,
     threads: usize,
-    obs: &RunObserver,
+    sim_threads: usize,
 ) -> Result<Vec<TimedRun>, SimError> {
     let threads = threads.max(1);
     if threads == 1 || jobs.len() <= 1 {
         let mut pool = QueuePool::new();
         return jobs
             .into_iter()
-            .map(|job| run_one(job, obs, &mut pool))
+            .map(|job| run_one(job, sim_threads, &mut pool))
             .collect();
     }
     let n = jobs.len();
@@ -159,7 +125,7 @@ pub fn run_jobs_timed_observed(
                         q.pop()
                     };
                     let Some((idx, job)) = job else { break };
-                    let result = run_one(job, obs, &mut pool);
+                    let result = run_one(job, sim_threads, &mut pool);
                     out.lock().expect("out lock")[idx] = Some(result);
                 }
             });

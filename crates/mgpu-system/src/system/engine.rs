@@ -172,7 +172,7 @@ struct EpochCtl {
 
 /// The epoch loop: owns the run-scoped pieces (event limit, heartbeat
 /// state, the outbox routing scratch buffer, and the master profiler for
-/// barrier attribution) and borrows the lanes.
+/// barrier counts) and borrows the lanes.
 struct Driver<'a> {
     sh: &'a Shared,
     lanes: &'a [Mutex<GpuLane>],
@@ -180,8 +180,8 @@ struct Driver<'a> {
     limit: u64,
     progress_every: u64,
     progress: Option<ProgressCallback>,
-    /// Master profiler: barrier/routing/wait time lands here; handler time
-    /// lands in the lane shards.
+    /// Master profiler: barrier counts land here; handler counts land in
+    /// the lane shards.
     prof: Profiler,
     started: std::time::Instant,
     next_heartbeat: u64,
@@ -274,10 +274,9 @@ impl Driver<'_> {
     }
 
     /// The barrier + host phase shared by both execution modes. `wait`
-    /// blocks until every worker finished the GPU phase (a no-op serially);
-    /// its cost, mailbox routing, and status aggregation are charged to
-    /// [`Phase::Barrier`] on the master profiler — exactly once per epoch,
-    /// so profile *counts* stay thread-count-independent.
+    /// blocks until every worker finished the GPU phase (a no-op serially).
+    /// Each barrier counts once toward [`Phase::Barrier`] on the master
+    /// profiler, so profile counts stay thread-count-independent.
     ///
     /// Returns `Ok(true)` when every GPU has finished (stop the run).
     fn barrier_and_host_phase(
@@ -286,7 +285,7 @@ impl Driver<'_> {
         horizon: Cycle,
         wait: impl FnOnce(),
     ) -> Result<bool, SimError> {
-        let timer = self.prof.begin();
+        self.prof.add(Phase::Barrier, 1);
         wait();
         let mut host = write_host(self.host);
         let mut total = host.events_processed;
@@ -315,7 +314,6 @@ impl Driver<'_> {
                 }
             }
         }
-        self.prof.end(Phase::Barrier, timer);
         if let Some(e) = first_error {
             return Err(e);
         }
@@ -452,11 +450,10 @@ impl GpuLane {
             if at >= horizon {
                 break;
             }
-            let pop_timer = self.prof.begin();
             let Some((at, ev)) = self.q.pop() else {
                 break;
             };
-            self.prof.end(Phase::HeapPop, pop_timer);
+            self.prof.add(Phase::HeapPop, 1);
             self.now = at;
             self.events_processed += 1;
             if self.events_processed > limit {
@@ -467,14 +464,13 @@ impl GpuLane {
                 return;
             }
             let result = if self.prof.is_enabled() {
-                // The profiled path charges the handler's host time to the
-                // event's phase, and the events it scheduled (queue pushes
-                // plus mailbox deposits) to HeapPush.
+                // The profiled path charges the event to its handler's
+                // phase, and the events it scheduled (queue pushes plus
+                // mailbox deposits) to HeapPush.
                 let before = self.q.scheduled_total() + self.outbox.len() as u64;
                 let phase = ev.phase();
-                let timer = self.prof.begin();
                 let r = self.handle(sh, host, ev);
-                self.prof.end(phase, timer);
+                self.prof.add(phase, 1);
                 let pushed = self.q.scheduled_total() + self.outbox.len() as u64 - before;
                 self.prof.add(Phase::HeapPush, pushed);
                 r
@@ -550,11 +546,10 @@ impl HostState {
             if at >= horizon {
                 break;
             }
-            let pop_timer = self.prof.begin();
             let Some((at, ev)) = self.q.pop() else {
                 break;
             };
-            self.prof.end(Phase::HeapPop, pop_timer);
+            self.prof.add(Phase::HeapPop, 1);
             self.now = at;
             self.events_processed += 1;
             if self.events_processed > limit {
@@ -565,9 +560,8 @@ impl HostState {
                 // attribution matches the serial engine's.
                 let before = self.q.scheduled_total() + self.ext_pushes;
                 let phase = ev.phase();
-                let timer = self.prof.begin();
                 self.handle(sh, lanes, ev)?;
-                self.prof.end(phase, timer);
+                self.prof.add(phase, 1);
                 let pushed = self.q.scheduled_total() + self.ext_pushes - before;
                 self.prof.add(Phase::HeapPush, pushed);
             } else {

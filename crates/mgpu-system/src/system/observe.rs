@@ -113,13 +113,13 @@ impl System {
     }
 
     /// Installs a self-profiler (see [`sim_engine::prof`]). An enabled
-    /// profiler attributes the event loop's host time to phases; the
-    /// default disabled profiler costs one branch per event.
+    /// profiler counts the event loop's work per phase; the default
+    /// disabled profiler costs one branch per instrumented site.
     pub fn set_profiler(&mut self, prof: Profiler) {
         self.prof = prof;
     }
 
-    /// The installed profiler (read its [`Profiler::summary`] after a run).
+    /// The installed profiler (read its [`Profiler::count`]s after a run).
     pub fn profiler(&self) -> &Profiler {
         &self.prof
     }

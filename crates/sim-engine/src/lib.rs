@@ -13,8 +13,8 @@
 //! * [`resource::ThreadPool`] — an abstract pool of latency-occupied threads
 //!   (used to model page-table-walker threads and similar units),
 //! * [`trace`] — span/event tracing with a Chrome-trace (Perfetto) exporter,
-//! * [`prof`] — a self-profiler attributing host wall-clock to event-loop
-//!   phases (one branch when disabled, like the tracer),
+//! * [`prof`] — a count-only self-profiler over event-loop phases (one
+//!   branch when disabled, like the tracer),
 //! * [`metrics`] — a hierarchical end-of-run metrics registry with
 //!   deterministic JSON export,
 //! * [`collections`] — fixed-seed hash maps/sets ([`DetHashMap`],

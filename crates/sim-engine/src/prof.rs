@@ -1,27 +1,27 @@
-//! Self-profiling for the simulation core: where does host wall-clock go?
+//! Self-profiling for the simulation core: what does the event loop do?
 //!
-//! A [`Profiler`] decomposes the event loop's host time into a small fixed
-//! set of [`Phase`]s (heap pop, TLB lookup, walk-queue scheduling, migration
-//! protocol, everything else) and counts event-heap traffic. The
-//! orchestrating system charges each handled event to exactly one phase, so
-//! the per-phase times sum to the loop's total handler time and the profile
-//! answers the question the parallel-core roadmap item needs answered first:
-//! which phase is worth parallelising.
+//! A [`Profiler`] counts the event loop's work in a small fixed set of
+//! [`Phase`]s: heap pops, heap pushes, epoch barriers, and handled events
+//! split by kind (TLB lookup, walk-queue scheduling, migration protocol,
+//! everything else). The orchestrating system charges each handled event to
+//! exactly one handler phase, so the handler counts sum to the heap-pop
+//! count.
+//!
+//! Host time is not measured here. A clock read around every pop and
+//! handler costs more than the code it would time; the benchmark harness
+//! times whole layers from outside instead.
 //!
 //! # Cost model
 //!
 //! The contract is the same as [`crate::trace::Tracer`]: a disabled profiler
-//! reduces every emission to a single branch on a bool — no clock reads, no
-//! arithmetic — so the instrumentation stays permanently wired into the hot
-//! loop. [`Profiler::begin`] returns an inert [`PhaseTimer`] when disabled
-//! and [`Profiler::end`] does nothing with it.
+//! reduces every emission to a single branch on a bool, so the
+//! instrumentation stays permanently wired into the hot loop. An enabled
+//! one adds an integer to an array slot.
 //!
 //! # Determinism
 //!
-//! Phase *times* are host measurements and intentionally non-deterministic;
-//! they never feed simulation state or any determinism-tested export. Phase
-//! *counts* are functions of the event stream and are bit-identical across
-//! identical runs.
+//! Counts are functions of the event stream and are bit-identical across
+//! identical runs and across lane-thread counts.
 //!
 //! # Example
 //!
@@ -29,9 +29,7 @@
 //! use sim_engine::prof::{Phase, Profiler};
 //!
 //! let mut prof = Profiler::enabled();
-//! let t = prof.begin();
-//! // ... do the work being attributed ...
-//! prof.end(Phase::TlbLookup, t);
+//! prof.add(Phase::TlbLookup, 1);
 //! prof.add(Phase::HeapPush, 3);
 //! assert_eq!(prof.count(Phase::TlbLookup), 1);
 //! assert_eq!(prof.count(Phase::HeapPush), 3);
@@ -44,9 +42,8 @@ use std::fmt;
 pub enum Phase {
     /// Popping the next event from the future-event list (heap sift-down).
     HeapPop,
-    /// Events pushed into the future-event list. Counted, not timed:
-    /// pushes happen inside handler bodies and are charged to the handler's
-    /// phase.
+    /// Events pushed into the future-event list (queue pushes plus mailbox
+    /// deposits) by handler bodies.
     HeapPush,
     /// TLB lookup handling (L2 lookups and MSHR retries).
     TlbLookup,
@@ -57,12 +54,12 @@ pub enum Phase {
     MigTransfer,
     /// Every other handler (warp issue, fault batching, data path).
     Other,
-    /// Parallel-core synchronization: epoch barriers, mailbox routing, and
-    /// worker wait time (charged by the orchestrating loop, not handlers).
+    /// Parallel-core synchronization: one per epoch barrier, including its
+    /// mailbox routing (charged by the orchestrating loop, not handlers).
     Barrier,
 }
 
-/// Every phase, in the fixed order used by summaries and exports.
+/// Every phase, in a fixed order.
 pub const PHASES: [Phase; 7] = [
     Phase::HeapPop,
     Phase::HeapPush,
@@ -74,7 +71,7 @@ pub const PHASES: [Phase; 7] = [
 ];
 
 impl Phase {
-    /// Stable snake_case name used in BENCH records and metric keys.
+    /// Stable snake_case name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -86,12 +83,6 @@ impl Phase {
             Phase::Other => "other",
             Phase::Barrier => "barrier",
         }
-    }
-
-    /// Parses a [`Phase::name`] token.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Phase> {
-        PHASES.iter().copied().find(|p| p.name() == name)
     }
 
     #[inline]
@@ -114,31 +105,13 @@ impl fmt::Display for Phase {
     }
 }
 
-/// An in-flight phase measurement returned by [`Profiler::begin`]; inert
-/// (no clock was read) when the profiler is disabled.
-#[must_use = "pass the timer to Profiler::end to record the phase"]
-#[derive(Debug)]
-pub struct PhaseTimer(Option<std::time::Instant>);
-
-/// One phase's aggregate, as reported by [`Profiler::summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseSummary {
-    /// The phase.
-    pub phase: Phase,
-    /// Emissions charged to the phase (timer stops plus [`Profiler::add`]).
-    pub count: u64,
-    /// Host nanoseconds accumulated by timers (0 for count-only phases).
-    pub nanos: u64,
-}
-
-/// Accumulates per-phase host time and counts for one simulation run.
+/// Accumulates per-phase counts for one simulation run.
 ///
 /// See the [module docs](self) for the cost and determinism contracts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profiler {
     enabled: bool,
     counts: [u64; PHASES.len()],
-    nanos: [u64; PHASES.len()],
 }
 
 impl Profiler {
@@ -164,31 +137,7 @@ impl Profiler {
         self.enabled
     }
 
-    /// Starts a phase measurement; a single branch (and no clock read) when
-    /// disabled.
-    #[inline]
-    pub fn begin(&self) -> PhaseTimer {
-        if self.enabled {
-            // Wall-clock here profiles the host cost of the simulator
-            // itself; it never feeds simulated time or exported artifacts.
-            // simlint: allow(wall-clock) — host-side self-profiling only
-            PhaseTimer(Some(std::time::Instant::now()))
-        } else {
-            PhaseTimer(None)
-        }
-    }
-
-    /// Stops a measurement, charging the elapsed host time to `phase`.
-    #[inline]
-    pub fn end(&mut self, phase: Phase, timer: PhaseTimer) {
-        if let Some(t0) = timer.0 {
-            let i = phase.index();
-            self.counts[i] += 1;
-            self.nanos[i] += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-    }
-
-    /// Adds `n` to a phase's count without timing (heap-push accounting).
+    /// Adds `n` to a phase's count; a single branch when disabled.
     #[inline]
     pub fn add(&mut self, phase: Phase, n: u64) {
         if !self.enabled {
@@ -203,65 +152,13 @@ impl Profiler {
         self.counts[phase.index()]
     }
 
-    /// Host nanoseconds charged to `phase`.
-    #[must_use]
-    pub fn nanos(&self, phase: Phase) -> u64 {
-        self.nanos[phase.index()]
-    }
-
-    /// Total host nanoseconds across all timed phases.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
-
-    /// Per-phase aggregates in the fixed [`PHASES`] order (deterministic
-    /// for deterministic inputs; times are host measurements).
-    #[must_use]
-    pub fn summary(&self) -> Vec<PhaseSummary> {
-        PHASES
-            .iter()
-            .map(|&phase| PhaseSummary {
-                phase,
-                count: self.counts[phase.index()],
-                nanos: self.nanos[phase.index()],
-            })
-            .collect()
-    }
-
-    /// Merges another profiler's aggregates into this one (multi-run
+    /// Merges another profiler's counts into this one (multi-run
     /// totals). The result is enabled if either side was.
     pub fn merge(&mut self, other: &Profiler) {
         self.enabled |= other.enabled;
         for i in 0..PHASES.len() {
             self.counts[i] += other.counts[i];
-            self.nanos[i] += other.nanos[i];
         }
-    }
-
-    /// Human-readable table: one line per phase with count, milliseconds
-    /// and share of total timed nanoseconds.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use fmt::Write as _;
-        let total = self.total_nanos().max(1);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<14} {:>12} {:>12} {:>7}",
-            "phase", "count", "ms", "share"
-        );
-        for s in self.summary() {
-            let _ = writeln!(
-                out,
-                "{:<14} {:>12} {:>12.3} {:>6.1}%",
-                s.phase.name(),
-                s.count,
-                s.nanos as f64 / 1e6,
-                s.nanos as f64 / total as f64 * 100.0
-            );
-        }
-        out
     }
 }
 
@@ -273,43 +170,22 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         let mut p = Profiler::disabled();
         assert!(!p.is_enabled());
-        let t = p.begin();
-        p.end(Phase::TlbLookup, t);
+        p.add(Phase::TlbLookup, 1);
         p.add(Phase::HeapPush, 100);
         assert_eq!(p.count(Phase::TlbLookup), 0);
         assert_eq!(p.count(Phase::HeapPush), 0);
-        assert_eq!(p.total_nanos(), 0);
         assert_eq!(p, Profiler::default());
     }
 
     #[test]
-    fn enabled_profiler_counts_and_times() {
+    fn enabled_profiler_counts() {
         let mut p = Profiler::enabled();
-        let t = p.begin();
-        p.end(Phase::WalkSchedule, t);
+        p.add(Phase::WalkSchedule, 1);
         p.add(Phase::HeapPush, 7);
+        p.add(Phase::HeapPush, 2);
         assert_eq!(p.count(Phase::WalkSchedule), 1);
-        assert_eq!(p.count(Phase::HeapPush), 7);
-        assert_eq!(p.nanos(Phase::HeapPush), 0, "add() never accrues time");
-        assert_eq!(p.total_nanos(), p.nanos(Phase::WalkSchedule));
-    }
-
-    #[test]
-    fn summary_covers_every_phase_in_order() {
-        let p = Profiler::enabled();
-        let summary = p.summary();
-        assert_eq!(summary.len(), PHASES.len());
-        for (s, &phase) in summary.iter().zip(PHASES.iter()) {
-            assert_eq!(s.phase, phase);
-        }
-    }
-
-    #[test]
-    fn phase_names_roundtrip() {
-        for &phase in &PHASES {
-            assert_eq!(Phase::from_name(phase.name()), Some(phase));
-        }
-        assert_eq!(Phase::from_name("bogus"), None);
+        assert_eq!(p.count(Phase::HeapPush), 9);
+        assert_eq!(p.count(Phase::Other), 0);
     }
 
     #[test]
@@ -327,15 +203,5 @@ mod tests {
         c.merge(&a);
         assert!(c.is_enabled());
         assert_eq!(c.count(Phase::HeapPop), 5);
-    }
-
-    #[test]
-    fn render_mentions_every_phase() {
-        let mut p = Profiler::enabled();
-        p.add(Phase::MigTransfer, 4);
-        let table = p.render();
-        for &phase in &PHASES {
-            assert!(table.contains(phase.name()), "missing {phase}");
-        }
     }
 }

@@ -238,47 +238,20 @@ probe; every production geometry has a power-of-two set count, so set
 selection now uses a precomputed mask (`key & (sets-1)`) with the modulo
 kept as fallback for non-power-of-two arrays.
 
-Measured with `IDYLL_SCALE=small ./target/release/perf_micro --iters 5`,
-best-of-6 repetitions per configuration (minimum wall-clock is the least
-noisy estimator; the machine shows ±10 % run-to-run jitter):
+Measured on SC with 2 GPUs at `IDYLL_SCALE=small`, tracer off, best-of-6
+repetitions per configuration (minimum wall-clock is the least noisy
+estimator; the machine shows ±10 % run-to-run jitter):
 
 ```text
-perf_micro, SC/2gpu, tracer off          before                 after
+SC/2gpu, tracer off                      before                 after
 baseline   events 125477         22.25 ms  5.64 Mev/s   19.25 ms  6.52 Mev/s   (-13.5% wall)
 idyll      events 124403         22.97 ms  5.42 Mev/s   19.45 ms  6.40 Mev/s   (-15.3% wall)
 ```
 
 Event counts are bit-identical before and after (125 477 / 124 403), so
 the change is behavior-preserving: identical set selection, only a
-cheaper instruction sequence.
-
-## Harness perf — versioned BENCH baselines (trajectory seeded)
-
-The ad-hoc before/after tables above are now a versioned artifact:
-`perf_micro --json` writes schema-versioned `BENCH_<seq>.json` records
-(best-of-N wall per config, events/sec, deterministic event counts,
-per-phase self-profile, host fingerprint), and `bench_compare` gates CI
-on them — event-count drift fails hard, wall-clock drift only warns.
-
-Trajectory state: **empty → seeded**. The first committed baseline,
-`BENCH_baseline.json` (schema `idyll-bench v1`, scale=Test seed=42,
-iters=3, linux/x86_64 1 cpu container):
-
-```text
-config                               events    best (ms)        Mev/s
-baseline/SC/2gpu tracer off            9645         1.51         6.41
-baseline/SC/2gpu tracer on             9645         1.65         5.86
-idyll/SC/2gpu tracer off               9566         1.47         6.51
-idyll/SC/2gpu tracer on                9566         1.75         5.45
-```
-
-Self-profile of the hot loop (profiled run, baseline/SC/2gpu): heap_pop
-46.6%, tlb_lookup 8.7%, walk_schedule 5.6%, mig_transfer 4.3%, other
-(warp/fault/driver handling) 34.7% — event-heap pop dominates, which is
-expected for a discrete-event core and marks the heap as the first
-place to look for future engine-level wins. Subsequent sessions append
-numbered records via `perf_micro --json` (CI uploads them as artifacts)
-and refresh `BENCH_baseline.json` only on intended simulation changes.
+cheaper instruction sequence. The same configuration at `test` scale is
+now pinned by `tests/determinism.rs::event_counts_match_the_golden_pin`.
 
 ## Harness perf — hot-path-alloc sweep (effect inference)
 
@@ -309,10 +282,10 @@ surfaced 23 findings, which resolved into:
 
 Event counts are bit-identical after the sweep (9 654 baseline /
 9 559 idyll at `IDYLL_SCALE=test`, threads 1 **and** 4), so the fixes
-are behavior-preserving; `BENCH_4.json` records the post-sweep run,
-with wall-clock inside the machine's ±10 % run-to-run jitter band (the
-removed collects sit on the migration burst path, far off the heap_pop
-hot spot the self-profile points at).
+are behavior-preserving; `tests/determinism.rs::event_counts_match_the_golden_pin`
+asserts exactly these counts. Wall-clock stayed inside the machine's
+±10 % run-to-run jitter band (the removed collects sit on the migration
+burst path, not on the per-event heap pop).
 """
 
 

@@ -287,7 +287,45 @@ fn profiler_does_not_perturb_results() {
         prof.count(Phase::HeapPush) > 0,
         "event handling must schedule follow-up events"
     );
-    assert!(prof.total_nanos() > 0, "phase timers must accumulate");
+    assert_eq!(
+        prof.count(Phase::TlbLookup)
+            + prof.count(Phase::WalkSchedule)
+            + prof.count(Phase::MigTransfer)
+            + prof.count(Phase::Other),
+        prof.count(Phase::HeapPop),
+        "each handled event is charged to exactly one handler phase"
+    );
+}
+
+/// Golden pin on the simulated event stream: SC at test scale on 2 GPUs,
+/// seed 42, access-counter migration, must process exactly 9654 events
+/// under the baseline and 9559 under full IDYLL, serially and with four
+/// lane threads. A change to the simulated event stream moves these
+/// counts; a change that moves them on purpose updates the literals in the
+/// same commit and says why in its message.
+#[test]
+fn event_counts_match_the_golden_pin() {
+    let spec = WorkloadSpec::paper_default(AppId::Sc, Scale::Test);
+    let wl = workloads::generate(&spec, 2, 42);
+    for (mut cfg, expected) in [
+        (SystemConfig::baseline(2), 9654),
+        (SystemConfig::idyll(2), 9559),
+    ] {
+        cfg.policy = MigrationPolicy::AccessCounter {
+            threshold: Scale::Test.counter_threshold(),
+        };
+        cfg.seed = 42;
+        for threads in [1, 4] {
+            let mut sys = System::new(cfg.clone(), &wl);
+            sys.set_threads(threads);
+            let report = sys.run().expect("completes");
+            assert_eq!(
+                report.events_processed, expected,
+                "{} at {threads} lane threads",
+                report.scheme
+            );
+        }
+    }
 }
 
 #[test]
