@@ -158,7 +158,13 @@ const ALLOC_ASSOC: &[(&str, &[&str])] = &[
 ];
 
 /// Types whose associated calls do IO.
-const IO_TYPES: &[&str] = &["File", "OpenOptions", "TcpListener", "TcpStream", "UdpSocket"];
+const IO_TYPES: &[&str] = &[
+    "File",
+    "OpenOptions",
+    "TcpListener",
+    "TcpStream",
+    "UdpSocket",
+];
 
 /// Print-family macros (locked stdio writes).
 const IO_MACROS: &[&str] = &["dbg", "eprint", "eprintln", "print", "println"];
@@ -299,10 +305,16 @@ fn direct_sites(
                     );
                 }
                 if IO_FNS.contains(&word) && next_is(1, "(") {
-                    push(EffectSet::DOES_IO, SiteKind::MethodCall, format!("{word}()"));
+                    push(
+                        EffectSet::DOES_IO,
+                        SiteKind::MethodCall,
+                        format!("{word}()"),
+                    );
                 }
-                let is_method_call =
-                    i > 0 && toks[i - 1].kind == TokKind::Punct && toks[i - 1].text == "." && next_is(1, "(");
+                let is_method_call = i > 0
+                    && toks[i - 1].kind == TokKind::Punct
+                    && toks[i - 1].text == "."
+                    && next_is(1, "(");
                 if is_method_call {
                     if ALLOC_METHODS.contains(&word) {
                         push(
@@ -615,7 +627,8 @@ mod tests {
 
     #[test]
     fn observability_gates_mark_sites() {
-        let src = "fn traced(tlog: &T) { if tlog.is_enabled() { let m = format!(\"x\"); drop(m); } \n\
+        let src =
+            "fn traced(tlog: &T) { if tlog.is_enabled() { let m = format!(\"x\"); drop(m); } \n\
                    \x20   let v = vec![1]; drop(v); }\n";
         let (g, e, _) = effects_of(src);
         let f = by_name(&g, "traced");

@@ -61,8 +61,24 @@ use std::collections::{BTreeMap, BTreeSet};
 /// `new` in the tree. A workspace type shadowing one of these names still
 /// resolves first through the typed lookup, so no real edge is lost.
 const STD_QUALIFIERS: &[&str] = &[
-    "Arc", "Box", "BTreeMap", "BTreeSet", "Cell", "Duration", "HashMap", "HashSet", "Instant",
-    "Option", "Path", "PathBuf", "Rc", "RefCell", "Result", "String", "SystemTime", "Vec",
+    "Arc",
+    "Box",
+    "BTreeMap",
+    "BTreeSet",
+    "Cell",
+    "Duration",
+    "HashMap",
+    "HashSet",
+    "Instant",
+    "Option",
+    "Path",
+    "PathBuf",
+    "Rc",
+    "RefCell",
+    "Result",
+    "String",
+    "SystemTime",
+    "Vec",
     "VecDeque",
 ];
 
@@ -266,10 +282,9 @@ impl SymbolGraph {
                         .and_then(|q| self.by_type.get(&(q.text.clone(), name.to_string())));
                     let set = match typed {
                         Some(v) => v.clone(),
-                        None
-                            if qual.is_some_and(|q| {
-                                q.kind == TokKind::Ident && STD_QUALIFIERS.contains(&q.text.as_str())
-                            }) =>
+                        None if qual.is_some_and(|q| {
+                            q.kind == TokKind::Ident && STD_QUALIFIERS.contains(&q.text.as_str())
+                        }) =>
                         {
                             Vec::new()
                         }
@@ -466,7 +481,9 @@ fn fn_params(toks: &[Tok], name: usize) -> (Option<usize>, bool) {
     // after any `&`/lifetime/`mut` prefix is `self`.
     let mut k = j + 1;
     while toks.get(k).is_some_and(|t| {
-        t.kind == TokKind::Lifetime || (t.kind == TokKind::Punct && t.text == "&") || t.text == "mut"
+        t.kind == TokKind::Lifetime
+            || (t.kind == TokKind::Punct && t.text == "&")
+            || t.text == "mut"
     }) {
         k += 1;
     }
@@ -789,9 +806,18 @@ mod tests {
                    fn teardown(pool: QueuePool) { drop(pool); }\n";
         let (g, _) = graph_of(src);
         let on_x = idx(&g, "GpuLane::on_x");
-        let callees: Vec<String> = g.calls[on_x].iter().map(|&i| g.fns[i].qualified()).collect();
-        assert!(callees.contains(&"LaneQueue::recycle".to_string()), "{callees:?}");
-        assert!(!callees.contains(&"System::recycle".to_string()), "{callees:?}");
+        let callees: Vec<String> = g.calls[on_x]
+            .iter()
+            .map(|&i| g.fns[i].qualified())
+            .collect();
+        assert!(
+            callees.contains(&"LaneQueue::recycle".to_string()),
+            "{callees:?}"
+        );
+        assert!(
+            !callees.contains(&"System::recycle".to_string()),
+            "{callees:?}"
+        );
     }
 
     #[test]
@@ -811,8 +837,10 @@ mod tests {
                    \x20   fn push3(&self, a: u64, b: u64, c: u64) { drop((a, b, c)) } }\n";
         let (g, _) = graph_of(src);
         let driver = idx(&g, "driver");
-        let callees: Vec<String> =
-            g.calls[driver].iter().map(|&i| g.fns[i].qualified()).collect();
+        let callees: Vec<String> = g.calls[driver]
+            .iter()
+            .map(|&i| g.fns[i].qualified())
+            .collect();
         assert!(callees.contains(&"Lane::push".to_string()), "{callees:?}");
         assert!(callees.contains(&"Lane::clear".to_string()), "{callees:?}");
         assert!(!callees.contains(&"Lane::push3".to_string()), "{callees:?}");
@@ -827,8 +855,10 @@ mod tests {
                    fn gate(cond: bool, label: &str) { drop((cond, label)) }\n";
         let (g, _) = graph_of(src);
         let caller = idx(&g, "caller");
-        let callees: Vec<String> =
-            g.calls[caller].iter().map(|&i| g.fns[i].qualified()).collect();
+        let callees: Vec<String> = g.calls[caller]
+            .iter()
+            .map(|&i| g.fns[i].qualified())
+            .collect();
         // `apply(|x, y| …)` has 2 top-level commas' worth of noise but still
         // resolves; `gate(a < b)` passes 1 arg to a 2-arg fn yet survives
         // because `<` poisons the count.
@@ -843,8 +873,10 @@ mod tests {
                    fn sink2(m: DetHashMap<u64, Vec<(u64, u64)>>, k: u64) { drop((m, k)) }\n";
         let (g, _) = graph_of(src);
         let caller = idx(&g, "caller");
-        let callees: Vec<String> =
-            g.calls[caller].iter().map(|&i| g.fns[i].qualified()).collect();
+        let callees: Vec<String> = g.calls[caller]
+            .iter()
+            .map(|&i| g.fns[i].qualified())
+            .collect();
         assert!(callees.contains(&"sink".to_string()), "{callees:?}");
         assert!(callees.contains(&"sink2".to_string()), "{callees:?}");
     }
@@ -858,8 +890,10 @@ mod tests {
                    fn zero_not(a: u64) { drop(a) }\n";
         let (g, _) = graph_of(src);
         let caller = idx(&g, "caller");
-        let callees: Vec<String> =
-            g.calls[caller].iter().map(|&i| g.fns[i].qualified()).collect();
+        let callees: Vec<String> = g.calls[caller]
+            .iter()
+            .map(|&i| g.fns[i].qualified())
+            .collect();
         assert!(callees.contains(&"two".to_string()), "{callees:?}");
         assert!(callees.contains(&"zero".to_string()), "{callees:?}");
         assert!(!callees.contains(&"zero_not".to_string()), "{callees:?}");

@@ -28,8 +28,7 @@ use std::path::PathBuf;
 
 use simlint::{Baseline, Diagnostic, Rule, ScanReport, Severity};
 
-const USAGE: &str =
-    "usage: simlint [--check] [--strict] [--check-allows] [--effects] \
+const USAGE: &str = "usage: simlint [--check] [--strict] [--check-allows] [--effects] \
                      [--format text|json|sarif] [--list-rules] \
                      [--write-baseline] [--root <dir>] [--baseline <file>]";
 

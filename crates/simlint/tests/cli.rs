@@ -327,7 +327,11 @@ fn check_allows_reports_only_the_stale_escape() {
     // stays silent.
     let out = run(&["--check", "--check-allows", "--root", root]);
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(out.status.code(), Some(0), "stale allow is a warning: {stdout}");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stale allow is a warning: {stdout}"
+    );
     assert!(
         stdout.contains(
             "warning[stale-allow]: allow(lossy-cast) no longer suppresses any finding; \
@@ -353,7 +357,10 @@ fn effects_dump_is_byte_stable_and_summarizes_reachable_effects() {
     assert_eq!(a.status.code(), Some(0));
     assert_eq!(a.stdout, b.stdout, "effects dump must be byte-stable");
     let text = String::from_utf8(a.stdout).unwrap();
-    assert!(json_ok(&text), "effects dump must be well-formed JSON:\n{text}");
+    assert!(
+        json_ok(&text),
+        "effects dump must be well-formed JSON:\n{text}"
+    );
     // The handler itself is trigger-free but its summary carries everything
     // its callees do, the schedule effect included.
     assert!(
