@@ -488,7 +488,6 @@ impl GpuLane {
         match ev {
             Ev::WarpReady { cu, warp } => self.on_warp_ready(sh, host, cu, warp),
             Ev::L2Lookup { token } => self.on_l2_lookup(sh, host, token, false),
-            Ev::MshrRetry { token } => self.on_l2_lookup(sh, host, token, true),
             Ev::DispatchWalks => {
                 self.dispatch_scheduled = false;
                 self.dispatch_walks()
@@ -607,7 +606,6 @@ impl HostState {
             }
             Ev::WarpReady { .. }
             | Ev::L2Lookup { .. }
-            | Ev::MshrRetry { .. }
             | Ev::DispatchWalks
             | Ev::WalkDone { .. }
             | Ev::MappingToGpu { .. }

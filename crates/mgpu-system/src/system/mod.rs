@@ -87,8 +87,6 @@ pub(crate) enum Ev {
     WarpReady { cu: usize, warp: usize },
     /// L1-missed request reaches the L2 TLB (lookup result applied here).
     L2Lookup { token: u64 },
-    /// Retry a structurally stalled L2 access (MSHR full).
-    MshrRetry { token: u64 },
     /// Try to start queued page walks.
     DispatchWalks,
     /// A page walk finished.
@@ -143,7 +141,7 @@ impl Ev {
     /// The self-profiler phase this event's handler is charged to.
     fn phase(self) -> Phase {
         match self {
-            Ev::L2Lookup { .. } | Ev::MshrRetry { .. } => Phase::TlbLookup,
+            Ev::L2Lookup { .. } => Phase::TlbLookup,
             Ev::DispatchWalks | Ev::WalkDone { .. } => Phase::WalkSchedule,
             Ev::MappingToGpu { .. }
             | Ev::InvalArrive { .. }
@@ -329,6 +327,11 @@ pub(crate) struct GpuLane {
     /// buffer, drained before new dispatches).
     pub overflow: std::collections::VecDeque<(Vpn, WalkClass, u64)>,
     pub dispatch_scheduled: bool,
+    /// L2 lookups parked on a full MSHR, replayed in order when
+    /// [`GpuLane::complete_translation`] releases an entry.
+    pub mshr_waiters: std::collections::VecDeque<u64>,
+    /// MSHR stall episodes: lookups that parked at least once.
+    pub mshr_stalls: u64,
     pub reqs: DetHashMap<u64, Req>,
     pub next_token: u64,
     pub updates: DetHashMap<u64, PendingUpdate>,
@@ -728,6 +731,8 @@ impl System {
                 warp_cursors: vec![0; sh.warp_plans[g].len()],
                 overflow: std::collections::VecDeque::new(),
                 dispatch_scheduled: false,
+                mshr_waiters: std::collections::VecDeque::new(),
+                mshr_stalls: 0,
                 reqs: DetHashMap::default(),
                 next_token: 0,
                 updates: DetHashMap::default(),

@@ -234,7 +234,7 @@ impl System {
             {
                 let mut mshr = scope.scope("mshr");
                 mshr.count("merges", gpu.l2_mshr.merges());
-                mshr.count("stalls", gpu.l2_mshr.stalls());
+                mshr.count("stalls", lane.mshr_stalls);
                 mshr.count("peak", gpu.l2_mshr.peak() as u64);
             }
             {
@@ -361,8 +361,9 @@ impl System {
         ));
         for (g, lane) in lanes.iter().enumerate() {
             d.push_str(&format!(
-                "  gpu{g}: mshr={} queue={} overflow={} cursor_done={}\n",
+                "  gpu{g}: mshr={} parked={} queue={} overflow={} cursor_done={}\n",
                 lane.gpu.l2_mshr.len(),
+                lane.mshr_waiters.len(),
                 lane.gpu.gmmu.queue_len(),
                 lane.overflow.len(),
                 lane.warp_cursors

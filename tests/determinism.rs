@@ -298,8 +298,8 @@ fn profiler_does_not_perturb_results() {
 }
 
 /// Golden pin on the simulated event stream: SC at test scale on 2 GPUs,
-/// seed 42, access-counter migration, must process exactly 9654 events
-/// under the baseline and 9559 under full IDYLL, serially and with four
+/// seed 42, access-counter migration, must process exactly 9349 events
+/// under the baseline and 9252 under full IDYLL, serially and with four
 /// lane threads. A change to the simulated event stream moves these
 /// counts; a change that moves them on purpose updates the literals in the
 /// same commit and says why in its message.
@@ -308,8 +308,8 @@ fn event_counts_match_the_golden_pin() {
     let spec = WorkloadSpec::paper_default(AppId::Sc, Scale::Test);
     let wl = workloads::generate(&spec, 2, 42);
     for (mut cfg, expected) in [
-        (SystemConfig::baseline(2), 9654),
-        (SystemConfig::idyll(2), 9559),
+        (SystemConfig::baseline(2), 9349),
+        (SystemConfig::idyll(2), 9252),
     ] {
         cfg.policy = MigrationPolicy::AccessCounter {
             threshold: Scale::Test.counter_threshold(),

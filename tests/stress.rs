@@ -189,3 +189,55 @@ fn replication_with_low_counter_threshold_terminates() {
     cfg.max_events = 2_000_000;
     run(cfg, AppId::Mt);
 }
+
+#[test]
+fn one_entry_mshr_wakes_every_parked_lookup() {
+    // With a single L2 MSHR entry nearly every miss parks. A lost wake-up
+    // strands a lookup, so its warp never retires and the run ends
+    // `Stalled`; an ordering leak between lanes shows up as a thread-count
+    // dependence.
+    for idyll_on in [false, true] {
+        let mut cfg = base();
+        cfg.gpu.l2_mshr_entries = 1;
+        if idyll_on {
+            cfg.idyll = Some(IdyllConfig::full());
+        }
+        let spec = WorkloadSpec::paper_default(AppId::Pr, Scale::Test);
+        let wl = workloads::generate(&spec, cfg.n_gpus, 42);
+        let mut outputs = Vec::new();
+        for threads in [1, 2] {
+            let mut sys = System::new(cfg.clone(), &wl);
+            sys.set_threads(threads);
+            let r = sys
+                .run()
+                .unwrap_or_else(|e| panic!("idyll={idyll_on} threads={threads}: {e}"));
+            assert_eq!(r.accesses, wl.total_accesses());
+            assert_eq!(r.stale_translations, 0);
+            outputs.push((r.events_processed, sys.metrics_registry().to_json()));
+        }
+        assert_eq!(outputs[0], outputs[1], "idyll={idyll_on}: 1 vs 2 threads");
+    }
+}
+
+#[test]
+fn stalled_lookups_cost_no_events_while_parked() {
+    // A lookup that finds the MSHR full parks until an entry is released
+    // instead of polling. PR on 16 GPUs saturates the MSHR; polling every
+    // few dozen cycles costs ~42 events per trace access here, parking ~8.
+    let n = 16;
+    let mut cfg = SystemConfig::baseline(n);
+    cfg.policy = MigrationPolicy::AccessCounter {
+        threshold: Scale::Test.counter_threshold(),
+    };
+    cfg.seed = 42;
+    let spec = WorkloadSpec::paper_default(AppId::Pr, Scale::Test);
+    let wl = workloads::generate(&spec, n, 42);
+    let r = System::new(cfg, &wl).run().expect("completes");
+    let per_access = r.events_processed as f64 / wl.total_accesses() as f64;
+    assert!(
+        per_access <= 12.0,
+        "{per_access:.1} events per trace access ({} events, {} accesses)",
+        r.events_processed,
+        wl.total_accesses()
+    );
+}
