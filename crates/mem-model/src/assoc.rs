@@ -3,14 +3,10 @@
 //! This is the structural workhorse shared by TLBs, data caches, the
 //! page-walk cache and the VM-Cache: `sets × ways` slots, each holding a
 //! `(tag, payload)` pair, with per-set LRU stamps.
-
-/// A single occupied way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Way<V> {
-    tag: u64,
-    value: V,
-    stamp: u64,
-}
+//!
+//! Storage is flat: tags, stamps and payloads live in three contiguous
+//! arrays of `sets × ways` slots, and a per-set occupancy says how many of
+//! a set's slots are live. Live ways are packed to the left of their set.
 
 /// What happened on an insertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +23,16 @@ pub enum Inserted<V> {
 /// A set-associative array with per-set true-LRU replacement.
 ///
 /// Keys are full tags (the caller is responsible for any tag/index split
-/// beyond set selection, which uses `key % sets`).
+/// beyond set selection, which uses `key % sets`). The `*_in` methods take
+/// the set explicitly instead, for callers that partition the sets
+/// themselves (a bank of per-CU TLBs); a key addressed that way must always
+/// be addressed to the same set.
+///
+/// Order semantics, which callers observing [`SetAssoc::iter`] or running a
+/// side-effecting [`SetAssoc::invalidate_matching`] predicate rely on: a
+/// fill appends to the set, [`SetAssoc::invalidate`] moves the set's last
+/// way into the hole, `invalidate_matching` keeps survivors in order, and
+/// the LRU victim is the first way with the smallest stamp.
 ///
 /// # Example
 ///
@@ -44,7 +49,14 @@ pub enum Inserted<V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssoc<V> {
-    sets: Vec<Vec<Way<V>>>,
+    /// `tags[set * ways + i]` for `i < lens[set]` are the set's live tags.
+    tags: Vec<u64>,
+    /// LRU stamps, parallel to `tags`.
+    stamps: Vec<u64>,
+    /// Payloads, parallel to `tags`; `None` exactly in the free slots.
+    values: Vec<Option<V>>,
+    /// Live ways per set.
+    lens: Vec<usize>,
     ways: usize,
     clock: u64,
     /// `sets - 1` when the set count is a power of two, letting set
@@ -62,8 +74,12 @@ impl<V> SetAssoc<V> {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0, "need at least one set");
         assert!(ways > 0, "need at least one way");
+        let slots = sets * ways;
         SetAssoc {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            tags: vec![0; slots],
+            stamps: vec![0; slots],
+            values: (0..slots).map(|_| None).collect(),
+            lens: vec![0; sets],
             ways,
             clock: 0,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
@@ -72,7 +88,7 @@ impl<V> SetAssoc<V> {
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// Associativity.
@@ -82,24 +98,24 @@ impl<V> SetAssoc<V> {
 
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.tags.len()
     }
 
     /// Number of occupied entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.lens.iter().sum()
     }
 
     /// Whether no entries are present.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(|s| s.is_empty())
+        self.lens.iter().all(|&n| n == 0)
     }
 
     #[inline]
     fn set_of(&self, key: u64) -> usize {
         match self.set_mask {
             Some(mask) => (key & mask) as usize,
-            None => (key % self.sets.len() as u64) as usize,
+            None => (key % self.lens.len() as u64) as usize,
         }
     }
 
@@ -109,124 +125,208 @@ impl<V> SetAssoc<V> {
         self.clock
     }
 
+    /// Slot range of `set`'s live ways (empty for an out-of-range set).
+    #[inline]
+    fn live(&self, set: usize) -> std::ops::Range<usize> {
+        let start = set * self.ways;
+        let len = self.lens.get(set).copied().unwrap_or(0);
+        start..start + len
+    }
+
+    /// Slot index of `key` in `set`, if present.
+    #[inline]
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        let live = self.live(set);
+        let start = live.start;
+        let pos = self.tags.get(live)?.iter().position(|&t| t == key)?;
+        Some(start + pos)
+    }
+
+    /// Slot index of the first least-recently-used way of `set`.
+    #[inline]
+    fn lru(&self, set: usize) -> Option<usize> {
+        let live = self.live(set);
+        let start = live.start;
+        let pos = self
+            .stamps
+            .get(live)?
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &stamp)| stamp)
+            .map(|(i, _)| i)?;
+        Some(start + pos)
+    }
+
     /// Looks up `key`, refreshing its LRU position on a hit.
     pub fn get(&mut self, key: u64) -> Option<&V> {
-        let stamp = self.tick();
-        let set = self.set_of(key);
-        let ways = &mut self.sets[set];
-        let idx = ways.iter().position(|w| w.tag == key)?;
-        ways[idx].stamp = stamp;
-        Some(&ways[idx].value)
+        self.get_in(self.set_of(key), key)
+    }
+
+    /// [`SetAssoc::get`] in an explicitly chosen set.
+    pub fn get_in(&mut self, set: usize, key: u64) -> Option<&V> {
+        self.get_mut_in(set, key).map(|v| &*v)
     }
 
     /// Mutable lookup, refreshing LRU position on a hit.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        self.get_mut_in(self.set_of(key), key)
+    }
+
+    fn get_mut_in(&mut self, set: usize, key: u64) -> Option<&mut V> {
         let stamp = self.tick();
-        let set = self.set_of(key);
-        let ways = &mut self.sets[set];
-        let idx = ways.iter().position(|w| w.tag == key)?;
-        ways[idx].stamp = stamp;
-        Some(&mut ways[idx].value)
+        let slot = self.find(set, key)?;
+        self.stamps[slot] = stamp;
+        self.values[slot].as_mut()
     }
 
     /// Checks presence without disturbing recency (a "probe").
     pub fn contains(&self, key: u64) -> bool {
-        let set = self.set_of(key);
-        self.sets[set].iter().any(|w| w.tag == key)
+        self.contains_in(self.set_of(key), key)
+    }
+
+    /// [`SetAssoc::contains`] in an explicitly chosen set.
+    pub fn contains_in(&self, set: usize, key: u64) -> bool {
+        self.find(set, key).is_some()
     }
 
     /// Reads without disturbing recency.
     pub fn peek(&self, key: u64) -> Option<&V> {
-        let set = self.set_of(key);
-        self.sets[set]
-            .iter()
-            .find(|w| w.tag == key)
-            .map(|w| &w.value)
+        let slot = self.find(self.set_of(key), key)?;
+        self.values[slot].as_ref()
     }
 
     /// Inserts `key → value`, evicting the per-set LRU entry if necessary.
     pub fn insert(&mut self, key: u64, value: V) -> Inserted<V> {
+        self.insert_in(self.set_of(key), key, value)
+    }
+
+    /// [`SetAssoc::insert`] into an explicitly chosen set.
+    ///
+    /// # Panics
+    /// Panics if `set >= self.sets()`.
+    pub fn insert_in(&mut self, set: usize, key: u64, value: V) -> Inserted<V> {
         let stamp = self.tick();
-        let ways = self.ways;
-        let set = self.set_of(key);
-        let slot = &mut self.sets[set];
-        if let Some(idx) = slot.iter().position(|w| w.tag == key) {
-            slot[idx].stamp = stamp;
-            let old = std::mem::replace(&mut slot[idx].value, value);
-            return Inserted::Updated(old);
+        if let Some(slot) = self.find(set, key) {
+            self.stamps[slot] = stamp;
+            return match self.values[slot].replace(value) {
+                Some(old) => Inserted::Updated(old),
+                None => Inserted::Filled,
+            };
         }
-        if slot.len() < ways {
-            slot.push(Way {
-                tag: key,
-                value,
-                stamp,
-            });
+        let live = self.live(set);
+        if live.len() < self.ways {
+            let slot = live.end;
+            self.tags[slot] = key;
+            self.stamps[slot] = stamp;
+            self.values[slot] = Some(value);
+            self.lens[set] += 1;
             return Inserted::Filled;
         }
-        let lru = slot
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i)
-            // simlint: allow(hot-path-panic) — reached only when the set is full, so the LRU scan is over a non-empty way list
-            .expect("set is full, hence non-empty");
-        let victim = std::mem::replace(
-            &mut slot[lru],
-            Way {
-                tag: key,
-                value,
-                stamp,
-            },
-        );
-        Inserted::Evicted {
-            tag: victim.tag,
-            value: victim.value,
+        let Some(slot) = self.lru(set) else {
+            // Unreachable: a full set has at least one way.
+            return Inserted::Filled;
+        };
+        let tag = std::mem::replace(&mut self.tags[slot], key);
+        self.stamps[slot] = stamp;
+        match self.values[slot].replace(value) {
+            Some(value) => Inserted::Evicted { tag, value },
+            None => Inserted::Filled,
         }
     }
 
     /// Removes `key`, returning its payload.
     pub fn invalidate(&mut self, key: u64) -> Option<V> {
-        let set = self.set_of(key);
-        let slot = &mut self.sets[set];
-        let idx = slot.iter().position(|w| w.tag == key)?;
-        Some(slot.swap_remove(idx).value)
+        self.invalidate_in(self.set_of(key), key)
+    }
+
+    /// [`SetAssoc::invalidate`] in an explicitly chosen set: the set's last
+    /// live way moves into the hole.
+    pub fn invalidate_in(&mut self, set: usize, key: u64) -> Option<V> {
+        let slot = self.find(set, key)?;
+        let last = self.live(set).end - 1;
+        let value = self.values[slot].take();
+        self.tags[slot] = self.tags[last];
+        self.stamps[slot] = self.stamps[last];
+        self.values.swap(slot, last);
+        self.lens[set] -= 1;
+        value
+    }
+
+    /// Removes the entries of `set` matching `pred`, keeping the survivors
+    /// in order. Returns the count removed.
+    fn retain_set<F: FnMut(u64, &V) -> bool>(&mut self, set: usize, pred: &mut F) -> usize {
+        let live = self.live(set);
+        let (start, before) = (live.start, live.len());
+        let mut kept = start;
+        for slot in live {
+            let drop = match &self.values[slot] {
+                Some(v) => pred(self.tags[slot], v),
+                None => true,
+            };
+            if drop {
+                self.values[slot] = None;
+            } else {
+                if kept != slot {
+                    self.tags[kept] = self.tags[slot];
+                    self.stamps[kept] = self.stamps[slot];
+                    self.values.swap(kept, slot);
+                }
+                kept += 1;
+            }
+        }
+        let after = kept - start;
+        if let Some(len) = self.lens.get_mut(set) {
+            *len = after;
+        }
+        before - after
     }
 
     /// Removes every entry matching `pred`, returning the count removed.
+    /// Sets are visited in order and ways in order within a set.
     pub fn invalidate_matching<F: FnMut(u64, &V) -> bool>(&mut self, mut pred: F) -> usize {
-        let mut removed = 0;
-        for slot in &mut self.sets {
-            let before = slot.len();
-            slot.retain(|w| !pred(w.tag, &w.value));
-            removed += before - slot.len();
+        (0..self.sets())
+            .map(|set| self.retain_set(set, &mut pred))
+            .sum()
+    }
+
+    /// Removes every entry whose tag lies in `first..=last`, returning the
+    /// count removed. When the range is narrower than the set count its
+    /// tags map to distinct sets, so only those sets are visited; a wider
+    /// range scans every set. Either way the result equals
+    /// `invalidate_matching` over the same range.
+    pub fn invalidate_range(&mut self, first: u64, last: u64) -> usize {
+        let mut in_range = |tag: u64, _: &V| tag >= first && tag <= last;
+        if last.saturating_sub(first) >= self.sets() as u64 - 1 {
+            return self.invalidate_matching(in_range);
         }
-        removed
+        (first..=last)
+            .map(|key| self.retain_set(self.set_of(key), &mut in_range))
+            .sum()
     }
 
     /// Removes all entries.
     pub fn flush(&mut self) -> usize {
         let n = self.len();
-        for slot in &mut self.sets {
-            slot.clear();
-        }
+        self.lens.iter_mut().for_each(|len| *len = 0);
+        self.values.iter_mut().for_each(|v| *v = None);
         n
     }
 
     /// Iterates over `(tag, &value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|w| (w.tag, &w.value)))
+        (0..self.sets()).flat_map(move |set| {
+            self.live(set)
+                .filter_map(move |slot| Some((self.tags[slot], self.values[slot].as_ref()?)))
+        })
     }
 
     /// The LRU victim tag for the set `key` maps to, if that set is full.
     pub fn would_evict(&self, key: u64) -> Option<u64> {
         let set = self.set_of(key);
-        let slot = &self.sets[set];
-        if slot.len() < self.ways || slot.iter().any(|w| w.tag == key) {
+        if self.live(set).len() < self.ways || self.contains_in(set, key) {
             return None;
         }
-        slot.iter().min_by_key(|w| w.stamp).map(|w| w.tag)
+        self.lru(set).map(|slot| self.tags[slot])
     }
 }
 

@@ -109,12 +109,12 @@ impl Cache {
     /// `page_base` with `page_bytes` size. Returns lines dropped.
     ///
     /// Used when a page migrates away: its cached lines must not serve stale
-    /// data.
+    /// data. Only the sets the page's lines map to are visited, unless the
+    /// page spans at least as many lines as there are sets.
     pub fn invalidate_page(&mut self, page_base: u64, page_bytes: u64) -> usize {
         let first = page_base / self.geometry.line_bytes;
         let last = (page_base + page_bytes - 1) / self.geometry.line_bytes;
-        self.lines
-            .invalidate_matching(|tag, _| tag >= first && tag <= last)
+        self.lines.invalidate_range(first, last)
     }
 
     /// Drops all lines.
@@ -195,6 +195,51 @@ mod tests {
         assert_eq!(dropped, 2);
         assert!(!c.contains(0x1000));
         assert!(c.contains(0x2000));
+    }
+
+    /// Touches `lines` consecutive lines starting at `base` and returns
+    /// how many are resident afterwards.
+    fn touch(c: &mut Cache, base: u64, lines: u64) -> usize {
+        (0..lines).for_each(|i| {
+            c.access(base + i * 64);
+        });
+        (0..lines).filter(|i| c.contains(base + i * 64)).count()
+    }
+
+    #[test]
+    fn invalidate_page_drops_exactly_one_small_page() {
+        // L2 geometry: 256 sets, so a 4 KiB page (64 lines) is dropped by
+        // visiting only its 64 sets.
+        let mut c = Cache::new(CacheGeometry::new(256 * 1024, 16, 64));
+        let before = touch(&mut c, 0x1000, 64);
+        let after = touch(&mut c, 0x3000, 64);
+        let page = touch(&mut c, 0x2000, 64);
+        assert_eq!(page, 64);
+        assert_eq!(c.invalidate_page(0x2000, 4096), 64);
+        assert!((0..64).all(|i| !c.contains(0x2000 + i * 64)));
+        assert_eq!(
+            (0..64).filter(|i| c.contains(0x1000 + i * 64)).count(),
+            before
+        );
+        assert_eq!(
+            (0..64).filter(|i| c.contains(0x3000 + i * 64)).count(),
+            after
+        );
+        assert_eq!(c.invalidate_page(0x2000, 4096), 0, "idempotent");
+    }
+
+    #[test]
+    fn invalidate_page_drops_exactly_one_large_page() {
+        // A 2 MiB page spans more lines than there are sets: full scan.
+        let two_mib = 2 << 20;
+        let mut c = Cache::new(CacheGeometry::new(256 * 1024, 16, 64));
+        c.access(two_mib - 64); // last line of the previous page
+        c.access(2 * two_mib); // first line of the next page
+        let resident = touch(&mut c, two_mib, 512) + touch(&mut c, two_mib + 0x10_0000, 64);
+        assert_eq!(c.invalidate_page(two_mib, two_mib), resident);
+        assert!(c.contains(two_mib - 64));
+        assert!(c.contains(2 * two_mib));
+        assert_eq!(c.flush(), 2);
     }
 
     #[test]

@@ -7,6 +7,98 @@ use mem_model::gpuset::GpuSet;
 use mem_model::mshr::{Mshr, MshrOutcome};
 use proptest::prelude::*;
 
+/// The original `Vec<Vec<Way>>` layout of [`SetAssoc`], kept as the
+/// exact-LRU reference the flat layout must agree with op by op: fills
+/// append, `invalidate` swap-removes, `invalidate_matching` retains in
+/// order, and the victim is the first way with the smallest stamp.
+struct RefSetAssoc {
+    sets: Vec<Vec<(u64, u32, u64)>>,
+    ways: usize,
+    clock: u64,
+}
+
+impl RefSetAssoc {
+    fn new(sets: usize, ways: usize) -> Self {
+        RefSetAssoc {
+            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            ways,
+            clock: 0,
+        }
+    }
+
+    fn set(&mut self, key: u64) -> &mut Vec<(u64, u32, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(key % n) as usize]
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn get(&mut self, key: u64) -> Option<u32> {
+        let stamp = self.tick();
+        let way = self.set(key).iter_mut().find(|w| w.0 == key)?;
+        way.2 = stamp;
+        Some(way.1)
+    }
+
+    fn peek(&mut self, key: u64) -> Option<u32> {
+        self.set(key).iter().find(|w| w.0 == key).map(|w| w.1)
+    }
+
+    fn insert(&mut self, key: u64, value: u32) -> Inserted<u32> {
+        let stamp = self.tick();
+        let ways = self.ways;
+        let slot = self.set(key);
+        if let Some(way) = slot.iter_mut().find(|w| w.0 == key) {
+            way.2 = stamp;
+            return Inserted::Updated(std::mem::replace(&mut way.1, value));
+        }
+        if slot.len() < ways {
+            slot.push((key, value, stamp));
+            return Inserted::Filled;
+        }
+        let lru = (0..slot.len())
+            .min_by_key(|&i| slot[i].2)
+            .expect("full set");
+        let (tag, value, _) = std::mem::replace(&mut slot[lru], (key, value, stamp));
+        Inserted::Evicted { tag, value }
+    }
+
+    fn invalidate(&mut self, key: u64) -> Option<u32> {
+        let slot = self.set(key);
+        let idx = slot.iter().position(|w| w.0 == key)?;
+        Some(slot.swap_remove(idx).1)
+    }
+
+    fn invalidate_matching(&mut self, mut pred: impl FnMut(u64, &u32) -> bool) -> usize {
+        let mut removed = 0;
+        for slot in &mut self.sets {
+            let before = slot.len();
+            slot.retain(|w| !pred(w.0, &w.1));
+            removed += before - slot.len();
+        }
+        removed
+    }
+
+    fn would_evict(&mut self, key: u64) -> Option<u64> {
+        let ways = self.ways;
+        let slot = self.set(key);
+        if slot.len() < ways || slot.iter().any(|w| w.0 == key) {
+            return None;
+        }
+        slot.iter().min_by_key(|w| w.2).map(|w| w.0)
+    }
+
+    fn entries(&self) -> Vec<(u64, u32)> {
+        self.sets
+            .iter()
+            .flat_map(|s| s.iter().map(|w| (w.0, w.1)))
+            .collect()
+    }
+}
+
 proptest! {
     #[test]
     fn set_assoc_agrees_with_map_model(
@@ -36,6 +128,67 @@ proptest! {
         }
         for (key, value) in &model {
             prop_assert_eq!(sa.peek(*key), Some(value));
+        }
+    }
+
+    #[test]
+    fn set_assoc_matches_the_nested_reference_op_by_op(
+        sets in 1usize..12,
+        ways in 1usize..6,
+        ops in prop::collection::vec((0u8..8, 0u64..64, 0u32..1000), 1..400),
+    ) {
+        let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways);
+        let mut reference = RefSetAssoc::new(sets, ways);
+        for (op, key, value) in ops {
+            match op {
+                0 | 1 => prop_assert_eq!(sa.insert(key, value), reference.insert(key, value)),
+                2 => prop_assert_eq!(sa.get(key).copied(), reference.get(key)),
+                3 => {
+                    let flat = sa.get_mut(key).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let nested = reference.get(key).map(|_| {
+                        let way = reference.set(key).iter_mut().find(|w| w.0 == key).expect("hit");
+                        way.1 += 1;
+                        way.1
+                    });
+                    prop_assert_eq!(flat, nested);
+                }
+                4 => {
+                    prop_assert_eq!(sa.peek(key).copied(), reference.peek(key));
+                    prop_assert_eq!(sa.contains(key), reference.peek(key).is_some());
+                }
+                5 => prop_assert_eq!(sa.invalidate(key), reference.invalidate(key)),
+                6 => {
+                    // A side-effecting predicate: the visit order must agree.
+                    let (mut seen_flat, mut seen_ref) = (Vec::new(), Vec::new());
+                    let flat = sa.invalidate_matching(|t, &v| {
+                        seen_flat.push(t);
+                        (t + u64::from(v)) % 3 == key % 3
+                    });
+                    let nested = reference.invalidate_matching(|t, &v| {
+                        seen_ref.push(t);
+                        (t + u64::from(v)) % 3 == key % 3
+                    });
+                    prop_assert_eq!(flat, nested);
+                    prop_assert_eq!(seen_flat, seen_ref);
+                }
+                _ => {
+                    // Page-range drops, both narrower and wider than the
+                    // set count.
+                    let last = key + u64::from(value % 24);
+                    let flat = sa.invalidate_range(key, last);
+                    let nested = reference.invalidate_matching(|t, _| t >= key && t <= last);
+                    prop_assert_eq!(flat, nested);
+                }
+            }
+            prop_assert_eq!(sa.would_evict(key ^ 1), reference.would_evict(key ^ 1));
+            prop_assert_eq!(
+                sa.iter().map(|(t, &v)| (t, v)).collect::<Vec<_>>(),
+                reference.entries()
+            );
+            prop_assert_eq!(sa.len(), reference.entries().len());
         }
     }
 
