@@ -9,7 +9,7 @@ use sim_engine::Cycle;
 use uvm_driver::fault::FarFault;
 use vm_model::addr::{PageSize, Vpn};
 use vm_model::page_table::PageTable;
-use vm_model::tlb::{Tlb, TlbConfig};
+use vm_model::tlb::{Tlb, TlbBank, TlbConfig};
 
 use crate::cu::Cu;
 use crate::gmmu::{Gmmu, GmmuConfig};
@@ -77,9 +77,10 @@ impl Default for GpuConfig {
 /// use vm_model::{Vpn, Pte};
 ///
 /// let mut gpu = Gpu::new(0, GpuConfig { cus: 2, ..GpuConfig::default() });
-/// gpu.l1_tlbs[0].fill(Vpn(1), Pte::new_mapped(5, true));
+/// gpu.l1_tlbs.fill(0, Vpn(1), Pte::new_mapped(5, true));
+/// gpu.l1_tlbs.fill(1, Vpn(1), Pte::new_mapped(5, true));
 /// gpu.l2_tlb.fill(Vpn(1), Pte::new_mapped(5, true));
-/// assert_eq!(gpu.shootdown(Vpn(1)), 2); // both levels dropped the entry
+/// assert_eq!(gpu.shootdown(Vpn(1)), 3); // both CUs' L1s and the L2 dropped it
 /// ```
 #[derive(Debug)]
 pub struct Gpu {
@@ -87,8 +88,9 @@ pub struct Gpu {
     pub id: GpuId,
     /// Per-CU compute state.
     pub cus: Vec<Cu>,
-    /// Per-CU private L1 TLBs.
-    pub l1_tlbs: Vec<Tlb>,
+    /// Per-CU private L1 TLBs, stored as one bank (CU index selects the
+    /// TLB).
+    pub l1_tlbs: TlbBank,
     /// Shared L2 TLB.
     pub l2_tlb: Tlb,
     /// Shared L2-TLB MSHR, keyed by VPN, holding request tokens.
@@ -114,7 +116,7 @@ impl Gpu {
             cus: (0..config.cus)
                 .map(|_| Cu::new(config.warps_per_cu))
                 .collect(),
-            l1_tlbs: (0..config.cus).map(|_| Tlb::new(config.l1_tlb)).collect(),
+            l1_tlbs: TlbBank::new(config.cus, config.l1_tlb),
             l2_tlb: Tlb::new(config.l2_tlb),
             l2_mshr: Mshr::new(config.l2_mshr_entries),
             page_table: PageTable::new(config.page_size),
@@ -139,16 +141,7 @@ impl Gpu {
     /// *immediately* on invalidation receipt in both the baseline and
     /// IDYLL, §6.3 correctness). Returns how many TLB entries were dropped.
     pub fn shootdown(&mut self, vpn: Vpn) -> usize {
-        let mut dropped = 0;
-        for tlb in &mut self.l1_tlbs {
-            if tlb.shootdown(vpn) {
-                dropped += 1;
-            }
-        }
-        if self.l2_tlb.shootdown(vpn) {
-            dropped += 1;
-        }
-        dropped
+        self.l1_tlbs.shootdown(vpn) + usize::from(self.l2_tlb.shootdown(vpn))
     }
 
     /// Local data-access latency: L2 cache hit or DRAM, starting at `now`
@@ -209,7 +202,7 @@ mod tests {
     fn construction_matches_config() {
         let gpu = small_gpu();
         assert_eq!(gpu.cus.len(), 2);
-        assert_eq!(gpu.l1_tlbs.len(), 2);
+        assert_eq!(gpu.l1_tlbs.cus(), 2);
         assert_eq!(gpu.l2_tlb.config().entries, 512);
         assert_eq!(gpu.page_table.page_size(), PageSize::Size4K);
     }
@@ -218,11 +211,13 @@ mod tests {
     fn shootdown_hits_all_levels() {
         let mut gpu = small_gpu();
         let pte = Pte::new_mapped(9, true);
-        gpu.l1_tlbs[0].fill(Vpn(1), pte);
-        gpu.l1_tlbs[1].fill(Vpn(1), pte);
+        gpu.l1_tlbs.fill(0, Vpn(1), pte);
+        gpu.l1_tlbs.fill(1, Vpn(1), pte);
+        gpu.l1_tlbs.fill(1, Vpn(2), pte);
         gpu.l2_tlb.fill(Vpn(1), pte);
         assert_eq!(gpu.shootdown(Vpn(1)), 3);
         assert_eq!(gpu.shootdown(Vpn(1)), 0, "idempotent");
+        assert!(gpu.l1_tlbs.contains(1, Vpn(2)), "other VPNs survive");
     }
 
     #[test]

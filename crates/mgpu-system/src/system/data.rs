@@ -27,11 +27,12 @@ impl GpuLane {
     ) -> Result<(), SimError> {
         let req = *self
             .reqs
-            .get(&token)
+            .get(token)
             .or_invariant("data access for a request that no longer exists")?;
-        // Spread tokens across cache lines within the page so the tag-only
-        // caches see realistic line-level behaviour.
-        let line_offset = (token % (sh.page_bytes() / 64)) * 64;
+        // Spread requests across cache lines within the page, by issue
+        // sequence, so the tag-only caches see realistic line-level
+        // behaviour.
+        let line_offset = (self.reqs.seq(token) % (sh.page_bytes() / 64)) * 64;
         let paddr = pte.ppn() * sh.page_bytes() + line_offset;
         match sh.memmap.owner(pte.ppn()) {
             Node::Gpu(owner) if owner == self.id => {
@@ -107,9 +108,7 @@ impl GpuLane {
             // migrating on access counts.
             return;
         }
-        if self
-            .counters
-            .record_remote_access(sh.cfg.policy, self.id, vpn)
+        if self.counters.record_remote_access(sh.cfg.policy, vpn)
             && !host.migrations.is_migrating(vpn)
         {
             let at = self.xfer_host_at(self.now, msg::MIG_REQ);
@@ -123,7 +122,7 @@ impl GpuLane {
     pub(crate) fn on_access_done(&mut self, sh: &Shared, token: u64) -> Result<(), SimError> {
         let req = self
             .reqs
-            .remove(&token)
+            .remove(token)
             .or_invariant("access completed for a request that no longer exists")?;
         self.accesses_done += 1;
         self.access_latency

@@ -23,6 +23,7 @@ mod engine;
 mod host;
 mod migrate;
 mod observe;
+mod reqs;
 mod translate;
 
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -164,8 +165,8 @@ impl Ev {
     }
 }
 
-/// One in-flight translation request. Tokens are a per-lane namespace; the
-/// owning GPU is the lane holding the entry.
+/// One in-flight translation request. Tokens are a per-lane namespace (see
+/// [`reqs::ReqTable`]); the owning GPU is the lane holding the entry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Req {
     pub cu: usize,
@@ -332,8 +333,8 @@ pub(crate) struct GpuLane {
     pub mshr_waiters: std::collections::VecDeque<u64>,
     /// MSHR stall episodes: lookups that parked at least once.
     pub mshr_stalls: u64,
-    pub reqs: DetHashMap<u64, Req>,
-    pub next_token: u64,
+    /// In-flight translation requests, one slot per warp.
+    pub reqs: reqs::ReqTable,
     pub updates: DetHashMap<u64, PendingUpdate>,
     pub next_update: u64,
     /// Pages with a far fault in flight from this GPU.
@@ -733,8 +734,7 @@ impl System {
                 dispatch_scheduled: false,
                 mshr_waiters: std::collections::VecDeque::new(),
                 mshr_stalls: 0,
-                reqs: DetHashMap::default(),
-                next_token: 0,
+                reqs: reqs::ReqTable::new(warps_per_gpu),
                 updates: DetHashMap::default(),
                 next_update: 0,
                 inflight_faults: DetHashSet::default(),
@@ -896,10 +896,8 @@ impl System {
         let mut pcie_bytes = 0u64;
         for i in 0..self.lanes.len() {
             let lane = lock_lane(&self.lanes, i);
-            for tlb in &lane.gpu.l1_tlbs {
-                l1_hits += tlb.hits();
-                l1_misses += tlb.misses();
-            }
+            l1_hits += lane.gpu.l1_tlbs.hits();
+            l1_misses += lane.gpu.l1_tlbs.misses();
             l2_hits += lane.gpu.l2_tlb.hits();
             l2_misses += lane.gpu.l2_tlb.misses();
             pwc_hits += lane.gpu.gmmu.pwc().hits();

@@ -218,12 +218,10 @@ impl System {
         for (g, lane) in lanes.iter().enumerate() {
             let gpu = &lane.gpu;
             let mut scope = reg.scope(format!("gpu{g}"));
-            let l1_hits: u64 = gpu.l1_tlbs.iter().map(|t| t.hits()).sum();
-            let l1_misses: u64 = gpu.l1_tlbs.iter().map(|t| t.misses()).sum();
             {
                 let mut tlb = scope.scope("tlb");
-                tlb.count("l1.hits", l1_hits);
-                tlb.count("l1.misses", l1_misses);
+                tlb.count("l1.hits", gpu.l1_tlbs.hits());
+                tlb.count("l1.misses", gpu.l1_tlbs.misses());
                 tlb.count("l2.hits", gpu.l2_tlb.hits());
                 tlb.count("l2.misses", gpu.l2_tlb.misses());
                 tlb.gauge(
@@ -339,11 +337,10 @@ impl System {
         let live_reqs: usize = lanes.iter().map(|l| l.reqs.len()).sum();
         d.push_str(&format!("live reqs: {live_reqs}\n"));
         // Collect everything before sorting so the sample is the 5 oldest
-        // (token, gpu) pairs, not 5 arbitrary bucket-order entries.
+        // (issue sequence, gpu) pairs, not the first warps' entries.
         let mut sample: Vec<_> = lanes
             .iter()
-            // simlint: allow(unordered-iter) — sorted by (token, gpu) before use
-            .flat_map(|l| l.reqs.iter().map(move |(t, r)| (*t, l.id, *r)))
+            .flat_map(|l| l.reqs.iter().map(move |(t, r)| (l.reqs.seq(t), l.id, *r)))
             .collect();
         sample.sort_by_key(|(t, g, _)| (*t, *g));
         sample.truncate(5);
@@ -399,7 +396,7 @@ impl GpuLane {
     /// The track of the warp behind a live request token, or the driver
     /// track when the token no longer maps to a request.
     pub(crate) fn req_track(&mut self, sh: &Shared, token: u64) -> Track {
-        match self.reqs.get(&token).copied() {
+        match self.reqs.get(token).copied() {
             Some(r) => self.warp_track(sh, r.cu, r.warp),
             None => Track {
                 pid: HOST_PID,
@@ -428,6 +425,11 @@ impl GpuLane {
         let walk_start = walk.finish_at.saturating_sub(walk.result.latency);
         let queue_start = walk_start.saturating_sub(walk.queued_for);
         let vpn = walk.request.vpn.0;
+        // Demand walks carry a request token; print its issue sequence.
+        let token = match walk.request.class {
+            WalkClass::Demand => self.reqs.seq(walk.request.token),
+            _ => walk.request.token,
+        };
         if walk.queued_for.raw() > 0 {
             self.tracer.span(
                 "walk",
@@ -450,7 +452,7 @@ impl GpuLane {
             track,
             walk_start,
             walk.finish_at,
-            &[("vpn", vpn), ("token", walk.request.token)],
+            &[("vpn", vpn), ("token", token)],
         );
     }
 }
@@ -485,7 +487,7 @@ impl HostState {
         fault: &FarFault,
     ) -> Track {
         if fault.token != u64::MAX && fault.gpu < lanes.len() {
-            let req = lock_lane(lanes, fault.gpu).reqs.get(&fault.token).copied();
+            let req = lock_lane(lanes, fault.gpu).reqs.get(fault.token).copied();
             if let Some(r) = req {
                 let pid = gpu_pid(fault.gpu);
                 let tid = (r.cu * sh.cfg.gpu.warps_per_cu + r.warp) as u64;

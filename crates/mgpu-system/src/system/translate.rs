@@ -44,8 +44,6 @@ impl GpuLane {
         let access = sh.traces[self.id][sh.warp_plans[self.id][warp_index][pos]];
         self.warp_cursors[warp_index] += 1;
         self.gpu.cus[cu].issue(warp);
-        let token = self.next_token;
-        self.next_token += 1;
         let req = Req {
             cu,
             warp,
@@ -54,10 +52,12 @@ impl GpuLane {
             issue_at: self.now,
             l2_miss_at: None,
         };
-        self.reqs.insert(token, req);
+        let token = self
+            .reqs
+            .issue(warp_index, req)
+            .or_invariant("warp issued while its previous access is in flight")?;
         // L1 TLB lookup (1 cycle, counted in the data-access start).
-        let l1 = &mut self.gpu.l1_tlbs[cu];
-        match l1.lookup(access.vpn) {
+        match self.gpu.l1_tlbs.lookup(cu, access.vpn) {
             Some(pte) if pte.is_valid() && (!access.is_write || pte.is_writable()) => {
                 let start = self.now + sh.cfg.gpu.l1_tlb.latency;
                 self.start_data_access(sh, host, token, pte, start)?;
@@ -86,7 +86,7 @@ impl GpuLane {
     ) -> Result<(), SimError> {
         let req = *self
             .reqs
-            .get(&token)
+            .get(token)
             .or_invariant("L2 lookup event for a request that no longer exists")?;
         let probed = if is_retry {
             self.gpu.l2_tlb.peek(req.vpn)
@@ -99,12 +99,12 @@ impl GpuLane {
         };
         if let Some(pte) = l2_hit {
             // Scenario 1: L2 hit — IRMB lookup abandoned.
-            self.gpu.l1_tlbs[req.cu].fill(req.vpn, pte);
+            self.gpu.l1_tlbs.fill(req.cu, req.vpn, pte);
             let now = self.now;
             return self.start_data_access(sh, host, token, pte, now);
         }
         // Record the start of the demand-miss latency window.
-        if let Some(r) = self.reqs.get_mut(&token) {
+        if let Some(r) = self.reqs.get_mut(token) {
             if r.l2_miss_at.is_none() {
                 r.l2_miss_at = Some(self.now);
             }
@@ -247,14 +247,14 @@ impl GpuLane {
                         // buffer is authoritative (§6.3 correctness).
                         let stale = self.irmb.as_ref().map(|i| i.contains(vpn)).unwrap_or(false);
                         let write_violation = {
-                            let rep = self.reqs.get(&walk.request.token);
+                            let rep = self.reqs.get(walk.request.token);
                             rep.map(|r| r.is_write && !pte.is_writable())
                                 .unwrap_or(false)
                         };
                         if stale || (write_violation && sh.cfg.replication) {
                             let is_write = self
                                 .reqs
-                                .get(&walk.request.token)
+                                .get(walk.request.token)
                                 .map(|r| r.is_write)
                                 .unwrap_or(false);
                             self.raise_far_fault(sh, vpn, is_write, walk.request.token, true);
@@ -265,7 +265,7 @@ impl GpuLane {
                     WalkOutcome::InvalidLeaf(_) | WalkOutcome::NotPresent => {
                         let is_write = self
                             .reqs
-                            .get(&walk.request.token)
+                            .get(walk.request.token)
                             .map(|r| r.is_write)
                             .unwrap_or(false);
                         self.raise_far_fault(sh, vpn, is_write, walk.request.token, true);
@@ -378,7 +378,7 @@ impl GpuLane {
         self.gpu.l2_tlb.fill(vpn, pte);
         let waiters = self.gpu.l2_mshr.complete(vpn.0);
         for token in waiters {
-            let Some(req) = self.reqs.get(&token).copied() else {
+            let Some(req) = self.reqs.get(token).copied() else {
                 continue;
             };
             if req.is_write && !pte.is_writable() {
@@ -387,20 +387,21 @@ impl GpuLane {
                 self.raise_far_fault(sh, vpn, true, token, false);
                 continue;
             }
-            self.gpu.l1_tlbs[req.cu].fill(vpn, pte);
+            self.gpu.l1_tlbs.fill(req.cu, vpn, pte);
             if let Some(miss_at) = req.l2_miss_at {
                 self.demand_miss_latency
                     .record((self.now.saturating_sub(miss_at)).raw() as f64);
                 if self.tracer.is_enabled() {
                     let track = self.warp_track(sh, req.cu, req.warp);
                     let now = self.now;
+                    let seq = self.reqs.seq(token);
                     self.tracer.span(
                         "tlb",
                         "L2 TLB miss",
                         track,
                         miss_at,
                         now,
-                        &[("vpn", vpn.0), ("token", token)],
+                        &[("vpn", vpn.0), ("token", seq)],
                     );
                 }
             }

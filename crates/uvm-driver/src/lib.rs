@@ -9,7 +9,7 @@
 //! * [`host::HostMemory`] — the centralized page table plus per-device frame
 //!   allocators;
 //! * [`policy`] — first-touch / on-touch / access-counter migration policies
-//!   and the per-(GPU, page) access counters;
+//!   and the per-GPU, per-page access counters;
 //! * [`fault::FaultBatcher`] — far-fault batching;
 //! * [`migration::MigrationTable`] — in-flight migration state machine
 //!   (invalidation fan-out, acks, waiting-latency bookkeeping);

@@ -1,6 +1,5 @@
 //! Page-migration policies and access counters (§3.3).
 
-use mem_model::interconnect::GpuId;
 use sim_engine::collections::DetHashMap;
 use vm_model::addr::Vpn;
 
@@ -42,7 +41,7 @@ impl std::fmt::Display for MigrationPolicy {
     }
 }
 
-/// Per-(GPU, page) remote-access counters.
+/// One GPU's per-page remote-access counters (each GPU owns one table).
 ///
 /// # Example
 ///
@@ -52,12 +51,12 @@ impl std::fmt::Display for MigrationPolicy {
 ///
 /// let policy = MigrationPolicy::AccessCounter { threshold: 2 };
 /// let mut counters = AccessCounters::new();
-/// assert!(!counters.record_remote_access(policy, 0, Vpn(7)));
-/// assert!(counters.record_remote_access(policy, 0, Vpn(7))); // threshold hit
+/// assert!(!counters.record_remote_access(policy, Vpn(7)));
+/// assert!(counters.record_remote_access(policy, Vpn(7))); // threshold hit
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AccessCounters {
-    counts: DetHashMap<(GpuId, Vpn), u32>,
+    counts: DetHashMap<Vpn, u32>,
     triggers: u64,
 }
 
@@ -67,9 +66,9 @@ impl AccessCounters {
         AccessCounters::default()
     }
 
-    /// Records one remote access by `gpu` to `vpn` under `policy`; returns
-    /// whether the policy asks for a migration of `vpn` to `gpu`.
-    pub fn record_remote_access(&mut self, policy: MigrationPolicy, gpu: GpuId, vpn: Vpn) -> bool {
+    /// Records one remote access by the owning GPU to `vpn` under `policy`;
+    /// returns whether the policy asks for a migration of `vpn` to that GPU.
+    pub fn record_remote_access(&mut self, policy: MigrationPolicy, vpn: Vpn) -> bool {
         match policy {
             MigrationPolicy::FirstTouch => false,
             MigrationPolicy::OnTouch => {
@@ -77,7 +76,7 @@ impl AccessCounters {
                 true
             }
             MigrationPolicy::AccessCounter { threshold } => {
-                let c = self.counts.entry((gpu, vpn)).or_insert(0);
+                let c = self.counts.entry(vpn).or_insert(0);
                 *c += 1;
                 if *c >= threshold {
                     *c = 0;
@@ -91,14 +90,14 @@ impl AccessCounters {
     }
 
     /// Current counter value (0 when never counted).
-    pub fn count(&self, gpu: GpuId, vpn: Vpn) -> u32 {
-        self.counts.get(&(gpu, vpn)).copied().unwrap_or(0)
+    pub fn count(&self, vpn: Vpn) -> u32 {
+        self.counts.get(&vpn).copied().unwrap_or(0)
     }
 
-    /// Clears every GPU's counter for `vpn` — done when the page migrates,
-    /// so counting restarts against the new placement.
+    /// Clears the counter for `vpn` — done on every GPU when the page
+    /// migrates, so counting restarts against the new placement.
     pub fn reset_page(&mut self, vpn: Vpn) {
-        self.counts.retain(|&(_, v), _| v != vpn);
+        self.counts.remove(&vpn);
     }
 
     /// Total migration triggers raised.
@@ -125,7 +124,7 @@ mod tests {
     fn first_touch_never_migrates() {
         let mut c = AccessCounters::new();
         for _ in 0..1000 {
-            assert!(!c.record_remote_access(MigrationPolicy::FirstTouch, 0, Vpn(1)));
+            assert!(!c.record_remote_access(MigrationPolicy::FirstTouch, Vpn(1)));
         }
         assert_eq!(c.triggers(), 0);
     }
@@ -133,8 +132,8 @@ mod tests {
     #[test]
     fn on_touch_always_migrates() {
         let mut c = AccessCounters::new();
-        assert!(c.record_remote_access(MigrationPolicy::OnTouch, 0, Vpn(1)));
-        assert!(c.record_remote_access(MigrationPolicy::OnTouch, 1, Vpn(1)));
+        assert!(c.record_remote_access(MigrationPolicy::OnTouch, Vpn(1)));
+        assert!(c.record_remote_access(MigrationPolicy::OnTouch, Vpn(1)));
         assert_eq!(c.triggers(), 2);
     }
 
@@ -142,38 +141,43 @@ mod tests {
     fn counter_threshold_and_reset_on_trigger() {
         let p = MigrationPolicy::AccessCounter { threshold: 3 };
         let mut c = AccessCounters::new();
-        assert!(!c.record_remote_access(p, 0, Vpn(1)));
-        assert!(!c.record_remote_access(p, 0, Vpn(1)));
-        assert!(c.record_remote_access(p, 0, Vpn(1)));
+        assert!(!c.record_remote_access(p, Vpn(1)));
+        assert!(!c.record_remote_access(p, Vpn(1)));
+        assert!(c.record_remote_access(p, Vpn(1)));
         // Counter auto-resets after triggering.
-        assert_eq!(c.count(0, Vpn(1)), 0);
-        assert!(!c.record_remote_access(p, 0, Vpn(1)));
+        assert_eq!(c.count(Vpn(1)), 0);
+        assert!(!c.record_remote_access(p, Vpn(1)));
     }
 
     #[test]
-    fn counters_are_per_gpu_and_per_page() {
+    fn counters_are_per_page_and_per_table() {
         let p = MigrationPolicy::AccessCounter { threshold: 2 };
-        let mut c = AccessCounters::new();
-        c.record_remote_access(p, 0, Vpn(1));
-        c.record_remote_access(p, 1, Vpn(1));
-        c.record_remote_access(p, 0, Vpn(2));
-        assert_eq!(c.count(0, Vpn(1)), 1);
-        assert_eq!(c.count(1, Vpn(1)), 1);
-        assert_eq!(c.count(0, Vpn(2)), 1);
-        assert_eq!(c.len(), 3);
+        let (mut gpu0, mut gpu1) = (AccessCounters::new(), AccessCounters::new());
+        gpu0.record_remote_access(p, Vpn(1));
+        gpu0.record_remote_access(p, Vpn(2));
+        gpu0.record_remote_access(p, Vpn(2));
+        gpu1.record_remote_access(p, Vpn(1));
+        assert_eq!(gpu0.count(Vpn(1)), 1);
+        assert_eq!(gpu0.count(Vpn(2)), 0, "threshold reached and reset");
+        assert_eq!(gpu1.count(Vpn(1)), 1);
+        assert_eq!(gpu0.len(), 2);
+        assert_eq!(gpu0.triggers(), 1);
+        assert_eq!(gpu1.triggers(), 0);
     }
 
     #[test]
-    fn reset_page_clears_all_gpus() {
+    fn reset_page_clears_only_that_page() {
         let p = MigrationPolicy::AccessCounter { threshold: 10 };
         let mut c = AccessCounters::new();
-        c.record_remote_access(p, 0, Vpn(1));
-        c.record_remote_access(p, 1, Vpn(1));
-        c.record_remote_access(p, 0, Vpn(2));
+        c.record_remote_access(p, Vpn(1));
+        c.record_remote_access(p, Vpn(1));
+        c.record_remote_access(p, Vpn(2));
         c.reset_page(Vpn(1));
-        assert_eq!(c.count(0, Vpn(1)), 0);
-        assert_eq!(c.count(1, Vpn(1)), 0);
-        assert_eq!(c.count(0, Vpn(2)), 1, "other pages untouched");
+        assert_eq!(c.count(Vpn(1)), 0);
+        assert_eq!(c.count(Vpn(2)), 1, "other pages untouched");
+        assert_eq!(c.len(), 1);
+        c.reset_page(Vpn(3));
+        assert_eq!(c.len(), 1, "resetting an uncounted page is a no-op");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use vm_model::addr::{PageSize, Vpn};
 use vm_model::page_table::PageTable;
 use vm_model::pte::Pte;
 use vm_model::pwc::PageWalkCache;
-use vm_model::tlb::{Tlb, TlbConfig};
+use vm_model::tlb::{Tlb, TlbBank, TlbConfig};
 use vm_model::walker::{walk_translate, WalkOutcome, WalkerConfig};
 
 #[derive(Debug, Clone)]
@@ -106,6 +106,42 @@ proptest! {
             let got = tlb.lookup(Vpn(v)).expect("just filled");
             prop_assert_eq!(got.ppn(), p);
         }
+    }
+
+    #[test]
+    fn tlb_bank_agrees_with_one_tlb_per_cu(
+        cus in 1usize..5,
+        geometry in prop::sample::select(vec![(4usize, 4usize), (4, 2), (6, 2), (8, 1)]),
+        ops in prop::collection::vec((0u8..4, 0usize..5, 0u64..24), 1..300),
+    ) {
+        let (entries, ways) = geometry;
+        let config = TlbConfig { entries, ways, latency: sim_engine::Cycle(1) };
+        let mut bank = TlbBank::new(cus, config);
+        let mut reference: Vec<Tlb> = (0..cus).map(|_| Tlb::new(config)).collect();
+        for (op, cu, v) in ops {
+            let cu = cu % cus;
+            let vpn = Vpn(v);
+            match op {
+                0 | 1 => {
+                    let pte = Pte::new_mapped(v + 1, true);
+                    prop_assert_eq!(bank.fill(cu, vpn, pte), reference[cu].fill(vpn, pte));
+                }
+                2 => prop_assert_eq!(bank.lookup(cu, vpn), reference[cu].lookup(vpn)),
+                _ => {
+                    let dropped = reference.iter_mut().map(|t| t.shootdown(vpn)).filter(|&hit| hit).count();
+                    prop_assert_eq!(bank.shootdown(vpn), dropped);
+                }
+            }
+            for (c, tlb) in reference.iter().enumerate() {
+                prop_assert_eq!(bank.contains(c, vpn), tlb.contains(vpn));
+            }
+        }
+        prop_assert_eq!(bank.hits(), reference.iter().map(|t| t.hits()).sum::<u64>());
+        prop_assert_eq!(bank.misses(), reference.iter().map(|t| t.misses()).sum::<u64>());
+        prop_assert_eq!(
+            bank.occupancy(),
+            reference.iter().map(|t| t.occupancy()).sum::<usize>()
+        );
     }
 
     #[test]
