@@ -33,7 +33,6 @@
 //! assert!(irmb.lookup(Vpn(0x1001)));
 //! ```
 
-pub mod area;
 pub mod directory;
 pub mod irmb;
 pub mod transfw;
