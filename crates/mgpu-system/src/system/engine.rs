@@ -446,13 +446,7 @@ impl GpuLane {
         if self.error.is_some() {
             return;
         }
-        while let Some(at) = self.q.peek_time() {
-            if at >= horizon {
-                break;
-            }
-            let Some((at, ev)) = self.q.pop() else {
-                break;
-            };
+        while let Some((at, ev)) = self.q.pop_before(horizon) {
             self.prof.add(Phase::HeapPop, 1);
             self.now = at;
             self.events_processed += 1;
@@ -541,13 +535,7 @@ impl HostState {
         horizon: Cycle,
         limit: u64,
     ) -> Result<(), SimError> {
-        while let Some(at) = self.q.peek_time() {
-            if at >= horizon {
-                break;
-            }
-            let Some((at, ev)) = self.q.pop() else {
-                break;
-            };
+        while let Some((at, ev)) = self.q.pop_before(horizon) {
             self.prof.add(Phase::HeapPop, 1);
             self.now = at;
             self.events_processed += 1;
