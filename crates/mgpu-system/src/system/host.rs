@@ -192,7 +192,7 @@ impl super::HostState {
                     return Ok(());
                 }
                 self.dir_record(fault.vpn, fault.gpu);
-                broadcast_prt_record(lanes, fault.vpn, fault.gpu);
+                broadcast_prt_record(sh, lanes, fault.vpn, fault.gpu);
                 let pte = self
                     .host_mem
                     .pte(fault.vpn)
@@ -258,7 +258,7 @@ impl super::HostState {
                     // Remote mapping: the local page table will point at the
                     // remote GPU's frame (first-touch and counter-based).
                     self.dir_record(fault.vpn, fault.gpu);
-                    broadcast_prt_record(lanes, fault.vpn, h);
+                    broadcast_prt_record(sh, lanes, fault.vpn, h);
                     let ppn = self
                         .host_mem
                         .pte(fault.vpn)

@@ -358,7 +358,7 @@ impl HostState {
             self.replicas.add_replica(vpn, m.to);
         }
         self.dir_record(vpn, m.to);
-        super::broadcast_prt_record(lanes, vpn, m.to);
+        super::broadcast_prt_record(sh, lanes, vpn, m.to);
         self.last_migration.insert(vpn, self.now);
         self.migrations_done += 1;
         self.migration_total
