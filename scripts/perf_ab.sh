@@ -3,23 +3,25 @@
 # the working tree, run as alternating pairs (the side that runs first
 # alternates) so drift on a shared host hits both sides alike.
 #
-#   scripts/perf_ab.sh <rev> [workload] [pairs]
+#   scripts/perf_ab.sh <rev> [workload] [pairs] [seed]
 #
 # workload is a perfbench workload (default cell-pr32); pairs defaults
-# to 10. Each run is `perfbench --workload W --seed 42 --seconds 20
-# --trace 0`. Prints, for wall_s, setup_s and peak_rss_mb: each side's
-# median and quartiles, the median change, and how many pairs the
-# working tree won (ties count for neither side). A gain holds when the
-# working tree wins at least 9 in 10 pairs and the median moves by more
-# than the base side's interquartile range.
+# to 10 and seed to 42 (pass another to check a gain on an unseen seed).
+# Each run is `perfbench --workload W --seed S --seconds 20 --trace 0`.
+# Prints, for wall_s, setup_s and peak_rss_mb: each side's median and
+# quartiles, the median change, and how many pairs the working tree won
+# (ties count for neither side). A gain holds when the working tree wins
+# at least 9 in 10 pairs and the median moves by more than the base
+# side's interquartile range.
 #
 # <rev> is exported with `git archive` into a temporary directory; the
 # working tree's perfbench/Cargo.lock is restored after its build.
 set -euo pipefail
 
-rev="${1:?usage: scripts/perf_ab.sh <rev> [workload] [pairs]}"
+rev="${1:?usage: scripts/perf_ab.sh <rev> [workload] [pairs] [seed]}"
 workload="${2:-cell-pr32}"
 pairs="${3:-10}"
+seed="${4:-42}"
 seconds=20
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -40,7 +42,7 @@ cp "$work/Cargo.lock.saved" "$root/perfbench/Cargo.lock"
 
 run() {
   # run <side> <pair>: one perfbench run; keeps its last (JSON) line.
-  "$work/$1-target/release/perfbench" --workload "$workload" --seed 42 \
+  "$work/$1-target/release/perfbench" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 | tail -n 1 > "$work/$1.$2.json"
   echo "pair $2 $1 done" >&2
 }
@@ -55,12 +57,12 @@ for i in $(seq 1 "$pairs"); do
   fi
 done
 
-python3 - "$work" "$pairs" "$workload" "$rev" <<'PY'
+python3 - "$work" "$pairs" "$workload" "$rev" "$seed" <<'PY'
 import json
 import statistics
 import sys
 
-work, pairs, workload, rev = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+work, pairs, workload, rev, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
 
 
 def load(side, i):
@@ -70,7 +72,7 @@ def load(side, i):
 
 runs = {s: [load(s, i) for i in range(1, pairs + 1)] for s in ("base", "head")}
 failed = {s: sum(r["failed"] for r in runs[s]) for s in runs}
-print(f"workload {workload}, {pairs} pairs, base {rev} vs working tree")
+print(f"workload {workload}, seed {seed}, {pairs} pairs, base {rev} vs working tree")
 print(f"failed operations: base {failed['base']}, head {failed['head']}")
 
 
