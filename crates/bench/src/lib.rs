@@ -3,9 +3,9 @@
 //! Every function runs the required scheme × workload grid on the simulator
 //! and renders a text table shaped like the corresponding figure in the
 //! paper (rows = applications in figure order, columns = schemes/series,
-//! plus the paper's `Ave.` row). The per-figure binaries in `src/bin` and
-//! the `figures` bench target call into here; EXPERIMENTS.md records the
-//! outputs next to the paper's numbers.
+//! plus the paper's `Ave.` row). The `all_figures` binary (`--only <id>`
+//! for one figure) and perfbench call into here; EXPERIMENTS.md records
+//! the outputs next to the paper's numbers.
 //!
 //! # Example
 //!
@@ -896,7 +896,7 @@ fn collect_grid(results: Vec<(String, SimReport)>) -> Result<Grid, SimError> {
 pub type FigureFn = fn(&Harness) -> Result<String, SimError>;
 
 /// All figure ids with their harness functions, used by the `all_figures`
-/// binary and the bench target. Lazy, so callers can evaluate and persist
+/// binary and perfbench. Lazy, so callers can evaluate and persist
 /// each figure incrementally.
 pub fn all_figures() -> Vec<(&'static str, FigureFn)> {
     vec![

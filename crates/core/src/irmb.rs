@@ -16,20 +16,6 @@
 
 use vm_model::addr::Vpn;
 
-/// Replacement policy for full merged-entry arrays.
-///
-/// The paper chooses LRU because "if a page is recently migrated, there is
-/// a high probability that its neighboring pages will be migrated later";
-/// FIFO is provided as the ablation point for that design argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IrmbReplacement {
-    /// Evict the least-recently-touched merged entry (the paper's design).
-    #[default]
-    Lru,
-    /// Evict the oldest-created merged entry (ablation).
-    Fifo,
-}
-
 /// Geometry of the IRMB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrmbConfig {
@@ -37,8 +23,6 @@ pub struct IrmbConfig {
     pub bases: usize,
     /// Offsets per merged entry. Default 16.
     pub offsets_per_base: usize,
-    /// Merged-entry replacement policy.
-    pub replacement: IrmbReplacement,
 }
 
 impl Default for IrmbConfig {
@@ -46,7 +30,6 @@ impl Default for IrmbConfig {
         IrmbConfig {
             bases: 32,
             offsets_per_base: 16,
-            replacement: IrmbReplacement::Lru,
         }
     }
 }
@@ -58,14 +41,7 @@ impl IrmbConfig {
         IrmbConfig {
             bases,
             offsets_per_base,
-            replacement: IrmbReplacement::Lru,
         }
-    }
-
-    /// The same geometry with a different replacement policy.
-    pub fn with_replacement(mut self, replacement: IrmbReplacement) -> Self {
-        self.replacement = replacement;
-        self
     }
 
     /// Storage footprint in bits: each merged entry holds a 36-bit base and
@@ -83,7 +59,6 @@ pub struct MergedEntry {
     /// Pending offsets, in insertion order.
     pub offsets: Vec<u16>,
     stamp: u64,
-    created: u64,
 }
 
 impl MergedEntry {
@@ -195,7 +170,6 @@ impl Irmb {
                     // simlint: allow(hot-path-alloc) — one-word offsets list created only on entry turnover, bounded by IRMB geometry; merges reuse the existing list
                     offsets: std::mem::replace(&mut entry.offsets, vec![offset]),
                     stamp,
-                    created: stamp,
                 };
                 return InsertOutcome::EvictedOffsets(evicted);
             }
@@ -209,12 +183,10 @@ impl Irmb {
                 // simlint: allow(hot-path-alloc) — warmup-only: at most config.bases entries are ever created
                 offsets: vec![offset],
                 stamp,
-                created: stamp,
             });
             return InsertOutcome::NewEntry;
         }
-        // All bases busy: evict a merged entry (§6.3 first rule; LRU by
-        // default, FIFO as an ablation).
+        // All bases busy: evict the LRU merged entry (§6.3 first rule).
         self.lru_evictions += 1;
         // simlint: allow(hot-path-panic) — config.bases ≥ 1 is validated at construction, so the victim scan is over a non-empty table
         let victim = self.victim_index().expect("bases > 0");
@@ -225,7 +197,6 @@ impl Irmb {
                 // simlint: allow(hot-path-alloc) — one-word offsets list created only on LRU entry turnover, bounded by IRMB geometry
                 offsets: vec![offset],
                 stamp,
-                created: stamp,
             },
         );
         InsertOutcome::EvictedLru(evicted)
@@ -276,22 +247,16 @@ impl Irmb {
         false
     }
 
-    /// Index of the next replacement victim under the configured policy.
+    /// Index of the least-recently-touched merged entry, the replacement
+    /// victim. The paper chooses LRU because "if a page is recently
+    /// migrated, there is a high probability that its neighboring pages
+    /// will be migrated later".
     fn victim_index(&self) -> Option<usize> {
-        match self.config.replacement {
-            IrmbReplacement::Lru => self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i),
-            IrmbReplacement::Fifo => self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.created)
-                .map(|(i, _)| i),
-        }
+        self.entries
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.stamp)
+            .map(|(i, _)| i)
     }
 
     /// Pops the replacement-victim merged entry for opportunistic write-back
@@ -486,22 +451,6 @@ mod tests {
         assert!(!irmb.lookup(vpn(1, 1)));
         assert_eq!(irmb.lookup_hits(), 1);
         assert_eq!(irmb.lookup_misses(), 1);
-    }
-
-    #[test]
-    fn fifo_replacement_evicts_oldest_created() {
-        use super::IrmbReplacement;
-        let mut irmb = Irmb::new(IrmbConfig::new(2, 4).with_replacement(IrmbReplacement::Fifo));
-        irmb.insert(vpn(1, 0));
-        irmb.insert(vpn(2, 0));
-        // Refresh base 1 — under LRU base 2 would be the victim, but FIFO
-        // still evicts base 1 (oldest creation).
-        irmb.insert(vpn(1, 1));
-        match irmb.insert(vpn(3, 0)) {
-            InsertOutcome::EvictedLru(e) => assert_eq!(e.base, 1),
-            other => panic!("{other:?}"),
-        }
-        assert!(irmb.contains(vpn(2, 0)));
     }
 
     #[test]

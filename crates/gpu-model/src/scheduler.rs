@@ -1,74 +1,40 @@
-//! CTA (thread-block) scheduling policies: how a GPU's access trace is
-//! dealt to its warps.
+//! CTA (thread-block) scheduling: how a GPU's access trace is dealt to its
+//! warps.
 //!
 //! The paper's methodology (§4) uses round-robin CTA scheduling for CUs
 //! within a GPU and greedy (locality-preserving) scheduling across GPUs.
 //! In the trace-driven model that choice appears as the mapping from the
-//! per-GPU access stream to per-warp work: contiguous segments preserve
-//! intra-CTA locality (greedy), while interleaving approximates fine-grain
-//! round-robin dispatch.
-
-/// How the per-GPU trace is partitioned across warps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CtaSchedule {
-    /// Each warp owns one contiguous trace segment (a thread block covering
-    /// its own data tile) — the paper's locality-preserving default.
-    #[default]
-    BlockContiguous,
-    /// Accesses are dealt round-robin across warps (fine-grain interleave;
-    /// destroys per-warp locality, stressing the TLBs harder).
-    RoundRobin,
-    /// Contiguous blocks of the given size are dealt round-robin (a middle
-    /// ground: per-block locality, global balance).
-    BlockCyclic(usize),
-}
+//! per-GPU access stream to per-warp work: each warp takes one contiguous
+//! segment, which preserves intra-CTA locality (greedy) the way a thread
+//! block covering its own data tile does.
 
 /// A warp's work list: indices into the GPU trace, in issue order.
 pub type WarpPlan = Vec<usize>;
 
 /// Builds the per-warp access plans for a trace of `len` accesses dealt to
-/// `warps` warps under `schedule`.
+/// `warps` warps: each warp owns one contiguous trace segment (a thread
+/// block covering its own data tile), the paper's locality-preserving
+/// scheduling.
 ///
 /// Every index in `0..len` appears in exactly one plan exactly once.
 ///
 /// # Panics
-/// Panics if `warps == 0` or a `BlockCyclic` size of zero is given.
+/// Panics if `warps == 0`.
 ///
 /// # Example
 ///
 /// ```
-/// use gpu_model::scheduler::{plan_warps, CtaSchedule};
-/// let plans = plan_warps(10, 2, CtaSchedule::RoundRobin);
-/// assert_eq!(plans[0], vec![0, 2, 4, 6, 8]);
-/// assert_eq!(plans[1], vec![1, 3, 5, 7, 9]);
+/// use gpu_model::scheduler::plan_warps;
+/// let plans = plan_warps(10, 2);
+/// assert_eq!(plans[0], vec![0, 1, 2, 3, 4]);
+/// assert_eq!(plans[1], vec![5, 6, 7, 8, 9]);
 /// ```
-pub fn plan_warps(len: usize, warps: usize, schedule: CtaSchedule) -> Vec<WarpPlan> {
+pub fn plan_warps(len: usize, warps: usize) -> Vec<WarpPlan> {
     assert!(warps > 0, "need at least one warp");
-    let mut plans: Vec<WarpPlan> = (0..warps).map(|_| Vec::new()).collect();
-    match schedule {
-        CtaSchedule::BlockContiguous => {
-            let seg = len.div_ceil(warps);
-            for (w, plan) in plans.iter_mut().enumerate() {
-                let start = (w * seg).min(len);
-                let end = ((w + 1) * seg).min(len);
-                *plan = (start..end).collect();
-            }
-        }
-        CtaSchedule::RoundRobin => {
-            for i in 0..len {
-                plans[i % warps].push(i);
-            }
-        }
-        CtaSchedule::BlockCyclic(block) => {
-            assert!(block > 0, "block size must be positive");
-            for (b, chunk_start) in (0..len).step_by(block).enumerate() {
-                let w = b % warps;
-                let end = (chunk_start + block).min(len);
-                plans[w].extend(chunk_start..end);
-            }
-        }
-    }
-    plans
+    let seg = len.div_ceil(warps);
+    (0..warps)
+        .map(|w| ((w * seg).min(len)..((w + 1) * seg).min(len)).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -89,7 +55,7 @@ mod tests {
 
     #[test]
     fn contiguous_segments_partition_and_preserve_order() {
-        let plans = plan_warps(103, 8, CtaSchedule::BlockContiguous);
+        let plans = plan_warps(103, 8);
         assert_partition(&plans, 103);
         for plan in &plans {
             for pair in plan.windows(2) {
@@ -99,32 +65,14 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_partitions_evenly() {
-        let plans = plan_warps(100, 4, CtaSchedule::RoundRobin);
-        assert_partition(&plans, 100);
-        assert!(plans.iter().all(|p| p.len() == 25));
-    }
-
-    #[test]
-    fn block_cyclic_partitions_with_block_locality() {
-        let plans = plan_warps(64, 2, CtaSchedule::BlockCyclic(8));
-        assert_partition(&plans, 64);
-        // Warp 0 gets blocks 0, 2, 4, 6.
-        assert_eq!(&plans[0][..8], &(0..8).collect::<Vec<_>>()[..]);
-        assert_eq!(&plans[0][8..16], &(16..24).collect::<Vec<_>>()[..]);
-    }
-
-    #[test]
     fn degenerate_shapes() {
-        assert_partition(&plan_warps(0, 4, CtaSchedule::BlockContiguous), 0);
-        assert_partition(&plan_warps(3, 8, CtaSchedule::BlockContiguous), 3);
-        assert_partition(&plan_warps(3, 8, CtaSchedule::RoundRobin), 3);
-        assert_partition(&plan_warps(5, 1, CtaSchedule::BlockCyclic(2)), 5);
+        assert_partition(&plan_warps(0, 4), 0);
+        assert_partition(&plan_warps(3, 8), 3);
     }
 
     #[test]
     #[should_panic(expected = "at least one warp")]
     fn zero_warps_panics() {
-        plan_warps(10, 0, CtaSchedule::RoundRobin);
+        plan_warps(10, 0);
     }
 }

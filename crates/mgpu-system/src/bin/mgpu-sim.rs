@@ -4,8 +4,6 @@
 //!
 //! ```text
 //! mgpu-sim --app PR --gpus 4 --scheme idyll --scale small --seed 42
-//! mgpu-sim --replay dump.trace --scheme baseline
-//! mgpu-sim --app KM --dump-trace km.trace    # export the synthetic trace
 //! mgpu-sim --app KM --scheme idyll --trace out.json --metrics-json m.json
 //! ```
 
@@ -26,15 +24,13 @@ USAGE:
 
 OPTIONS:
     --app <MT|MM|PR|ST|SC|KM|IM|C2D|BS|VGG16|RESNET18>   workload (default KM)
-    --replay <FILE>         replay a saved .trace file instead of --app
-    --dump-trace <FILE>     write the generated trace to FILE and exit
     --trace <FILE>          write a Chrome-trace/Perfetto timeline JSON
     --trace-filter <CATS>   record only these trace categories
                             (comma-separated: tlb,walk,fault,invalidation,
                             migration,driver,counter)
     --metrics-json <FILE>   write the flattened metrics registry as JSON
     --progress <N>          print a progress line every N million events
-    --gpus <N>              number of GPUs (default 4)
+    --gpus <N>              number of GPUs, 1 to 64 (default 4)
     --scheme <NAME>         baseline | idyll | only-lazy | only-in-pte |
                             idyll-inmem | zerolat | replication | transfw |
                             idyll+transfw            (default baseline)
@@ -46,14 +42,11 @@ OPTIONS:
                             IDYLL_THREADS, else 1); artifacts are
                             byte-identical for any value
     --large-pages           use 2 MiB pages
-    --prefetch              enable fault-driven block prefetching
     -h, --help              print this help
 ";
 
 struct Args {
     app: String,
-    replay: Option<String>,
-    dump_trace: Option<String>,
     trace_out: Option<String>,
     trace_filter: Option<String>,
     metrics_json: Option<String>,
@@ -66,14 +59,11 @@ struct Args {
     seed: u64,
     threads: usize,
     large_pages: bool,
-    prefetch: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         app: "KM".into(),
-        replay: None,
-        dump_trace: None,
         trace_out: None,
         trace_filter: None,
         metrics_json: None,
@@ -86,15 +76,12 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         threads: mgpu_system::system::threads_from_env(),
         large_pages: false,
-        prefetch: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
             "--app" => args.app = value("--app")?.to_uppercase(),
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--dump-trace" => args.dump_trace = Some(value("--dump-trace")?),
             "--trace" => args.trace_out = Some(value("--trace")?),
             "--trace-filter" => args.trace_filter = Some(value("--trace-filter")?),
             "--metrics-json" => args.metrics_json = Some(value("--metrics-json")?),
@@ -108,7 +95,10 @@ fn parse_args() -> Result<Args, String> {
             "--gpus" => {
                 args.gpus = value("--gpus")?
                     .parse()
-                    .map_err(|e| format!("--gpus: {e}"))?
+                    .map_err(|e| format!("--gpus: {e}"))?;
+                if !(1..=64).contains(&args.gpus) {
+                    return Err(format!("--gpus: {} is out of range 1..=64", args.gpus));
+                }
             }
             "--scheme" => args.scheme = value("--scheme")?.to_lowercase(),
             "--policy" => args.policy = value("--policy")?.to_lowercase(),
@@ -138,7 +128,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--threads: {e}"))?
             }
             "--large-pages" => args.large_pages = true,
-            "--prefetch" => args.prefetch = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -150,10 +139,6 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn build_workload(args: &Args) -> Result<Workload, String> {
-    if let Some(path) = &args.replay {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return workloads::serialize::from_text(&text).map_err(|e| format!("{path}: {e}"));
-    }
     match args.app.as_str() {
         "VGG16" => Ok(generate_dnn(
             &DnnSpec::paper_default(DnnModel::Vgg16),
@@ -206,7 +191,6 @@ fn build_config(args: &Args) -> Result<SystemConfig, String> {
     if args.large_pages {
         cfg = cfg.with_large_pages();
     }
-    cfg.host.prefetch = args.prefetch;
     Ok(cfg)
 }
 
@@ -225,20 +209,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(path) = &args.dump_trace {
-        let text = workloads::serialize::to_text(&workload);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "wrote {} ({} accesses, {} GPUs)",
-            path,
-            workload.total_accesses(),
-            workload.traces.len()
-        );
-        return ExitCode::SUCCESS;
-    }
     let cfg = match build_config(&args) {
         Ok(c) => c,
         Err(e) => {

@@ -13,10 +13,10 @@
 //! rendered by an exhaustive `match`, so a new field or variant that is not
 //! encoded fails to build.
 //!
-//! The format is the same line-oriented `key value` style as the trace
-//! format in `workloads::serialize`: a version header, then one field per
-//! line in a fixed order. Floats use Rust's shortest-roundtrip formatting,
-//! which is deterministic for equal bit patterns.
+//! The format is line-oriented `key value` text: a version header, then
+//! one field per line in a fixed order. Floats use Rust's
+//! shortest-roundtrip formatting, which is deterministic for equal bit
+//! patterns.
 //!
 //! # Example
 //!
@@ -27,7 +27,7 @@
 //!
 //! let cfg = SystemConfig::idyll(4);
 //! let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
-//! assert!(canon::encode_config(&cfg).starts_with("# idyll-canon config v1\n"));
+//! assert!(canon::encode_config(&cfg).starts_with("# idyll-canon config v2\n"));
 //! let key = canon::job_key(&cfg, &spec, 42);
 //! assert_eq!(key.len(), 32); // 128-bit hex
 //! ```
@@ -37,8 +37,7 @@ use std::hash::{BuildHasher, Hasher};
 
 use gpu_model::gmmu::GmmuConfig;
 use gpu_model::gpu::GpuConfig;
-use gpu_model::scheduler::CtaSchedule;
-use idyll_core::irmb::{IrmbConfig, IrmbReplacement};
+use idyll_core::irmb::IrmbConfig;
 use idyll_core::transfw::TransFwConfig;
 use mem_model::interconnect::InterconnectConfig;
 use sim_engine::collections::DetState;
@@ -54,7 +53,7 @@ use crate::metrics::{SimReport, WalkerMix};
 
 /// Version headers; bumped whenever a field is added, removed or re-ordered
 /// (which intentionally changes every job key).
-const CONFIG_HEADER: &str = "# idyll-canon config v1";
+const CONFIG_HEADER: &str = "# idyll-canon config v2";
 const SPEC_HEADER: &str = "# idyll-canon spec v1";
 const REPORT_HEADER: &str = "# idyll-canon report v1";
 
@@ -80,14 +79,6 @@ fn page_size_str(p: PageSize) -> &'static str {
     match p {
         PageSize::Size4K => "4k",
         PageSize::Size2M => "2m",
-    }
-}
-
-fn cta_schedule_str(s: CtaSchedule) -> String {
-    match s {
-        CtaSchedule::BlockContiguous => "block-contiguous".into(),
-        CtaSchedule::RoundRobin => "round-robin".into(),
-        CtaSchedule::BlockCyclic(n) => format!("block-cyclic {n}"),
     }
 }
 
@@ -127,14 +118,13 @@ fn accumulator_str(a: &Accumulator) -> String {
 // SystemConfig
 // ---------------------------------------------------------------------------
 
-/// Renders a [`SystemConfig`] as the canonical `v1` text document.
+/// Renders a [`SystemConfig`] as the canonical `v2` text document.
 #[must_use]
 pub fn encode_config(cfg: &SystemConfig) -> String {
     let SystemConfig {
         n_gpus,
         gpu,
         page_size,
-        cta_schedule,
         policy,
         replication,
         zero_latency_invalidation,
@@ -182,7 +172,6 @@ pub fn encode_config(cfg: &SystemConfig) -> String {
         batch_window,
         vm_cache_latency,
         vm_table_latency,
-        prefetch,
         migration_cooldown,
     } = host;
 
@@ -222,7 +211,6 @@ pub fn encode_config(cfg: &SystemConfig) -> String {
     kv(&mut s, "gpu.l2_hit_latency", l2_hit_latency.raw());
     kv(&mut s, "gpu.page_size", page_size_str(*gpu_page_size));
     kv(&mut s, "page_size", page_size_str(*page_size));
-    kv(&mut s, "cta_schedule", cta_schedule_str(*cta_schedule));
     kv(&mut s, "policy", policy_str(*policy));
     kv(&mut s, "replication", replication);
     kv(
@@ -239,23 +227,12 @@ pub fn encode_config(cfg: &SystemConfig) -> String {
                 IrmbConfig {
                     bases,
                     offsets_per_base,
-                    replacement,
                 },
-            bypass_on_irmb_hit,
         }) => {
             kv(&mut s, "idyll", "some");
             kv(&mut s, "idyll.lazy", lazy);
             kv(&mut s, "idyll.directory", directory_str(*directory));
-            let repl = match replacement {
-                IrmbReplacement::Lru => "lru",
-                IrmbReplacement::Fifo => "fifo",
-            };
-            kv(
-                &mut s,
-                "idyll.irmb",
-                format!("{bases} {offsets_per_base} {repl}"),
-            );
-            kv(&mut s, "idyll.bypass_on_irmb_hit", bypass_on_irmb_hit);
+            kv(&mut s, "idyll.irmb", format!("{bases} {offsets_per_base}"));
         }
     }
     match transfw {
@@ -280,7 +257,6 @@ pub fn encode_config(cfg: &SystemConfig) -> String {
     kv(&mut s, "host.batch_window", batch_window.raw());
     kv(&mut s, "host.vm_cache_latency", vm_cache_latency.raw());
     kv(&mut s, "host.vm_table_latency", vm_table_latency.raw());
-    kv(&mut s, "host.prefetch", prefetch);
     kv(&mut s, "host.migration_cooldown", migration_cooldown.raw());
     kv(&mut s, "frames_per_device", frames_per_device);
     kv(&mut s, "seed", seed);
@@ -482,7 +458,6 @@ mod tests {
     #[test]
     fn optional_sections_and_enum_payloads_are_spelled_out() {
         let mut cfg = SystemConfig::idyll(8).with_large_pages();
-        cfg.cta_schedule = CtaSchedule::BlockCyclic(64);
         cfg.policy = MigrationPolicy::AccessCounter { threshold: 12 };
         cfg.transfw = Some(TransFwConfig { fingerprints: 500 });
         cfg.idyll = Some(IdyllConfig {
@@ -491,19 +466,15 @@ mod tests {
             irmb: IrmbConfig {
                 bases: 16,
                 offsets_per_base: 8,
-                replacement: IrmbReplacement::Fifo,
             },
-            bypass_on_irmb_hit: false,
         });
         let text = encode_config(&cfg);
         for line in [
             "page_size 2m",
-            "cta_schedule block-cyclic 64",
             "policy access-counter 12",
             "idyll some",
             "idyll.directory in-pte 4",
-            "idyll.irmb 16 8 fifo",
-            "idyll.bypass_on_irmb_hit false",
+            "idyll.irmb 16 8",
             "transfw 500",
         ] {
             assert!(text.lines().any(|l| l == line), "missing `{line}`:\n{text}");
@@ -563,6 +534,6 @@ mod tests {
             &WorkloadSpec::paper_default(AppId::Km, Scale::Test),
             42,
         );
-        assert_eq!(key, "a5f2c8ddf560d062183e07ddd626678f");
+        assert_eq!(key, "b62a056c187a1410d5bc84923fa1d3ee");
     }
 }

@@ -32,12 +32,6 @@ pub struct IdyllConfig {
     pub directory: DirectoryMode,
     /// IRMB geometry (ignored unless `lazy`).
     pub irmb: IrmbConfig,
-    /// Whether a demand miss that hits the IRMB bypasses the local walk and
-    /// far-faults directly (§6.3 lookup scenario 3). Disabling this is an
-    /// ablation: the stale PTE is still caught at walk completion, but the
-    /// wasted walk is paid — isolating the bypass benefit the paper credits
-    /// for IDYLL beating zero-latency invalidation on some apps (§7.1).
-    pub bypass_on_irmb_hit: bool,
 }
 
 impl IdyllConfig {
@@ -47,7 +41,6 @@ impl IdyllConfig {
             lazy: true,
             directory: DirectoryMode::InPte { access_bits: 11 },
             irmb: IrmbConfig::default(),
-            bypass_on_irmb_hit: true,
         }
     }
 
@@ -57,7 +50,6 @@ impl IdyllConfig {
             lazy: true,
             directory: DirectoryMode::Broadcast,
             irmb: IrmbConfig::default(),
-            bypass_on_irmb_hit: true,
         }
     }
 
@@ -67,7 +59,6 @@ impl IdyllConfig {
             lazy: false,
             directory: DirectoryMode::InPte { access_bits: 11 },
             irmb: IrmbConfig::default(),
-            bypass_on_irmb_hit: true,
         }
     }
 
@@ -77,7 +68,6 @@ impl IdyllConfig {
             lazy: true,
             directory: DirectoryMode::InMem,
             irmb: IrmbConfig::default(),
-            bypass_on_irmb_hit: true,
         }
     }
 }
@@ -100,9 +90,6 @@ pub struct HostConfig {
     pub vm_cache_latency: Cycle,
     /// VM-Table memory access latency on a VM-Cache miss.
     pub vm_table_latency: Cycle,
-    /// Enable the UVM-style fault-driven block prefetcher (optional
-    /// extension; off in the paper's baseline).
-    pub prefetch: bool,
     /// Minimum interval between successive migrations of the same page
     /// (anti-thrash throttling, as real UVM drivers apply). Within the
     /// cooldown a would-be migration degrades to a remote mapping. Mostly
@@ -120,7 +107,6 @@ impl Default for HostConfig {
             batch_window: Cycle(300),
             vm_cache_latency: Cycle(4),
             vm_table_latency: Cycle(160),
-            prefetch: false,
             migration_cooldown: Cycle(1_500),
         }
     }
@@ -135,8 +121,6 @@ pub struct SystemConfig {
     pub gpu: GpuConfig,
     /// Page size (4 KiB baseline; §7.3 studies 2 MiB).
     pub page_size: PageSize,
-    /// How each GPU's trace is dealt to its warps (§4's CTA scheduling).
-    pub cta_schedule: gpu_model::scheduler::CtaSchedule,
     /// GPU-to-GPU migration policy.
     pub policy: MigrationPolicy,
     /// Enable read replication (§7.4 comparison).
@@ -166,7 +150,6 @@ impl SystemConfig {
             n_gpus,
             gpu: GpuConfig::default(),
             page_size: PageSize::Size4K,
-            cta_schedule: gpu_model::scheduler::CtaSchedule::default(),
             policy: MigrationPolicy::baseline(),
             replication: false,
             zero_latency_invalidation: false,

@@ -120,58 +120,6 @@ impl super::HostState {
                 &[("vpn", fault.vpn.0), ("gpu", fault.gpu as u64)],
             );
         }
-        // Optional extension: fault-driven block prefetching. When a block
-        // turns dense, its sibling pages' *translations* are pushed to the
-        // faulting GPU along with the resolution (host-resident siblings
-        // additionally migrate), saving the future far faults the GPU was
-        // about to take one by one.
-        if sh.cfg.host.prefetch && !sh.cfg.replication {
-            let siblings = self.prefetcher.on_fault(fault.gpu, fault.vpn);
-            for sib in siblings {
-                if self.migrations.is_migrating(sib) {
-                    continue;
-                }
-                match self.host_mem.owner_of(sib) {
-                    Some(Node::Host)
-                        if self.host_mem.move_page(sib, Node::Gpu(fault.gpu)).is_ok() =>
-                    {
-                        self.dir_record(sib, fault.gpu);
-                        let ppn = self
-                            .host_mem
-                            .pte(sib)
-                            .or_invariant("prefetched sibling page lost its host PTE")?
-                            .ppn();
-                        let arrive = self.xfer_down(fault.gpu, sh.page_bytes());
-                        self.sched_lane(
-                            lanes,
-                            fault.gpu,
-                            arrive,
-                            Ev::MappingToGpu {
-                                vpn: sib,
-                                pte: Pte::new_mapped(ppn, true),
-                            },
-                        );
-                    }
-                    Some(Node::Gpu(_)) => {
-                        // Push the (possibly remote) translation eagerly.
-                        self.dir_record(sib, fault.gpu);
-                        let ppn = self
-                            .host_mem
-                            .pte(sib)
-                            .or_invariant("prefetched sibling page lost its host PTE")?
-                            .ppn();
-                        self.send_mapping(
-                            lanes,
-                            fault.gpu,
-                            sib,
-                            Pte::new_mapped(ppn, true),
-                            msg::MAP,
-                        );
-                    }
-                    _ => {}
-                }
-            }
-        }
         let owner = self.owner_of(fault.vpn)?;
         match owner {
             Node::Host => {

@@ -407,7 +407,6 @@ pub(crate) struct HostState {
     pub host_mem: HostMemory,
     pub host_walkers: ThreadPool,
     pub batcher: FaultBatcher,
-    pub prefetcher: uvm_driver::prefetch::Prefetcher,
     pub batch_flush_scheduled: bool,
     pub migrations: MigrationTable,
     pub replicas: ReplicaDirectory,
@@ -688,18 +687,11 @@ impl System {
                 .min(cfg.interconnect.pcie_latency.raw())
                 .max(1),
         );
-        // Deal each GPU's trace to its warps under the configured CTA
-        // scheduling policy.
+        // Deal each GPU's trace to its warps in contiguous segments.
         let warps_per_gpu = cfg.gpu.cus * cfg.gpu.warps_per_cu;
         let traces: Vec<Vec<Access>> = workload.traces.iter().map(|t| t.accesses.clone()).collect();
         let warp_plans: Vec<Vec<gpu_model::scheduler::WarpPlan>> = (0..cfg.n_gpus)
-            .map(|g| {
-                gpu_model::scheduler::plan_warps(
-                    traces[g].len(),
-                    warps_per_gpu.max(1),
-                    cfg.cta_schedule,
-                )
-            })
+            .map(|g| gpu_model::scheduler::plan_warps(traces[g].len(), warps_per_gpu.max(1)))
             .collect();
         let sh = Shared {
             memmap,
@@ -768,9 +760,6 @@ impl System {
             host_mem,
             host_walkers: ThreadPool::new(cfg.host.walk_threads),
             batcher: FaultBatcher::new(cfg.host.fault_batch),
-            prefetcher: uvm_driver::prefetch::Prefetcher::new(
-                uvm_driver::prefetch::PrefetchConfig::default(),
-            ),
             batch_flush_scheduled: false,
             migrations: MigrationTable::new(),
             replicas: ReplicaDirectory::new(),

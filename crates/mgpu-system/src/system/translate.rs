@@ -110,16 +110,12 @@ impl GpuLane {
             }
         }
         // Scenario 3: L2 miss + IRMB hit — the local PTE is stale; bypass
-        // the walk and far-fault straight to the driver (ablatable:
-        // without the bypass the walk proceeds and the stale-PTE guard at
-        // walk completion catches it, wasting the walk).
-        let bypass = sh.cfg.idyll.map(|i| i.bypass_on_irmb_hit).unwrap_or(true);
-        if bypass
-            && self
-                .irmb
-                .as_mut()
-                .map(|i| i.lookup(req.vpn))
-                .unwrap_or(false)
+        // the walk and far-fault straight to the driver.
+        if self
+            .irmb
+            .as_mut()
+            .map(|i| i.lookup(req.vpn))
+            .unwrap_or(false)
         {
             self.raise_far_fault(sh, req.vpn, req.is_write, token, false);
             return Ok(());

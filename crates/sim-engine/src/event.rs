@@ -1,4 +1,8 @@
-//! Deterministic future-event list.
+//! Deterministic future-event list: a binary heap keyed by `(cycle, seq)`.
+//!
+//! The simulator's lanes run on [`crate::LaneQueue`]; this heap is the
+//! reference order that `LaneQueue` and the cross-lane merge rule are
+//! tested against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -4,9 +4,12 @@
 //! The kernel deliberately contains no domain knowledge: it provides
 //!
 //! * [`Cycle`] — the simulated time base (GPU core cycles at 1 GHz),
-//! * [`EventQueue`] — a deterministic future-event list,
-//! * [`lane`] — per-lane arena-indexed event lists, queue pooling, and the
-//!   deterministic cross-lane merge key used by the parallel event core,
+//! * [`lane`] — the kernel's event list: per-lane timing-wheel queues
+//!   ([`LaneQueue`]), queue pooling, and the deterministic cross-lane merge
+//!   key used by the parallel event core,
+//! * [`EventQueue`] — a plain binary-heap future-event list with the same
+//!   `(cycle, seq)` delivery contract; it is the ordering oracle that
+//!   [`LaneQueue`] and the cross-lane merge rule are tested against,
 //! * [`DetRng`] — a seedable, reproducible random number generator,
 //! * [`stats`] — counters, accumulators and histograms used for reporting,
 //! * [`queue::BoundedQueue`] — a bounded FIFO with occupancy statistics,
@@ -23,13 +26,16 @@
 //! # Example
 //!
 //! ```
-//! use sim_engine::{Cycle, EventQueue};
+//! use sim_engine::{Cycle, LaneQueue};
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = LaneQueue::new();
 //! q.schedule(Cycle(10), "late");
 //! q.schedule(Cycle(5), "early");
-//! let (t, e) = q.pop().unwrap();
-//! assert_eq!((t, e), (Cycle(5), "early"));
+//! q.schedule(Cycle(5), "early, second");
+//! assert_eq!(q.pop(), Some((Cycle(5), "early")));
+//! assert_eq!(q.pop(), Some((Cycle(5), "early, second")));
+//! assert_eq!(q.pop_before(Cycle(10)), None); // the horizon is exclusive
+//! assert_eq!(q.pop(), Some((Cycle(10), "late")));
 //! ```
 
 pub mod collections;

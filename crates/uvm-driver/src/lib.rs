@@ -22,5 +22,4 @@ pub mod fault;
 pub mod host;
 pub mod migration;
 pub mod policy;
-pub mod prefetch;
 pub mod replication;

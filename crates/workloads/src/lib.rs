@@ -20,9 +20,7 @@
 
 pub mod dnn;
 pub mod gen;
-pub mod serialize;
 pub mod spec;
-pub mod stats;
 pub mod trace;
 
 pub use dnn::{DnnModel, DnnSpec};
