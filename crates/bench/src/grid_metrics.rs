@@ -167,8 +167,7 @@ pub const SCHEMA_VERSION: u64 = 3;
 /// label-keyed, because the same app/scheme pair can run in several grids).
 ///
 /// `generated_at_unix_secs` is stamped into the export by the caller — this
-/// library deliberately never reads the wall clock itself, so the simlint
-/// wall-clock rule holds here without an allow.
+/// library deliberately never reads the wall clock itself.
 #[must_use]
 pub fn registry(generated_at_unix_secs: u64) -> MetricsRegistry {
     let records = snapshot();

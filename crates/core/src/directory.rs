@@ -50,8 +50,11 @@ impl DirectoryConfig {
     /// The paper's hash: `h(gpu) = gpu % m + 52`, returning an absolute PTE
     /// bit position.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "GPU ids are at most 64; the modulo wraps anyway"
+    )]
     pub fn bit_of(&self, gpu: GpuId) -> u32 {
-        // simlint: allow(lossy-cast) — GPU ids are single digits; the modulo wraps anyway
         (gpu as u32) % self.access_bits + UNUSED_HI_LO
     }
 }

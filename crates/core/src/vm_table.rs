@@ -84,8 +84,11 @@ impl VmDirectory {
 
     /// The paper's hash: access bit for `gpu` is `gpu % 19`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "GPU ids are at most 64; the modulo wraps anyway"
+    )]
     fn bit_of(gpu: GpuId) -> u32 {
-        // simlint: allow(lossy-cast) — GPU ids are single digits; the modulo wraps anyway
         (gpu as u32) % VM_ACCESS_BITS
     }
 

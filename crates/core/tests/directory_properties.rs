@@ -1,6 +1,11 @@
 //! Property-based tests of the directory mechanisms (DESIGN.md invariant 2:
 //! false positives allowed, false negatives never).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "std maps are reference-model oracles here; no simulation state or export reads their order"
+)]
+
 use idyll_core::directory::{DirectoryConfig, InPteDirectory};
 use idyll_core::vm_table::VmDirectory;
 use proptest::prelude::*;

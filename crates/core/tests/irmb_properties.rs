@@ -2,6 +2,11 @@
 //! (DESIGN.md invariant 3: conservation — every inserted invalidation is
 //! pending, superseded by a mapping, or emitted through an eviction batch).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "std maps are reference-model oracles here; no simulation state or export reads their order"
+)]
+
 use std::collections::HashSet;
 
 use idyll_core::irmb::{InsertOutcome, Irmb, IrmbConfig};

@@ -112,6 +112,10 @@ impl<V> SetAssoc<V> {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     fn set_of(&self, key: u64) -> usize {
         match self.set_mask {
             Some(mask) => (key & mask) as usize,
@@ -435,6 +439,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "keys stay below 10")]
     fn iter_visits_all() {
         let mut sa: SetAssoc<u8> = SetAssoc::new(8, 2);
         for k in 0..10 {

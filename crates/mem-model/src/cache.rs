@@ -37,6 +37,10 @@ impl CacheGeometry {
     }
 
     /// Number of sets implied by the geometry.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     pub fn sets(&self) -> usize {
         (self.size_bytes / (self.ways as u64 * self.line_bytes)) as usize
     }

@@ -46,6 +46,10 @@ impl Dram {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     fn bank_of(&self, addr: u64) -> usize {
         ((addr / self.line_bytes) % self.bank_free.len() as u64) as usize
     }

@@ -1,5 +1,11 @@
 //! Property-based tests of the memory-side substrates.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::cast_possible_truncation,
+    reason = "std maps are reference-model oracles and casts narrow small generated values; nothing here feeds simulation state"
+)]
+
 use std::collections::{HashMap, HashSet};
 
 use mem_model::assoc::{Inserted, SetAssoc};

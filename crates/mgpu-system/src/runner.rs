@@ -47,7 +47,7 @@ impl TimedRun {
 fn run_one(job: Job, sim_threads: usize, pool: &mut QueuePool) -> Result<TimedRun, SimError> {
     // Wall-clock measures host throughput for the grid-metrics export; it
     // never feeds simulation state or determinism-tested artifacts.
-    // simlint: allow(wall-clock) — harness throughput metric only
+    #[expect(clippy::disallowed_methods, reason = "harness throughput metric only")]
     let t0 = std::time::Instant::now();
     let Job {
         scheme,

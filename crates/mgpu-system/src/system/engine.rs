@@ -66,7 +66,10 @@ impl System {
         let threads = self.threads.max(1).min(self.lanes.len().max(1));
         // Wall-clock is only used for stderr progress lines, never for
         // simulation decisions or exported artifacts, so determinism holds.
-        // simlint: allow(wall-clock) — heartbeat progress reporting only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "heartbeat progress reporting only"
+        )]
         let started = std::time::Instant::now();
         let mut drv = Driver {
             sh: &self.sh,

@@ -55,8 +55,11 @@ pub(crate) const HOST_PID: u32 = 9001;
 pub(crate) const GMMU_TID: u64 = u64::MAX;
 
 /// Process id of a GPU's translation timeline.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "GPU counts are at most 64; pids stay tiny"
+)]
 pub(crate) fn gpu_pid(gpu: usize) -> u32 {
-    // simlint: allow(lossy-cast) — GPU counts are single digits; pids stay tiny
     1 + gpu as u32
 }
 

@@ -35,16 +35,19 @@
 //! assert_eq!(m.get(&7), Some(&"seven"));
 //! ```
 
-// simlint: allow(default-hasher-map) — this module defines the deterministic replacements
+#[expect(
+    clippy::disallowed_types,
+    reason = "this module defines the deterministic replacements"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
 /// `HashMap` with a fixed-seed deterministic hasher.
-// simlint: allow(default-hasher-map) — alias definition, not a use site
+#[expect(clippy::disallowed_types, reason = "alias definition, not a use site")]
 pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
 
 /// `HashSet` with a fixed-seed deterministic hasher.
-// simlint: allow(default-hasher-map) — alias definition, not a use site
+#[expect(clippy::disallowed_types, reason = "alias definition, not a use site")]
 pub type DetHashSet<T> = HashSet<T, DetState>;
 
 /// `FxHash` multiplier (the Firefox/rustc hash constant).
@@ -163,6 +166,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write_u128(&mut self, i: u128) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "keeps the low 64 bits on purpose; the next line hashes the high 64"
+        )]
         self.add(i as u64);
         self.add((i >> 64) as u64);
     }

@@ -38,6 +38,13 @@
 //! assert_eq!(q.pop(), Some((Cycle(10), "late")));
 //! ```
 
+// Every model crate depends on this one, so this is where the 64-bit host
+// assumption is checked: cycle counts, addresses and page numbers are
+// `u64`, and the `u64 → usize` index casts across the workspace rely on
+// `usize` being as wide (their `#[expect]` reasons cite this check).
+#[cfg(not(target_pointer_width = "64"))]
+compile_error!("the simulator needs a 64-bit host: u64 → usize casts must not truncate");
+
 pub mod collections;
 pub mod event;
 pub mod lane;

@@ -131,19 +131,25 @@ impl BandwidthPipe {
 
     /// Enqueues a transfer of `bytes` at time `now`; returns its completion
     /// time (serialisation + occupancy + propagation latency).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "quantises fractional cycles up; cycle counts sit far below 2^53"
+    )]
     pub fn transfer(&mut self, now: Cycle, bytes: u64) -> Cycle {
         let start = self.next_free.max(now.raw() as f64);
         self.next_free = start + bytes as f64 / self.bytes_per_cycle;
         self.bytes_total += bytes;
-        // simlint: allow(lossy-cast) — quantises fractional cycles up; cycle counts sit far below 2^53
         Cycle(self.next_free.ceil() as u64) + self.latency
     }
 
     /// Completion time a transfer *would* get, without enqueueing it.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "quantises fractional cycles up; cycle counts sit far below 2^53"
+    )]
     pub fn probe(&self, now: Cycle, bytes: u64) -> Cycle {
         let start = self.next_free.max(now.raw() as f64);
         let done = start + bytes as f64 / self.bytes_per_cycle;
-        // simlint: allow(lossy-cast) — quantises fractional cycles up; cycle counts sit far below 2^53
         Cycle(done.ceil() as u64) + self.latency
     }
 

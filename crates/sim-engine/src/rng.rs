@@ -96,6 +96,10 @@ impl DetRng {
     }
 
     /// Fisher–Yates shuffle.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
@@ -104,6 +108,10 @@ impl DetRng {
     }
 
     /// Picks a uniformly random element, or `None` for an empty slice.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
         if xs.is_empty() {
             None
@@ -115,7 +123,6 @@ impl DetRng {
     /// Next 32-bit output (upper half of the 64-bit stream).
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        // simlint: allow(lossy-cast) — keeps exactly the upper 32 bits by construction
         (self.next_u64() >> 32) as u32
     }
 
@@ -210,6 +217,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     fn below_is_in_bounds_and_covers() {
         let mut rng = DetRng::seed(3);
         let mut seen = [false; 8];

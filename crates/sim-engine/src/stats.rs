@@ -207,7 +207,10 @@ impl Histogram {
         if self.total == 0 {
             return None;
         }
-        // simlint: allow(lossy-cast) — rank of a sample count; far below 2^53, ceil keeps it conservative
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "rank of a sample count; far below 2^53, ceil keeps it conservative"
+        )]
         let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
         let mut seen = 0;
         for (i, &c) in self.buckets.iter().enumerate() {

@@ -1,5 +1,10 @@
 //! Property-based tests of the simulation kernel.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test-only casts of small generated values"
+)]
+
 use proptest::prelude::*;
 use sim_engine::queue::BoundedQueue;
 use sim_engine::resource::BandwidthPipe;

@@ -65,25 +65,6 @@ impl EffectSet {
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
-
-    /// Effect names in canonical (dump) order.
-    #[must_use]
-    pub fn names(self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        for (bit, name) in [
-            (EffectSet::ALLOCATES, "allocates"),
-            (EffectSet::MAY_PANIC, "may_panic"),
-            (EffectSet::DOES_IO, "does_io"),
-            (EffectSet::READS_WALL_CLOCK, "reads_wall_clock"),
-            (EffectSet::CROSS_DOMAIN_WRITE, "cross_domain_write"),
-            (EffectSet::SCHEDULES_EVENT, "schedules_event"),
-        ] {
-            if self.contains(bit) {
-                out.push(name);
-            }
-        }
-        out
-    }
 }
 
 /// What kind of source construct produced a direct-effect site. Rules use
@@ -119,10 +100,8 @@ pub struct EffectSite {
     /// Index of the trigger token in its file's code channel (for rule
     /// scoping against `impl` body ranges).
     pub tok: usize,
-    /// 1-based source position of the trigger token.
+    /// 1-based source line of the trigger token.
     pub line: usize,
-    pub col: usize,
-    pub len: usize,
     /// Whether the site sits inside an observability gate — an `if` whose
     /// condition tests an `is_enabled`-style flag. The disabled path is
     /// effect-free, so hot-path rules exempt gated sites; summaries still
@@ -249,8 +228,6 @@ fn direct_sites(
                 what,
                 tok: i,
                 line: t.line,
-                col: t.col,
-                len: t.len,
                 gated: gated_at(i),
             });
         };
@@ -482,59 +459,6 @@ fn tarjan_sccs(n: usize, calls: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Renders the byte-stable `--effects` JSON dump: one record per function,
-/// sorted by `(file, line, col)`, effect names in canonical order. Every
-/// ordering is derived from sorted vectors — no hash iteration — so the
-/// output is identical across runs and hostile `IDYLL_HASH_SEED`s.
-#[must_use]
-pub fn render_effects_json(graph: &SymbolGraph, effects: &Effects) -> String {
-    let mut order: Vec<usize> = (0..graph.fns.len()).collect();
-    order.sort_by(|&a, &b| {
-        let fa = &graph.fns[a];
-        let fb = &graph.fns[b];
-        (fa.path.as_str(), fa.line, fa.col).cmp(&(fb.path.as_str(), fb.line, fb.col))
-    });
-    let mut out = String::from("{\n  \"version\": 1,\n  \"functions\": [\n");
-    for (k, &f) in order.iter().enumerate() {
-        let def = &graph.fns[f];
-        let list = |e: EffectSet| {
-            e.names()
-                .iter()
-                .map(|n| format!("\"{n}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        out.push_str(&format!(
-            "    {{\"fn\": \"{}\", \"file\": \"{}\", \"line\": {}, \"direct\": [{}], \"summary\": [{}]}}{}\n",
-            escape(&def.qualified()),
-            escape(&def.path),
-            def.line,
-            list(effects.direct[f]),
-            list(effects.summary[f]),
-            if k + 1 == order.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Minimal JSON string escape (paths and fn names are plain identifiers,
-/// but a backslash in a Windows-style path must not corrupt the dump).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,16 +564,5 @@ mod tests {
         assert_eq!(gated, vec![true, false], "{:?}", e.sites[f]);
         // Summaries still carry the gated effect.
         assert!(e.summary[f].contains(EffectSet::ALLOCATES));
-    }
-
-    #[test]
-    fn effects_dump_is_byte_stable() {
-        let src = "fn a() { b() }\nfn b() { let v = vec![1]; drop(v); }\n";
-        let (g, e, _) = effects_of(src);
-        let one = render_effects_json(&g, &e);
-        let (g2, e2, _) = effects_of(src);
-        assert_eq!(one, render_effects_json(&g2, &e2));
-        assert!(one.contains("\"fn\": \"b\""));
-        assert!(one.contains("\"summary\": [\"allocates\"]"));
     }
 }

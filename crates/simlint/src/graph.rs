@@ -102,10 +102,8 @@ pub struct FnDef {
     pub file: usize,
     /// Workspace-relative path of that file.
     pub path: String,
-    /// 1-based declaration span (the `fn` name token).
+    /// 1-based line of the `fn` name token.
     pub line: usize,
-    pub col: usize,
-    pub len: usize,
     /// Token range `[sig_start, body_close]` in the file's code channel:
     /// from the name token through the body's closing brace. `None` for
     /// bodyless declarations (trait signatures, extern blocks).
@@ -207,8 +205,6 @@ impl SymbolGraph {
                         file: fi,
                         path: fa.path.clone(),
                         line: name_tok.line,
-                        col: name_tok.col,
-                        len: name_tok.len,
                         span,
                         arity,
                         has_self,

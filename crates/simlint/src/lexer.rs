@@ -47,7 +47,7 @@ pub struct Tok {
 }
 
 /// Process-wide count of [`lex`] calls. The single-lex contract — a full
-/// workspace `--check` lexes each file exactly once, with the token stream
+/// workspace scan lexes each file exactly once, with the token stream
 /// shared by every rule family — is asserted against this counter by
 /// `tests/single_lex.rs`.
 pub static LEX_CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);

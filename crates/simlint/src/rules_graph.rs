@@ -172,8 +172,6 @@ fn lane_race(
                     rule: Rule::LaneRace,
                     path: fa.path.clone(),
                     line: site.line,
-                    col: site.col,
-                    len: site.len,
                     message,
                 });
             }
@@ -266,8 +264,6 @@ fn hot_path_effects(
                     rule,
                     path: fa.path.clone(),
                     line: site.line,
-                    col: site.col,
-                    len: site.len,
                     message,
                 });
             }
@@ -348,8 +344,6 @@ fn shared_mutability(graph: &SymbolGraph, files: &[&FileAnalysis], diags: &mut V
                 rule: Rule::SharedMutability,
                 path: s.path.clone(),
                 line,
-                col: 1,
-                len: "static".len(),
                 message,
             });
         }
@@ -380,8 +374,6 @@ fn shared_mutability(graph: &SymbolGraph, files: &[&FileAnalysis], diags: &mut V
                     rule: Rule::SharedMutability,
                     path: fa.path.clone(),
                     line: t.line,
-                    col: t.col,
-                    len: t.len,
                     message,
                 });
             }
@@ -402,8 +394,6 @@ enum UseKind {
 struct VariantInfo {
     path: String,
     line: usize,
-    col: usize,
-    len: usize,
     constructed: usize,
     dispatched: usize,
 }
@@ -426,8 +416,6 @@ fn dead_event(files: &[&FileAnalysis], diags: &mut Vec<Diagnostic>) {
                         VariantInfo {
                             path: fa.path.clone(),
                             line: tok.line,
-                            col: tok.col,
-                            len: tok.len,
                             constructed: 0,
                             dispatched: 0,
                         },
@@ -480,8 +468,6 @@ fn dead_event(files: &[&FileAnalysis], diags: &mut Vec<Diagnostic>) {
                 rule: Rule::DeadEvent,
                 path: info.path.clone(),
                 line: info.line,
-                col: info.col,
-                len: info.len,
                 message: format!(
                     "event variant `{enum_name}::{name}` {missing}; remove the variant or \
                      close the schema drift"

@@ -1,10 +1,11 @@
-//! Fixture model crate: every model-crate rule fires at least once.
-//! Never compiled — scanned textually by the simlint tests.
+//! Fixture model crate: unordered-iter fires, and a reason-less escape
+//! both waives its finding and is reported. Never compiled — scanned
+//! textually by the simlint tests.
 
-use std::collections::HashMap;
+use sim_engine::collections::DetHashMap;
 
 pub struct State {
-    pub reqs: HashMap<u64, u32>,
+    pub reqs: DetHashMap<u64, u32>,
 }
 
 pub fn dump(s: &State) {
@@ -13,7 +14,7 @@ pub fn dump(s: &State) {
     }
 }
 
-pub fn bare_allow_still_waives() -> std::time::Instant {
-    // simlint: allow(wall-clock)
-    std::time::Instant::now()
+pub fn bare_allow_still_waives(s: &State) -> u32 {
+    // simlint: allow(unordered-iter)
+    s.reqs.values().sum()
 }

@@ -1,4 +1,4 @@
-//! Fixture hot-path module: the panic-path and lossy-cast rules fire.
+//! Fixture hot-path module: the panic-path rule fires.
 //! Never compiled — scanned textually by the simlint tests.
 
 pub fn on_event(q: &mut Vec<u64>, i: usize) -> u64 {
@@ -7,7 +7,5 @@ pub fn on_event(q: &mut Vec<u64>, i: usize) -> u64 {
     if v > 1_000 {
         panic!("overflow");
     }
-    let narrowed = v as u32;
-    let quantised = (v as f64).sqrt() as u64;
-    q[i + 1] + u64::from(narrowed) + quantised + w
+    q[i + 1] + v + w
 }

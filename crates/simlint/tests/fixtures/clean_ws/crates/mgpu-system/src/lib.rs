@@ -1,8 +1,6 @@
 //! Fixture model crate that lints clean: deterministic collections plus a
 //! properly justified escape hatch.
 
-mod legacy;
-
 use sim_engine::collections::{DetHashMap, DetHashSet};
 
 pub struct State {
@@ -13,9 +11,4 @@ pub struct State {
 pub fn count(s: &State) -> usize {
     // simlint: allow(unordered-iter) — order-insensitive count
     s.reqs.iter().count()
-}
-
-pub fn heartbeat() -> std::time::Instant {
-    // simlint: allow(wall-clock) — harness progress heartbeat, never simulation state
-    std::time::Instant::now()
 }

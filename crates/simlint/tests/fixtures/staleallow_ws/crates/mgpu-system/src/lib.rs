@@ -1,15 +1,21 @@
-//! Fixture: one live escape (the wall-clock finding really fires on the
+//! Fixture: one live escape (the unordered-iter finding really fires on the
 //! line below it) and one stale escape (nothing has fired there since a
-//! refactor removed the cast). `--check` passes either way; `--check-allows`
-//! must report exactly the stale one. Never compiled — scanned textually by
-//! the simlint tests.
+//! refactor removed the iteration). The stale one fails the run; the live
+//! one stays silent. Never compiled — scanned textually by the simlint
+//! tests.
 
-pub fn heartbeat_secs() -> u64 {
-    // simlint: allow(wall-clock) — harness heartbeat, never in sim time
-    Instant::now().elapsed().as_secs()
+use sim_engine::collections::DetHashMap;
+
+pub struct Tally {
+    pub counts: DetHashMap<u64, u64>,
 }
 
-pub fn width(x: u64) -> u64 {
-    // simlint: allow(lossy-cast) — bit width is clamped by the caller
-    x + 1
+pub fn total(t: &Tally) -> u64 {
+    // simlint: allow(unordered-iter) — a sum is order-insensitive
+    t.counts.values().sum()
+}
+
+pub fn width(t: &Tally) -> usize {
+    // simlint: allow(hot-path-panic) — the table is never empty
+    t.counts.len()
 }

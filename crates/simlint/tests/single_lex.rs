@@ -1,8 +1,7 @@
-//! The single-lex performance contract: a full workspace `--check`-
-//! equivalent scan lexes each source file exactly once — the token stream
-//! is built per file and shared by every rule family, including the
-//! workspace graph rules — and completes well inside the 15-second CI
-//! scan budget.
+//! The single-lex performance contract: a full workspace scan lexes each
+//! source file exactly once — the token stream is built per file and
+//! shared by every rule family, including the workspace graph rules — and
+//! completes well inside the 15-second CI scan budget.
 //!
 //! This lives in its own integration-test binary so the process-wide
 //! [`simlint::lexer::LEX_CALLS`] counter sees no traffic from other tests.

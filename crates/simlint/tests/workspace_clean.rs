@@ -1,9 +1,7 @@
-//! The tier-1-adjacent gate: the real workspace must lint clean against its
-//! committed baseline, and that baseline must stay near-empty (≤ 5 entries).
+//! The tier-1-adjacent gate: the real workspace must lint clean, with no
+//! grandfathered findings.
 
 use std::path::PathBuf;
-
-use simlint::{Baseline, Severity};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -13,31 +11,17 @@ fn repo_root() -> PathBuf {
 }
 
 #[test]
-fn real_workspace_lints_clean_against_committed_baseline() {
-    let root = repo_root();
-    let report = simlint::lint_workspace(&root).expect("scan succeeds");
+fn real_workspace_lints_clean() {
+    let report = simlint::lint_workspace(&repo_root()).expect("scan succeeds");
     assert!(
         report.files_scanned > 40,
         "suspiciously few files scanned ({}) — scanner misconfigured?",
         report.files_scanned
     );
-    let baseline_text =
-        std::fs::read_to_string(root.join("simlint.baseline")).expect("committed baseline");
-    let baseline = Baseline::parse(&baseline_text).expect("baseline parses");
+    let findings: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
     assert!(
-        baseline.len() <= 5,
-        "baseline grew to {} entries; migrate instead of grandfathering",
-        baseline.len()
-    );
-    let outstanding: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule.severity() == Severity::Error && !baseline.suppresses(d))
-        .map(ToString::to_string)
-        .collect();
-    assert!(
-        outstanding.is_empty(),
-        "workspace has lint errors outside the baseline:\n{}",
-        outstanding.join("\n")
+        findings.is_empty(),
+        "workspace has lint errors:\n{}",
+        findings.join("\n")
     );
 }

@@ -64,7 +64,6 @@ impl Vpn {
     /// The 9-bit IRMB *offset* (the L1 index of the VPN).
     #[inline]
     pub fn irmb_offset(self) -> u16 {
-        // simlint: allow(lossy-cast) — masked to 9 bits before the cast
         (self.0 & 0x1ff) as u16
     }
 
@@ -88,7 +87,6 @@ impl Vpn {
     #[inline]
     pub fn level_index(self, level: u32) -> u16 {
         assert!(level >= 1, "levels are 1-based");
-        // simlint: allow(lossy-cast) — masked to 9 bits before the cast
         ((self.0 >> (9 * (level - 1))) & 0x1ff) as u16
     }
 

@@ -82,6 +82,10 @@ impl MemoryMap {
     ///
     /// # Panics
     /// Panics if the PPN is beyond all windows.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     pub fn owner(&self, ppn: u64) -> Node {
         let w = ppn / self.frames_per_device;
         if w < self.n_gpus as u64 {

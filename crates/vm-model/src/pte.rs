@@ -150,7 +150,6 @@ impl Pte {
     /// bit *i* of the result being PTE bit `52 + i`.
     #[inline]
     pub fn unused_hi_field(self) -> u16 {
-        // simlint: allow(lossy-cast) — masked to UNUSED_HI_COUNT (< 16) bits before the cast
         ((self.0 >> UNUSED_HI_LO) & ((1 << UNUSED_HI_COUNT) - 1)) as u16
     }
 

@@ -237,6 +237,10 @@ impl TlbBank {
 
     /// Index, within its CU's run, of the set `vpn` maps to.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     fn local_set(&self, vpn: Vpn) -> usize {
         (vpn.0 % self.sets_per_cu as u64) as usize
     }

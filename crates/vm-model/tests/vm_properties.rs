@@ -1,5 +1,10 @@
 //! Property-based tests of the VM substrates against reference models.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "std maps are reference-model oracles here; no simulation state or export reads their order"
+)]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;

@@ -169,6 +169,10 @@ pub fn generate_dnn(spec: &DnnSpec, n_gpus: usize, seed: u64) -> Workload {
                 let (vpn, is_write) = if r < spec.weight_sharing {
                     // Shared weight traffic: a random *other* layer's
                     // weights (optimizer/eval sweeps) — cross-GPU sharing.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+                    )]
                     let other = rng.below(n_layers as u64) as usize;
                     (
                         vpn_of(weight_base[other] + rng.below(weights[other])),

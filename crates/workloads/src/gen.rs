@@ -99,7 +99,10 @@ impl Layout {
     /// A page in the halo band at the *start* of `gpu`'s chunk (the band a
     /// lower-numbered neighbour also touches).
     fn halo_page(&self, gpu: u64, rng: &mut DetRng) -> Vpn {
-        // simlint: allow(lossy-cast) — deliberate truncation of a scaled fraction; chunk sizes sit far below 2^53
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "deliberate truncation of a scaled fraction; chunk sizes sit far below 2^53"
+        )]
         let width = ((self.chunk as f64 * HALO_FRACTION) as u64).max(1);
         self.chunk_page(gpu, rng.below(width))
     }
@@ -128,6 +131,10 @@ impl Layout {
 pub fn generate(spec: &WorkloadSpec, n_gpus: usize, seed: u64) -> Workload {
     assert!(n_gpus > 0, "need at least one GPU");
     let layout = Layout::new(spec, n_gpus);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     let zipf = if spec.zipf_theta > 0.0 {
         Some(Zipf::new(spec.pages as usize, spec.zipf_theta))
     } else {
@@ -161,6 +168,10 @@ fn generate_gpu(
     let style = partner_style(spec.app);
     let mut cursor: u64 = rng.below(layout.chunk.max(1));
     let mut current = layout.chunk_page(g, cursor);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
+    )]
     let mut accesses = Vec::with_capacity(spec.accesses_per_gpu as usize);
     for _ in 0..spec.accesses_per_gpu {
         if !rng.chance(spec.reuse) {

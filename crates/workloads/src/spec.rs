@@ -197,7 +197,10 @@ impl WorkloadSpec {
     pub fn paper_default(app: AppId, scale: Scale) -> WorkloadSpec {
         let accesses_per_gpu = scale.accesses_per_gpu();
         let ps = scale.page_scale();
-        // simlint: allow(lossy-cast) — deliberate truncation of a scaled page count; footprints sit far below 2^53
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "deliberate truncation of a scaled page count; footprints sit far below 2^53"
+        )]
         let pages = |full: u64| ((full as f64 * ps) as u64).max(64);
         match app {
             // MT: streaming transpose, huge footprint, no reuse → very high
