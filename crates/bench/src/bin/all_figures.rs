@@ -17,7 +17,7 @@ use workloads::{AppId, WorkloadSpec};
 struct Args {
     only: Option<String>,
     trace_out: Option<String>,
-    trace_filter: Option<String>,
+    trace_filter: Option<Tracer>,
     metrics_json: Option<String>,
 }
 
@@ -39,7 +39,14 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--only" => args.only = Some(value("--only")),
             "--trace" => args.trace_out = Some(value("--trace")),
-            "--trace-filter" => args.trace_filter = Some(value("--trace-filter")),
+            "--trace-filter" => {
+                let filter = value("--trace-filter");
+                let tracer = Tracer::with_filter(&filter).unwrap_or_else(|e| {
+                    eprintln!("error: --trace-filter: {e}");
+                    std::process::exit(2);
+                });
+                args.trace_filter = Some(tracer);
+            }
             "--metrics-json" => args.metrics_json = Some(value("--metrics-json")),
             other => {
                 eprintln!(
@@ -61,10 +68,7 @@ fn observed_run(h: &Harness, args: &Args) {
     let spec = WorkloadSpec::paper_default(AppId::Km, h.config().scale);
     let wl = workloads::generate(&spec, cfg.n_gpus, h.config().seed);
     let mut sys = System::new(cfg, &wl);
-    match args.trace_filter.as_deref() {
-        Some(f) => sys.set_tracer(Tracer::with_filter(f)),
-        None => sys.set_tracer(Tracer::enabled()),
-    }
+    sys.set_tracer(args.trace_filter.clone().unwrap_or_else(Tracer::enabled));
     if let Err(e) = sys.run() {
         eprintln!("observed reference run failed: {e}");
         std::process::exit(1);

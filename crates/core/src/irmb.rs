@@ -155,8 +155,7 @@ impl Irmb {
         let stamp = self.tick();
         let base = vpn.irmb_base();
         let offset = vpn.irmb_offset();
-        if let Some(idx) = self.entries.iter().position(|e| e.base == base) {
-            let entry = &mut self.entries[idx];
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.base == base) {
             entry.stamp = stamp;
             if entry.offsets.contains(&offset) {
                 return InsertOutcome::AlreadyPresent;
@@ -167,7 +166,6 @@ impl Irmb {
                 self.offset_evictions += 1;
                 let evicted = MergedEntry {
                     base,
-                    // simlint: allow(hot-path-alloc) — one-word offsets list created only on entry turnover, bounded by IRMB geometry; merges reuse the existing list
                     offsets: std::mem::replace(&mut entry.offsets, vec![offset]),
                     stamp,
                 };
@@ -180,7 +178,6 @@ impl Irmb {
         if self.entries.len() < self.config.bases {
             self.entries.push(MergedEntry {
                 base,
-                // simlint: allow(hot-path-alloc) — warmup-only: at most config.bases entries are ever created
                 offsets: vec![offset],
                 stamp,
             });
@@ -188,13 +185,18 @@ impl Irmb {
         }
         // All bases busy: evict the LRU merged entry (§6.3 first rule).
         self.lru_evictions += 1;
-        // simlint: allow(hot-path-panic) — config.bases ≥ 1 is validated at construction, so the victim scan is over a non-empty table
-        let victim = self.victim_index().expect("bases > 0");
+        #[expect(
+            clippy::expect_used,
+            reason = "config.bases ≥ 1 is validated at construction, so the victim scan is over a non-empty table"
+        )]
+        let victim = self
+            .victim_index()
+            .and_then(|v| self.entries.get_mut(v))
+            .expect("bases > 0");
         let evicted = std::mem::replace(
-            &mut self.entries[victim],
+            victim,
             MergedEntry {
                 base,
-                // simlint: allow(hot-path-alloc) — one-word offsets list created only on LRU entry turnover, bounded by IRMB geometry
                 offsets: vec![offset],
                 stamp,
             },

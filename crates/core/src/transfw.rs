@@ -114,16 +114,8 @@ impl TransFw {
         };
         if self.slots.len() < self.config.fingerprints {
             self.slots.push(slot);
-        } else {
-            let lru = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(i, _)| i)
-                // simlint: allow(hot-path-panic) — this branch runs only when the slot table is full, so the LRU scan is over a non-empty slice
-                .expect("non-empty");
-            self.slots[lru] = slot;
+        } else if let Some(lru) = self.slots.iter_mut().min_by_key(|s| s.stamp) {
+            *lru = slot;
         }
     }
 

@@ -128,11 +128,14 @@ impl VmDirectory {
         )
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "private helper with a load-before-store call discipline; the line was faulted in by the preceding load"
+    )]
     fn store(&mut self, vpn: Vpn, bits: u32) {
         let line = self
             .cache
             .get_mut(vpn.0)
-            // simlint: allow(hot-path-panic) — private helper with a load-before-store call discipline; the line was faulted in by the preceding load
             .expect("store follows load: line resident");
         line.bits = bits;
         line.dirty = true;

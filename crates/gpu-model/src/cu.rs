@@ -52,6 +52,10 @@ pub struct Cu {
     issued_total: u64,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "warp ids come from the scheduler's `0..warps_per_cu` range, the length of `warps`"
+)]
 impl Cu {
     /// Creates a CU with `warps` warps, all ready at cycle 0.
     ///

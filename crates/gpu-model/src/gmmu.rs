@@ -188,9 +188,12 @@ impl Gmmu {
                 None,
             )
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "has_free(now) held above; acquiring at `now` cannot fail"
+        )]
         self.walkers
             .try_acquire(now, result.latency)
-            // simlint: allow(hot-path-panic) — has_free(now) held above; acquiring at `now` cannot fail
             .expect("checked has_free");
         let queued_for = now.saturating_sub(request.enqueued_at);
         let stats = self.stats_mut(request.class);

@@ -66,6 +66,10 @@ pub struct SetAssoc<V> {
     set_mask: Option<u64>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slots come from `live(set)`, `find` and `lru`, so they lie inside the table; a set index is masked by `set_of` or is a caller's documented `# Panics` contract"
+)]
 impl<V> SetAssoc<V> {
     /// Creates an array of `sets × ways` slots.
     ///

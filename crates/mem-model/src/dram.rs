@@ -28,6 +28,10 @@ pub struct Dram {
     queued: Counter,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`bank_of` reduces every address modulo the bank count"
+)]
 impl Dram {
     /// Creates a DRAM with `banks` banks, fixed `latency`, and per-access
     /// bank occupancy of `occupancy` cycles (defaults to `latency / 4`

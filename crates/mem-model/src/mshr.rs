@@ -87,7 +87,6 @@ impl<W> Mshr<W> {
             self.merges += 1;
             return MshrOutcome::Merged;
         }
-        // simlint: allow(hot-path-alloc) — one-waiter list per MSHR entry allocation, bounded by MSHR capacity plus the fault buffer; merges push into the existing list
         self.entries.insert(key, (vec![w], forced));
         self.forced += usize::from(forced);
         self.peak = self.peak.max(self.entries.len());

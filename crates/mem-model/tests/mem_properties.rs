@@ -3,7 +3,9 @@
 #![allow(
     clippy::disallowed_types,
     clippy::cast_possible_truncation,
-    reason = "std maps are reference-model oracles and casts narrow small generated values; nothing here feeds simulation state"
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "std maps are reference-model oracles, casts narrow small generated values and helpers index and unwrap them; nothing here feeds simulation state"
 )]
 
 use std::collections::{HashMap, HashSet};

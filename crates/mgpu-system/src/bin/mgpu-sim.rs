@@ -7,9 +7,16 @@
 //! mgpu-sim --app KM --scheme idyll --trace out.json --metrics-json m.json
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods,
+    reason = "the CLI prints the report and writes the exports; the simulation it drives does neither"
+)]
+
 use std::process::ExitCode;
 
-use mgpu_system::config::{IdyllConfig, SystemConfig};
+use mgpu_system::config::SystemConfig;
 use mgpu_system::System;
 use sim_engine::trace::Tracer;
 use uvm_driver::policy::MigrationPolicy;
@@ -48,7 +55,7 @@ OPTIONS:
 struct Args {
     app: String,
     trace_out: Option<String>,
-    trace_filter: Option<String>,
+    trace_filter: Option<Tracer>,
     metrics_json: Option<String>,
     progress: Option<u64>,
     gpus: usize,
@@ -83,7 +90,11 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--app" => args.app = value("--app")?.to_uppercase(),
             "--trace" => args.trace_out = Some(value("--trace")?),
-            "--trace-filter" => args.trace_filter = Some(value("--trace-filter")?),
+            "--trace-filter" => {
+                let filter = value("--trace-filter")?;
+                args.trace_filter =
+                    Some(Tracer::with_filter(&filter).map_err(|e| format!("--trace-filter: {e}"))?);
+            }
             "--metrics-json" => args.metrics_json = Some(value("--metrics-json")?),
             "--progress" => {
                 args.progress = Some(
@@ -173,21 +184,7 @@ fn build_config(args: &Args) -> Result<SystemConfig, String> {
         other => return Err(format!("unknown policy `{other}`")),
     };
     cfg.seed = args.seed;
-    match args.scheme.as_str() {
-        "baseline" => {}
-        "idyll" => cfg.idyll = Some(IdyllConfig::full()),
-        "only-lazy" => cfg.idyll = Some(IdyllConfig::only_lazy()),
-        "only-in-pte" => cfg.idyll = Some(IdyllConfig::only_directory()),
-        "idyll-inmem" => cfg.idyll = Some(IdyllConfig::in_mem()),
-        "zerolat" => cfg.zero_latency_invalidation = true,
-        "replication" => cfg.replication = true,
-        "transfw" => cfg.transfw = Some(idyll_core::transfw::TransFwConfig::default()),
-        "idyll+transfw" => {
-            cfg.idyll = Some(IdyllConfig::full());
-            cfg.transfw = Some(idyll_core::transfw::TransFwConfig::default());
-        }
-        other => return Err(format!("unknown scheme `{other}`")),
-    }
+    cfg.apply_scheme(&args.scheme)?;
     if args.large_pages {
         cfg = cfg.with_large_pages();
     }
@@ -218,8 +215,8 @@ fn main() -> ExitCode {
     };
     let mut sys = System::new(cfg, &workload);
     sys.set_threads(args.threads);
-    if let Some(filter) = &args.trace_filter {
-        sys.set_tracer(Tracer::with_filter(filter));
+    if let Some(tracer) = &args.trace_filter {
+        sys.set_tracer(tracer.clone());
     } else if args.trace_out.is_some() {
         sys.set_tracer(Tracer::enabled());
     }

@@ -143,6 +143,19 @@ pub struct SystemConfig {
     pub max_events: u64,
 }
 
+/// The `mgpu-sim --scheme` names [`SystemConfig::apply_scheme`] accepts.
+pub const SCHEMES: [&str; 9] = [
+    "baseline",
+    "idyll",
+    "only-lazy",
+    "only-in-pte",
+    "idyll-inmem",
+    "zerolat",
+    "replication",
+    "transfw",
+    "idyll+transfw",
+];
+
 impl SystemConfig {
     /// The paper's baseline system (Table 2) with `n_gpus` GPUs.
     pub fn baseline(n_gpus: usize) -> Self {
@@ -186,6 +199,29 @@ impl SystemConfig {
         cfg.host.batch_window = Cycle(200);
         cfg.frames_per_device = 1 << 18;
         cfg
+    }
+
+    /// Switches on the mechanisms that `scheme`, one of [`SCHEMES`], names.
+    ///
+    /// # Errors
+    /// A name outside [`SCHEMES`].
+    pub fn apply_scheme(&mut self, scheme: &str) -> Result<(), String> {
+        match scheme {
+            "baseline" => {}
+            "idyll" => self.idyll = Some(IdyllConfig::full()),
+            "only-lazy" => self.idyll = Some(IdyllConfig::only_lazy()),
+            "only-in-pte" => self.idyll = Some(IdyllConfig::only_directory()),
+            "idyll-inmem" => self.idyll = Some(IdyllConfig::in_mem()),
+            "zerolat" => self.zero_latency_invalidation = true,
+            "replication" => self.replication = true,
+            "transfw" => self.transfw = Some(TransFwConfig::default()),
+            "idyll+transfw" => {
+                self.idyll = Some(IdyllConfig::full());
+                self.transfw = Some(TransFwConfig::default());
+            }
+            other => return Err(format!("unknown scheme `{other}`")),
+        }
+        Ok(())
     }
 
     /// Switches the run to 2 MiB pages (adjusting the radix depth).

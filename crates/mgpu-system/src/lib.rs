@@ -18,7 +18,6 @@
 
 pub mod canon;
 pub mod config;
-pub mod csv;
 pub mod metrics;
 pub mod runner;
 pub mod system;

@@ -91,6 +91,11 @@ pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Result<Vec<(String, SimReport
 ///
 /// # Panics
 /// If a worker thread panics (poisoning the internal queue locks).
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "a poisoned lock means a worker panicked (the `# Panics` above); each job index is < n and runs exactly once"
+)]
 pub fn run_jobs_timed(
     jobs: Vec<Job>,
     threads: usize,
@@ -181,7 +186,9 @@ pub fn format_table(
         let _ = write!(s, "{app:<8}");
         for (i, v) in values.iter().enumerate() {
             let _ = write!(s, "{v:>16.precision$}");
-            sums[i] += v;
+            if let Some(sum) = sums.get_mut(i) {
+                *sum += v;
+            }
         }
         s.push('\n');
     }

@@ -127,7 +127,12 @@ impl GpuLane {
         self.accesses_done += 1;
         self.access_latency
             .record(self.now.saturating_sub(req.issue_at).raw() as f64);
-        let ready_at = self.gpu.cus[req.cu].complete_access(req.warp, self.now, sh.compute_gap);
+        let ready_at = self
+            .gpu
+            .cus
+            .get_mut(req.cu)
+            .or_invariant("access completed on a CU outside the GPU")?
+            .complete_access(req.warp, self.now, sh.compute_gap);
         self.q.schedule(
             ready_at,
             Ev::WarpReady {

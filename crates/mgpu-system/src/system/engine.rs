@@ -378,6 +378,10 @@ impl Driver<'_> {
     /// One heartbeat: the installed callback when present, otherwise the
     /// stderr progress line. Emitted at barriers only, so content and
     /// count are thread-count-independent.
+    #[expect(
+        clippy::print_stderr,
+        reason = "the opt-in `--progress` heartbeat, printed at a barrier every N million events"
+    )]
     fn emit_progress(&mut self, events: u64, cycle: Cycle, faults: u64, migrations: u64) {
         if let Some(cb) = self.progress.as_mut() {
             cb(RunProgress {
@@ -481,6 +485,10 @@ impl GpuLane {
         }
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        reason = "every `Ev` variant is named, so a new event must be routed on purpose"
+    )]
     fn handle(&mut self, sh: &Shared, host: &HostState, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::WarpReady { cu, warp } => self.on_warp_ready(sh, host, cu, warp),
@@ -561,6 +569,10 @@ impl HostState {
         Ok(())
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        reason = "every `Ev` variant is named, so a new event must be routed on purpose"
+    )]
     fn handle(&mut self, sh: &Shared, lanes: &[Mutex<GpuLane>], ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::FaultAtHost { fault } => self.on_fault_at_host(sh, lanes, fault),

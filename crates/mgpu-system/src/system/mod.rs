@@ -304,6 +304,10 @@ impl Egress {
     }
 
     /// Reserves the directed GPU→GPU pipe; a same-GPU transfer is free.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "GPU ids are < n_gpus, the number of pipes built from the same config"
+    )]
     pub(crate) fn gpu_to_gpu(&mut self, at: Cycle, src: usize, dst: usize, bytes: u64) -> Cycle {
         if src == dst {
             at
@@ -439,6 +443,10 @@ pub(crate) struct HostState {
 
 impl HostState {
     /// Reserves the host→GPU PCIe pipe starting at the host's current time.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "GPU ids are < n_gpus, the number of pipes built from the same config"
+    )]
     pub(crate) fn xfer_down(&mut self, gpu: usize, bytes: u64) -> Cycle {
         let now = self.now;
         self.pcie_down[gpu].transfer(now, bytes)
@@ -497,6 +505,10 @@ impl HostState {
 
 /// Locks one GPU lane, tolerating poison (a panicking worker must not mask
 /// the original panic with a second one on the coordinating thread).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "GPU ids are < n_gpus, the number of lanes built from the same config"
+)]
 pub(crate) fn lock_lane<'a>(lanes: &'a [Mutex<GpuLane>], g: usize) -> MutexGuard<'a, GpuLane> {
     match lanes[g].lock() {
         Ok(guard) => guard,
@@ -641,6 +653,10 @@ impl System {
         pool.inner.put(host.q);
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "g < n_gpus indexes the per-GPU traces and plans built here from the same config"
+    )]
     fn build(cfg: SystemConfig, workload: &Workload, pool: Option<&mut QueuePool>) -> System {
         assert_eq!(
             workload.traces.len(),
@@ -651,7 +667,7 @@ impl System {
         let mut gpu_cfg = cfg.gpu;
         gpu_cfg.page_size = cfg.page_size;
         gpu_cfg.gmmu.levels = cfg.page_size.levels();
-        let lazy = cfg.idyll.map(|i| i.lazy).unwrap_or(false);
+        let irmb_cfg = cfg.idyll.filter(|i| i.lazy).map(|i| i.irmb);
         let in_pte_dir = match cfg.idyll.map(|i| i.directory) {
             Some(DirectoryMode::InPte { access_bits }) => Some(InPteDirectory::new(
                 DirectoryConfig::with_access_bits(cfg.n_gpus, access_bits),
@@ -672,9 +688,12 @@ impl System {
             .flat_map(|t| t.accesses.iter().map(|a| a.vpn))
             .collect();
         for &vpn in &touched {
+            #[expect(
+                clippy::expect_used,
+                reason = "construction-time capacity check, documented panic"
+            )]
             host_mem
                 .populate(vpn)
-                // simlint: allow(hot-path-panic) — construction-time capacity check, documented panic
                 .expect("host window must fit the touched footprint");
         }
         // Conservative lookahead: the cheapest cross-domain hop. Every
@@ -717,12 +736,7 @@ impl System {
             .map(|g| GpuLane {
                 id: g,
                 gpu: Gpu::new(g, gpu_cfg),
-                irmb: if lazy {
-                    // simlint: allow(hot-path-panic) — construction-time config check, not event-loop code
-                    Some(Irmb::new(cfg.idyll.expect("lazy implies idyll").irmb))
-                } else {
-                    None
-                },
+                irmb: irmb_cfg.map(Irmb::new),
                 prt: cfg.transfw.map(TransFw::new),
                 warp_cursors: vec![0; sh.warp_plans[g].len()],
                 overflow: std::collections::VecDeque::new(),
@@ -804,7 +818,10 @@ impl System {
                     if host.host_mem.owner_of(vpn) == Some(Node::Host)
                         && host.host_mem.move_page(vpn, Node::Gpu(g)).is_ok()
                     {
-                        // simlint: allow(hot-path-panic) — construction-time: the page was just moved
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "construction-time: the page was just moved"
+                        )]
                         let ppn = host.host_mem.pte(vpn).expect("populated").ppn();
                         lane.gpu.page_table.insert(vpn, Pte::new_mapped(ppn, true));
                         host.dir_record(vpn, g);
@@ -975,6 +992,10 @@ impl System {
     /// valid local PTE must agree with the driver's mapping unless a
     /// migration is still in flight, the IRMB holds a pending invalidation
     /// for it, or it is a granted read replica.
+    #[expect(
+        clippy::print_stderr,
+        reason = "end-of-run audit dump, opt-in through IDYLL_AUDIT_DEBUG; never on the event path"
+    )]
     fn audit_translations(&self) -> u64 {
         let host = read_host(&self.host);
         let mut stale = 0;

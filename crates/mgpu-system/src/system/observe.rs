@@ -368,7 +368,7 @@ impl System {
                 lane.overflow.len(),
                 lane.warp_cursors
                     .iter()
-                    .zip(&self.sh.warp_plans[g])
+                    .zip(self.sh.warp_plans.get(g).into_iter().flatten())
                     .filter(|(&c, p)| c >= p.len())
                     .count()
             ));

@@ -24,26 +24,40 @@ impl GpuLane {
         cu: usize,
         warp: usize,
     ) -> Result<(), SimError> {
+        const NO_WARP: &str = "warp ready for a warp outside the plan";
         let warp_index = cu * sh.cfg.gpu.warps_per_cu + warp;
+        let plan = sh
+            .warp_plans
+            .get(self.id)
+            .and_then(|p| p.get(warp_index))
+            .or_invariant(NO_WARP)?;
+        let cursor = self
+            .warp_cursors
+            .get_mut(warp_index)
+            .or_invariant(NO_WARP)?;
+        let cu_state = self.gpu.cus.get_mut(cu).or_invariant(NO_WARP)?;
         // Plan exhausted → retire the warp.
-        let pos = self.warp_cursors[warp_index];
-        if pos >= sh.warp_plans[self.id][warp_index].len() {
-            self.gpu.cus[cu].retire(warp);
+        let Some(&slot) = plan.get(*cursor) else {
+            cu_state.retire(warp);
             if self.gpu.all_done() {
                 self.finished = true;
                 self.finish_cycle = self.finish_cycle.max(self.now);
             }
             return Ok(());
-        }
+        };
         // One issue per CU per cycle.
-        if !self.gpu.cus[cu].try_issue_port(self.now) {
+        if !cu_state.try_issue_port(self.now) {
             let at = self.now + 1;
             self.q.schedule(at, Ev::WarpReady { cu, warp });
             return Ok(());
         }
-        let access = sh.traces[self.id][sh.warp_plans[self.id][warp_index][pos]];
-        self.warp_cursors[warp_index] += 1;
-        self.gpu.cus[cu].issue(warp);
+        let access = *sh
+            .traces
+            .get(self.id)
+            .and_then(|t| t.get(slot))
+            .or_invariant("warp plan points past its GPU's trace")?;
+        *cursor += 1;
+        cu_state.issue(warp);
         let req = Req {
             cu,
             warp,

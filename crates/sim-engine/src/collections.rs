@@ -9,11 +9,14 @@
 //! fixed-seed FxHash-style hasher that behaves identically on every platform
 //! and in every process.
 //!
-//! These aliases keep hash-map lookup costs (the reason we are not using
+//! These wrappers keep hash-map lookup costs (the reason we are not using
 //! `BTreeMap` everywhere) while removing the entropy. Iteration order is
-//! *stable*, not *meaningful*: code whose output depends on visit order
-//! should still sort or use a `BTreeMap`. The `simlint` rule
-//! `unordered-iter` polices exactly that.
+//! *stable*, not *meaningful*, so the wrappers expose no `iter`, `keys`,
+//! `values`, `drain` or `IntoIterator`: a visit order cannot reach event
+//! scheduling or exports by accident. The one escape, `iter_unordered`, is
+//! a `clippy.toml` disallowed method, so each caller carries an
+//! `#[expect(clippy::disallowed_methods, reason = "…")]` saying why its
+//! result is order-insensitive.
 //!
 //! # Hostile-seed testing
 //!
@@ -28,27 +31,200 @@
 //! ```
 //! use sim_engine::collections::DetHashMap;
 //!
-//! // Note `::default()`, not `::new()`: the aliases carry a non-default
-//! // hasher type parameter, so `new()` is not available.
+//! // Note `::default()`: there is no `new()`, so the seed always comes
+//! // from `DetState`.
 //! let mut m: DetHashMap<u64, &str> = DetHashMap::default();
 //! m.insert(7, "seven");
 //! assert_eq!(m.get(&7), Some(&"seven"));
 //! ```
 
-#[expect(
+#![expect(
     clippy::disallowed_types,
     reason = "this module defines the deterministic replacements"
 )]
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
 
-/// `HashMap` with a fixed-seed deterministic hasher.
-#[expect(clippy::disallowed_types, reason = "alias definition, not a use site")]
-pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
+use std::borrow::Borrow;
+use std::collections::{hash_map, hash_set, HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 
-/// `HashSet` with a fixed-seed deterministic hasher.
-#[expect(clippy::disallowed_types, reason = "alias definition, not a use site")]
-pub type DetHashSet<T> = HashSet<T, DetState>;
+/// `HashMap` with a fixed-seed deterministic hasher and no ordered view.
+pub struct DetHashMap<K, V>(HashMap<K, V, DetState>);
+
+impl<K, V> DetHashMap<K, V> {
+    /// An empty map hashing with `state`.
+    #[inline]
+    #[must_use]
+    pub fn with_hasher(state: DetState) -> Self {
+        DetHashMap(HashMap::with_hasher(state))
+    }
+
+    /// Number of entries.
+    #[inline]
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the map is empty.
+    #[inline]
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Visits every entry in bucket order. Disallowed in `clippy.toml`: a
+    /// caller must show that its result does not depend on that order.
+    #[inline]
+    pub fn iter_unordered(&self) -> hash_map::Iter<'_, K, V> {
+        self.0.iter()
+    }
+}
+
+impl<K: Eq + Hash, V> DetHashMap<K, V> {
+    /// The value at `k`.
+    #[inline]
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, k: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get(k)
+    }
+
+    /// The value at `k`, mutably.
+    #[inline]
+    pub fn get_mut<Q: Hash + Eq + ?Sized>(&mut self, k: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get_mut(k)
+    }
+
+    /// Whether `k` has an entry.
+    #[inline]
+    pub fn contains_key<Q: Hash + Eq + ?Sized>(&self, k: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
+        self.0.contains_key(k)
+    }
+
+    /// Inserts `v` at `k`, returning the value it replaced.
+    #[inline]
+    pub fn insert(&mut self, k: K, v: V) -> Option<V> {
+        self.0.insert(k, v)
+    }
+
+    /// Removes and returns the value at `k`.
+    #[inline]
+    pub fn remove<Q: Hash + Eq + ?Sized>(&mut self, k: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.remove(k)
+    }
+
+    /// The entry at `k`, for in-place update.
+    #[inline]
+    pub fn entry(&mut self, k: K) -> hash_map::Entry<'_, K, V> {
+        self.0.entry(k)
+    }
+}
+
+impl<K, V> Default for DetHashMap<K, V> {
+    #[inline]
+    fn default() -> Self {
+        DetHashMap(HashMap::default())
+    }
+}
+
+impl<K: Clone, V: Clone> Clone for DetHashMap<K, V> {
+    fn clone(&self) -> Self {
+        DetHashMap(self.0.clone())
+    }
+}
+
+impl<K: Eq + Hash, V: PartialEq> PartialEq for DetHashMap<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl<K: std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for DetHashMap<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// `HashSet` with a fixed-seed deterministic hasher and no ordered view.
+pub struct DetHashSet<T>(HashSet<T, DetState>);
+
+impl<T> DetHashSet<T> {
+    /// Number of members.
+    #[inline]
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set is empty.
+    #[inline]
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Visits every member in bucket order. Disallowed in `clippy.toml`: a
+    /// caller must show that its result does not depend on that order.
+    #[inline]
+    pub fn iter_unordered(&self) -> hash_set::Iter<'_, T> {
+        self.0.iter()
+    }
+}
+
+impl<T: Eq + Hash> DetHashSet<T> {
+    /// Whether `v` is a member.
+    #[inline]
+    pub fn contains<Q: Hash + Eq + ?Sized>(&self, v: &Q) -> bool
+    where
+        T: Borrow<Q>,
+    {
+        self.0.contains(v)
+    }
+
+    /// Adds `v`; false when it was already a member.
+    #[inline]
+    pub fn insert(&mut self, v: T) -> bool {
+        self.0.insert(v)
+    }
+
+    /// Removes `v`; false when it was not a member.
+    #[inline]
+    pub fn remove<Q: Hash + Eq + ?Sized>(&mut self, v: &Q) -> bool
+    where
+        T: Borrow<Q>,
+    {
+        self.0.remove(v)
+    }
+}
+
+impl<T> Default for DetHashSet<T> {
+    #[inline]
+    fn default() -> Self {
+        DetHashSet(HashSet::default())
+    }
+}
+
+impl<T: Clone> Clone for DetHashSet<T> {
+    fn clone(&self) -> Self {
+        DetHashSet(self.0.clone())
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for DetHashSet<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// `FxHash` multiplier (the Firefox/rustc hash constant).
 const FX_K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -129,9 +305,8 @@ impl Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut rest = bytes;
-        while rest.len() >= 8 {
-            let (chunk, tail) = rest.split_at(8);
-            self.add(u64::from_le_bytes(chunk.try_into().unwrap()));
+        while let Some((chunk, tail)) = rest.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*chunk));
             rest = tail;
         }
         if !rest.is_empty() {
@@ -261,7 +436,11 @@ mod tests {
         for i in 0..512 {
             m.insert(i * 2_654_435_761 % 1009, i);
         }
-        m.iter().map(|(k, v)| (*k, *v)).collect()
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test observes bucket order on purpose"
+        )]
+        m.iter_unordered().map(|(k, v)| (*k, *v)).collect()
     }
 
     #[test]

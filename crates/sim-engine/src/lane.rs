@@ -161,6 +161,10 @@ impl<E> Default for LaneQueue<E> {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ring indices are masked buckets (< WHEEL) and their words (< WORDS)"
+)]
 impl<E> LaneQueue<E> {
     /// Creates an empty queue with no pre-sized buffers.
     #[must_use]
@@ -268,6 +272,10 @@ impl<E> LaneQueue<E> {
     }
 
     /// Stores `payload` in a free arena slot and returns its index.
+    #[expect(
+        clippy::expect_used,
+        reason = "capacity backstop: 4G in-flight events per lane means the sim already diverged; there is no recovery to encode"
+    )]
     fn alloc(&mut self, payload: E) -> u32 {
         // An empty free list is `NIL`, which indexes past the arena.
         if let Some(e) = self.arena.get_mut(self.free as usize) {
@@ -279,7 +287,6 @@ impl<E> LaneQueue<E> {
         let idx = u32::try_from(self.arena.len())
             .ok()
             .filter(|&i| i != NIL)
-            // simlint: allow(hot-path-panic) — capacity backstop: 4G in-flight events per lane means the sim already diverged; there is no recovery to encode
             .expect("lane arena exceeds u32::MAX in-flight events");
         self.arena.push(Entry {
             payload: Some(payload),
@@ -339,6 +346,10 @@ impl<E> LaneQueue<E> {
     }
 
     /// Removes the event [`Self::locate`] found at `at` in `src`.
+    #[expect(
+        clippy::expect_used,
+        reason = "slot pairing invariant: a slot index is queued exactly once between schedule and pop"
+    )]
     fn take(&mut self, at: Cycle, src: Source) -> (Cycle, E) {
         let idx = match src {
             Source::Early => self.early.pop().map_or(NIL, |s| s.idx),
@@ -358,7 +369,6 @@ impl<E> LaneQueue<E> {
                 e.next = free;
                 e.payload.take()
             })
-            // simlint: allow(hot-path-panic) — slot pairing invariant: a slot index is queued exactly once between schedule and pop
             .expect("lane arena slot vacated while still queued");
         self.free = idx;
         (at, payload)

@@ -114,6 +114,10 @@ pub struct Profiler {
     counts: [u64; PHASES.len()],
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`Phase::index` is below `PHASES.len()`, the length of `counts`"
+)]
 impl Profiler {
     /// A profiler that records nothing; every emission is a single branch.
     #[must_use]

@@ -77,12 +77,15 @@ impl ThreadPool {
     }
 
     /// Earliest cycle at which any thread is free.
+    #[expect(
+        clippy::expect_used,
+        reason = "pools are constructed with ≥ 1 thread (validated config), so the min is always defined"
+    )]
     pub fn earliest_free(&self) -> Cycle {
         self.free_at
             .iter()
             .copied()
             .min()
-            // simlint: allow(hot-path-panic) — pools are constructed with ≥ 1 thread (validated config), so the min is always defined
             .expect("pool is non-empty")
     }
 

@@ -116,7 +116,7 @@ impl DetRng {
         if xs.is_empty() {
             None
         } else {
-            Some(&xs[self.below(xs.len() as u64) as usize])
+            xs.get(self.below(xs.len() as u64) as usize)
         }
     }
 
@@ -134,8 +134,9 @@ impl DetRng {
         }
         let rem = chunks.into_remainder();
         if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
+            for (d, s) in rem.iter_mut().zip(self.next_u64().to_le_bytes()) {
+                *d = s;
+            }
         }
     }
 }
@@ -175,10 +176,7 @@ impl Zipf {
     /// Draws a rank in `[0, n)`; rank 0 is the hottest item.
     pub fn sample(&self, rng: &mut DetRng) -> usize {
         let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

@@ -181,6 +181,10 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the bucket is floor(log2(value)) ≤ 63, one of 64"
+    )]
     pub fn record(&mut self, value: u64) {
         let idx = if value == 0 {
             0

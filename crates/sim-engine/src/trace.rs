@@ -93,6 +93,17 @@ enum TraceEvent {
     },
 }
 
+/// Every event category the simulator emits: the names a filter may list.
+pub const CATEGORIES: [&str; 7] = [
+    "tlb",
+    "walk",
+    "fault",
+    "invalidation",
+    "migration",
+    "driver",
+    "counter",
+];
+
 /// Collects spans, instants and counter samples for one simulation run.
 ///
 /// See the [module docs](self) for the overall design.
@@ -122,17 +133,27 @@ impl Tracer {
 
     /// A tracer recording only the given comma-separated categories
     /// (e.g. `"walk,migration"`). An empty filter records everything.
-    pub fn with_filter(filter: &str) -> Self {
-        Tracer {
-            enabled: true,
-            filter: filter
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(String::from)
-                .collect(),
-            ..Tracer::default()
+    ///
+    /// # Errors
+    /// A name outside [`CATEGORIES`]; the message lists the valid names.
+    pub fn with_filter(filter: &str) -> Result<Self, String> {
+        let filter: Vec<String> = filter
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(String::from)
+            .collect();
+        if let Some(bad) = filter.iter().find(|c| !CATEGORIES.contains(&c.as_str())) {
+            return Err(format!(
+                "unknown trace category `{bad}` (valid: {})",
+                CATEGORIES.join(", ")
+            ));
         }
+        Ok(Tracer {
+            enabled: true,
+            filter,
+            ..Tracer::default()
+        })
     }
 
     /// Whether events are being recorded at all.
@@ -408,7 +429,7 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+    while matches!(b.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
         *pos += 1;
     }
 }
@@ -517,7 +538,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 }
 
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
+    if b.get(*pos..).is_some_and(|r| r.starts_with(lit.as_bytes())) {
         *pos += lit.len();
         Ok(())
     } else {
@@ -600,7 +621,7 @@ mod tests {
 
     #[test]
     fn filter_keeps_only_listed_categories() {
-        let mut t = Tracer::with_filter("migration, walk");
+        let mut t = Tracer::with_filter("migration, walk").expect("known categories");
         let track = Track { pid: 1, tid: 0 };
         t.span("tlb", "dropped", track, Cycle(0), Cycle(1), &[]);
         t.span("walk", "kept walk", track, Cycle(0), Cycle(1), &[]);
@@ -610,6 +631,13 @@ mod tests {
         let json = t.to_chrome_json();
         assert!(!json.contains("dropped"));
         assert!(json.contains("kept walk") && json.contains("kept mig"));
+    }
+
+    #[test]
+    fn filter_rejects_unknown_categories() {
+        let err = Tracer::with_filter("walk, walks").expect_err("`walks` is not a category");
+        assert!(err.contains("`walks`"), "{err}");
+        assert!(CATEGORIES.iter().all(|c| err.contains(c)), "{err}");
     }
 
     #[test]

@@ -139,7 +139,6 @@ impl TraceLog {
         self.records
             .iter()
             .filter(|r| r.component == component)
-            // simlint: allow(hot-path-alloc) — post-run query API, never on the event path; the call-graph edge is a name collision with `Iterator::filter`
             .collect()
     }
 

@@ -9,8 +9,8 @@
 //! with escapes, raw strings (`r#"..."#`), raw identifiers, lifetimes
 //! versus char literals, and numeric literals (hex, floats, exponents).
 
-/// Token class. Comments are real tokens here — the allow-escape parser
-/// consumes them — but rule matching runs on the code channel only.
+/// Token class. Comments are real tokens here, but rule matching runs on
+/// the code channel only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (`as`, `struct`, … are not distinguished).

@@ -1,12 +1,11 @@
-//! CLI for the workspace determinism lint.
+//! CLI for the workspace lane-isolation lint.
 //!
 //! ```text
 //! cargo run -p simlint                    # lint the workspace (CI entrypoint)
 //! cargo run -p simlint -- --root <dir>    # lint another tree, e.g. a test fixture
 //! ```
 //!
-//! Every finding fails the run, `stale-allow` and `bare-allow` included.
-//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
+//! Every finding fails the run. Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
 use std::path::PathBuf;
 

@@ -1,16 +1,10 @@
 //! Fixture lane module that lints clean: cross-domain effects ride the
-//! outbox, the one audited reach carries a reasoned escape, and the same
-//! reach in host code is legal. Never compiled — scanned textually by the
-//! simlint tests.
+//! outbox, and the same reach in host code is legal. Never compiled —
+//! scanned textually by the simlint tests.
 
 impl GpuLane {
     pub(crate) fn on_inval_done(&mut self, vpn: u64) {
         self.outbox.push(Out::InvalAck { vpn });
-    }
-
-    pub(crate) fn audited(&mut self, host: &RwLock<HostState>) -> u64 {
-        // simlint: allow(cross-domain-mutation) — fixture: read-only snapshot taken at epoch open
-        read_host(host).now.raw()
     }
 }
 

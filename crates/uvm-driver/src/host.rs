@@ -70,6 +70,10 @@ impl HostMemory {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "there is one allocator per GPU plus the host's, and a `Node` names one of them"
+    )]
     fn allocator(&mut self, node: Node) -> &mut FrameAllocator {
         let idx = match node {
             Node::Gpu(g) => g,
@@ -144,7 +148,10 @@ impl HostMemory {
         let new_ppn = self.memmap.ppn(to, frame);
         let old_frame = self.memmap.local_frame(old_ppn);
         self.allocator(from).free(old_frame);
-        // simlint: allow(hot-path-panic) — the same lookup succeeded a few lines up; the table is not touched in between
+        #[expect(
+            clippy::expect_used,
+            reason = "the same lookup succeeded a few lines up; the table is not touched in between"
+        )]
         let entry = self.table.lookup_mut(vpn).expect("checked above");
         entry.set_ppn(new_ppn);
         entry.validate();

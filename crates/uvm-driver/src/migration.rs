@@ -174,10 +174,13 @@ impl MigrationTable {
     ///
     /// # Panics
     /// Panics if no migration is in flight for the fault's page.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract: callers check is_migrating before parking"
+    )]
     pub fn park_waiter(&mut self, fault: FarFault) {
         self.active
             .get_mut(&fault.vpn)
-            // simlint: allow(hot-path-panic) — documented `# Panics` contract: callers check is_migrating before parking
             .expect("parking on a non-migrating page")
             .waiters
             .push(fault);
@@ -208,8 +211,11 @@ impl MigrationTable {
     /// must not let visit order reach simulation state or exports (the only
     /// caller aggregates order-insensitively for debug dumps).
     pub fn iter(&self) -> impl Iterator<Item = &Migration> {
-        // simlint: allow(unordered-iter) — debug/aggregate-only; order never escapes
-        self.active.values()
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "debug/aggregate-only; order never escapes"
+        )]
+        self.active.iter_unordered().map(|(_, m)| m)
     }
 }
 

@@ -86,6 +86,10 @@ impl MemoryMap {
         clippy::cast_possible_truncation,
         reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
     )]
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` contract: PPNs come from this map's own windows, so an out-of-range PPN is memory corruption"
+    )]
     pub fn owner(&self, ppn: u64) -> Node {
         let w = ppn / self.frames_per_device;
         if w < self.n_gpus as u64 {
@@ -93,7 +97,6 @@ impl MemoryMap {
         } else if w == self.n_gpus as u64 {
             Node::Host
         } else {
-            // simlint: allow(hot-path-panic) — documented `# Panics` contract: PPNs come from this map's own windows, so an out-of-range PPN is memory corruption
             panic!("ppn {ppn:#x} beyond physical space");
         }
     }

@@ -144,8 +144,11 @@ impl PageTable {
     /// Iterates over all `(vpn, pte)` leaves in unspecified order. Callers
     /// must aggregate order-insensitively (counts, sums) or sort.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        // simlint: allow(unordered-iter) — callers count stale PTEs, order-insensitive
-        self.leaves.iter().map(|(&v, &p)| (v, p))
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "callers count stale PTEs, order-insensitive"
+        )]
+        self.leaves.iter_unordered().map(|(&v, &p)| (v, p))
     }
 
     /// Total `insert` calls.

@@ -124,6 +124,10 @@ impl DnnSpec {
 /// assert_eq!(wl.traces.len(), 4);
 /// assert!(wl.total_accesses() > 0);
 /// ```
+#[expect(
+    clippy::indexing_slicing,
+    reason = "layer indices are < n_layers and `layer % n_gpus` is < n_gpus, the lengths of the vectors built here"
+)]
 pub fn generate_dnn(spec: &DnnSpec, n_gpus: usize, seed: u64) -> Workload {
     assert!(n_gpus > 0, "need at least one GPU");
     let weights: Vec<u64> = spec

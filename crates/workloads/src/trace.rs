@@ -77,6 +77,10 @@ impl Workload {
     /// fraction of *accesses* that reference pages shared by 1, 2, …, N
     /// GPUs. Returns `shares[d-1] = fraction of accesses to pages shared by
     /// exactly d GPUs`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every access's page holds 1..=n holder bits, so `d - 1` indexes the n counts"
+    )]
     pub fn access_sharing_distribution(&self) -> Vec<f64> {
         use sim_engine::collections::DetHashMap;
         let n = self.traces.len();
@@ -90,7 +94,7 @@ impl Workload {
         let mut total = 0u64;
         for trace in &self.traces {
             for a in &trace.accesses {
-                let d = holders[&a.vpn.0].count_ones() as usize;
+                let d = holders.get(&a.vpn.0).map_or(0, |h| h.count_ones() as usize);
                 counts[d - 1] += 1;
                 total += 1;
             }

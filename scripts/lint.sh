@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Workspace lint — the same invocation CI runs: simlint's ten
-# determinism/modeling rules, then pinned clippy (1.95.0), whose
-# `clippy.toml` and `[workspace.lints.clippy]` carry the hash-map,
-# wall-clock, ambient-RNG and truncating-cast rules for the model crates.
+# Workspace lint — the same invocation CI runs: simlint's three lane-lock
+# rules, then pinned clippy (1.95.0), whose `clippy.toml` and
+# `[workspace.lints.clippy]` carry the determinism and event-loop rules
+# for the model crates (DESIGN.md §5). scripts/lint_canary.sh checks that
+# those lints are armed.
 #
 #   scripts/lint.sh
 #
-# Exit codes: 0 clean, non-zero on any simlint finding (stale or bare
-# escapes included) or clippy warning.
+# Exit codes: 0 clean, non-zero on any simlint finding or clippy warning.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -2,6 +2,11 @@
 //! configuration produce bit-identical results — including the trace and
 //! metrics exports — and different seeds diverge.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
+)]
+
 use idyll::prelude::*;
 use idyll::sim::trace::{validate_json, Tracer};
 
@@ -172,7 +177,7 @@ fn trace_filter_restricts_categories() {
     let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
     let wl = workloads::generate(&spec, 4, 11);
     let mut sys = System::new(cfg, &wl);
-    sys.set_tracer(Tracer::with_filter("migration"));
+    sys.set_tracer(Tracer::with_filter("migration").expect("a known category"));
     sys.run().expect("completes");
     let trace = sys.tracer().to_chrome_json();
     validate_json(&trace).unwrap();

@@ -1,6 +1,11 @@
 //! Cross-crate integration: every application completes end-to-end under
 //! every scheme, conserving accesses and upholding the coherence audit.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
+)]
+
 use idyll::prelude::*;
 use idyll::system::config::HostConfig;
 

@@ -1,6 +1,11 @@
 //! Mechanism-level integration checks: the IDYLL components must actually
 //! engage and move the statistics the paper says they move.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
+)]
+
 use idyll::prelude::*;
 
 fn base_cfg(n: usize) -> SystemConfig {

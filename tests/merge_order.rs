@@ -12,6 +12,12 @@
 //! `threads_determinism.rs` verifies at the artifact level.) Both claims
 //! are checked here against random schedules.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
+)]
+
 use idyll::sim::event::EventQueue;
 use idyll::sim::lane::{LaneQueue, MergeKey};
 use idyll::sim::Cycle;

@@ -1,5 +1,10 @@
 //! GPU-count scaling invariants (the paper's §7.2 axis).
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
+)]
+
 use idyll::prelude::*;
 
 fn run(n: usize, idyll_on: bool, app: AppId) -> SimReport {

@@ -4,6 +4,11 @@
 //! group pins configurations that once tripped the coherence audit or ran
 //! away (replication, Trans-FW, on-touch).
 
+#![expect(
+    clippy::panic,
+    reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
+)]
+
 use idyll::core::irmb::IrmbConfig;
 use idyll::core::transfw::TransFwConfig;
 use idyll::prelude::*;

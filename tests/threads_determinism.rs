@@ -5,6 +5,11 @@
 //! phased identically in serial and parallel mode, so there is nothing a
 //! thread may observe that depends on how lanes are packed onto workers.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
+)]
+
 use idyll::prelude::*;
 use idyll::sim::trace::{validate_json, Tracer};
 
