@@ -81,8 +81,9 @@ fn observed_run(h: &Harness, args: &Args) {
         );
     }
     if let Some(path) = &args.metrics_json {
-        std::fs::write(path, sys.metrics_registry().to_json()).expect("write metrics JSON");
-        eprintln!("wrote {path} ({} metrics)", sys.metrics_registry().len());
+        let registry = sys.metrics_registry();
+        std::fs::write(path, registry.to_json()).expect("write metrics JSON");
+        eprintln!("wrote {path} ({} metrics)", registry.len());
     }
 }
 

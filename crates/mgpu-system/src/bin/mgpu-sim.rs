@@ -16,14 +16,18 @@
 
 use std::process::ExitCode;
 
-use mgpu_system::config::SystemConfig;
+use mgpu_system::config::{SystemConfig, SCHEMES};
 use mgpu_system::System;
-use sim_engine::trace::Tracer;
+use sim_engine::trace::{Tracer, CATEGORIES};
 use uvm_driver::policy::MigrationPolicy;
 use workloads::dnn::{generate_dnn, DnnModel, DnnSpec};
 use workloads::{AppId, Scale, Workload, WorkloadSpec};
 
-const USAGE: &str = "\
+/// The `--help` text. The `--scheme` and `--trace-filter` lines list
+/// [`SCHEMES`] and [`CATEGORIES`], the names the parser accepts.
+fn usage() -> String {
+    format!(
+        "\
 mgpu-sim — IDYLL multi-GPU translation simulator
 
 USAGE:
@@ -32,25 +36,33 @@ USAGE:
 OPTIONS:
     --app <MT|MM|PR|ST|SC|KM|IM|C2D|BS|VGG16|RESNET18>   workload (default KM)
     --trace <FILE>          write a Chrome-trace/Perfetto timeline JSON
-    --trace-filter <CATS>   record only these trace categories
-                            (comma-separated: tlb,walk,fault,invalidation,
-                            migration,driver,counter)
+    --trace-filter <CATS>   record only these comma-separated categories:
+                            {categories}
     --metrics-json <FILE>   write the flattened metrics registry as JSON
     --progress <N>          print a progress line every N million events
     --gpus <N>              number of GPUs, 1 to 64 (default 4)
-    --scheme <NAME>         baseline | idyll | only-lazy | only-in-pte |
-                            idyll-inmem | zerolat | replication | transfw |
-                            idyll+transfw            (default baseline)
+    --scheme <NAME>         mechanism set (default baseline), one of:
+                            {schemes}
     --policy <NAME>         counter | first-touch | on-touch (default counter)
     --threshold <N>         access-counter threshold (default scaled by --scale)
     --scale <test|small|full>   trace size (default small)
     --seed <N>              workload seed (default 42)
-    --threads <N>           worker threads for the event lanes (default from
-                            IDYLL_THREADS, else 1); artifacts are
-                            byte-identical for any value
+    --threads <N>           worker threads for the event lanes (default 1);
+                            artifacts are byte-identical for any value
     --large-pages           use 2 MiB pages
     -h, --help              print this help
-";
+",
+        categories = listing(&CATEGORIES, ", ", 4),
+        schemes = listing(&SCHEMES, " | ", 4),
+    )
+}
+
+/// Joins `items` with `sep`, `per_line` to a line, continuation lines
+/// indented to the help text's description column.
+fn listing(items: &[&str], sep: &str, per_line: usize) -> String {
+    let lines: Vec<String> = items.chunks(per_line).map(|c| c.join(sep)).collect();
+    lines.join(&format!("{}\n{:28}", sep.trim_end(), ""))
+}
 
 struct Args {
     app: String,
@@ -81,7 +93,7 @@ fn parse_args() -> Result<Args, String> {
         threshold: None,
         scale: Scale::Small,
         seed: 42,
-        threads: mgpu_system::system::threads_from_env(),
+        threads: 1,
         large_pages: false,
     };
     let mut it = std::env::args().skip(1);
@@ -140,7 +152,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--large-pages" => args.large_pages = true,
             "-h" | "--help" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown option `{other}` (try --help)")),
@@ -241,11 +253,12 @@ fn main() -> ExitCode {
         );
     }
     if let Some(path) = &args.metrics_json {
-        if let Err(e) = std::fs::write(path, sys.metrics_registry().to_json()) {
+        let registry = sys.metrics_registry();
+        if let Err(e) = std::fs::write(path, registry.to_json()) {
             eprintln!("error: {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote {path} ({} metrics)", sys.metrics_registry().len());
+        eprintln!("wrote {path} ({} metrics)", registry.len());
     }
     println!("{}", report.summary());
     println!("  execution cycles        : {}", report.exec_cycles);

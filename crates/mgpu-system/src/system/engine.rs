@@ -39,7 +39,6 @@ use std::sync::{Mutex, RwLock};
 use mem_model::interconnect::Node;
 use sim_engine::prof::{Phase, Profiler};
 use sim_engine::trace::Tracer;
-use sim_engine::tracelog::TraceLog;
 use sim_engine::Cycle;
 
 use super::observe::RunProgress;
@@ -98,12 +97,10 @@ impl System {
     /// handlers can emit without synchronization. Disabled masters fork
     /// disabled shards (the usual case: zero-cost).
     fn fork_shards(&mut self) {
-        let tlog_cap = self.tlog.capacity();
         let prof_on = self.prof.is_enabled();
         for g in 0..self.lanes.len() {
             let mut lane = lock_lane(&self.lanes, g);
             lane.tracer = self.tracer.fork();
-            lane.tlog = TraceLog::new(tlog_cap);
             lane.prof = if prof_on {
                 Profiler::enabled()
             } else {
@@ -112,7 +109,6 @@ impl System {
         }
         let mut host = write_host(&self.host);
         host.tracer = self.tracer.fork();
-        host.tlog = TraceLog::new(tlog_cap);
         host.prof = if prof_on {
             Profiler::enabled()
         } else {
@@ -124,17 +120,12 @@ impl System {
     /// (host first, then lanes by id) so post-run exports are independent
     /// of worker timing. Runs on every exit path, including errors.
     fn absorb_shards(&mut self) {
-        let mut records: Vec<(Cycle, &'static str, String)> = Vec::new();
         {
             let mut host = write_host(&self.host);
             let tracer = std::mem::replace(&mut host.tracer, Tracer::disabled());
             self.tracer.absorb(tracer);
             let prof = std::mem::take(&mut host.prof);
             self.prof.merge(&prof);
-            let tlog = std::mem::replace(&mut host.tlog, TraceLog::disabled());
-            for r in tlog.iter() {
-                records.push((r.at, r.component, r.message.clone()));
-            }
         }
         for g in 0..self.lanes.len() {
             let mut lane = lock_lane(&self.lanes, g);
@@ -142,16 +133,6 @@ impl System {
             self.tracer.absorb(tracer);
             let prof = std::mem::take(&mut lane.prof);
             self.prof.merge(&prof);
-            let tlog = std::mem::replace(&mut lane.tlog, TraceLog::disabled());
-            for r in tlog.iter() {
-                records.push((r.at, r.component, r.message.clone()));
-            }
-        }
-        // Stable sort on cycle: records from the same cycle keep the fixed
-        // host-then-lane shard order.
-        records.sort_by_key(|(at, _, _)| *at);
-        for (at, component, message) in records {
-            self.tlog.push(at, component, message);
         }
     }
 }

@@ -160,10 +160,6 @@ impl HostState {
                 );
             }
         }
-        if self.tlog.is_enabled() {
-            let msg = format!("migration start vpn={:#x} from=gpu{from} to=gpu{to}", vpn.0);
-            self.tlog.push(self.now, "migration", msg);
-        }
         Ok(())
     }
 
@@ -316,15 +312,6 @@ impl HostState {
                 &[("waiters", m.waiters.len() as u64)],
             );
         }
-        if self.tlog.is_enabled() {
-            let msg = format!(
-                "migration done vpn={:#x} to=gpu{} waiters={}",
-                vpn.0,
-                m.to,
-                m.waiters.len()
-            );
-            self.tlog.push(self.now, "migration", msg);
-        }
         for g in 0..lanes.len() {
             lock_lane(lanes, g).inval_done.remove(&vpn);
         }
@@ -403,11 +390,6 @@ impl GpuLane {
                 now,
                 &[("vpn", vpn.0)],
             );
-        }
-        if self.tlog.is_enabled() {
-            let gpu = self.id;
-            let msg = format!("invalidation arrived gpu={gpu} vpn={:#x}", vpn.0);
-            self.tlog.push(self.now, "invalidation", msg);
         }
         self.gpu.shootdown(vpn);
         // If this GPU owns the page's data, its cached lines must go.

@@ -42,7 +42,6 @@ use sim_engine::prof::{Phase, Profiler};
 use sim_engine::resource::{BandwidthPipe, ThreadPool};
 use sim_engine::stats::Accumulator;
 use sim_engine::trace::Tracer;
-use sim_engine::tracelog::TraceLog;
 use sim_engine::Cycle;
 use uvm_driver::fault::{FarFault, FaultBatcher};
 use uvm_driver::host::HostMemory;
@@ -371,7 +370,6 @@ pub(crate) struct GpuLane {
     pub accesses_done: u64,
     // Observability shards (forked from the masters at run start).
     pub tracer: Tracer,
-    pub tlog: TraceLog,
     pub prof: Profiler,
 }
 
@@ -437,7 +435,6 @@ pub(crate) struct HostState {
     /// sends bypass the mailbox); counted for HeapPush attribution.
     pub ext_pushes: u64,
     pub tracer: Tracer,
-    pub tlog: TraceLog,
     pub prof: Profiler,
 }
 
@@ -589,23 +586,11 @@ pub struct System {
     // Master observability sinks (see `observe`). All default to off and
     // cost one predictable branch per emission site when disabled.
     pub(crate) tracer: Tracer,
-    pub(crate) tlog: TraceLog,
     pub(crate) prof: Profiler,
     /// Heartbeat period in events (0 = no progress lines).
     pub(crate) progress_every: u64,
     /// When set, heartbeats are delivered here instead of stderr.
     pub(crate) progress: Option<ProgressCallback>,
-}
-
-/// Reads the worker thread count from the `IDYLL_THREADS` environment
-/// variable (default 1). The thread count never changes simulation results —
-/// only wall-clock.
-pub fn threads_from_env() -> usize {
-    std::env::var("IDYLL_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 impl System {
@@ -766,7 +751,6 @@ impl System {
                 far_faults: 0,
                 accesses_done: 0,
                 tracer: Tracer::disabled(),
-                tlog: TraceLog::disabled(),
                 prof: Profiler::disabled(),
             })
             .collect();
@@ -799,7 +783,6 @@ impl System {
             events_processed: 0,
             ext_pushes: 0,
             tracer: Tracer::disabled(),
-            tlog: TraceLog::disabled(),
             prof: Profiler::disabled(),
         };
         // Pre-place pages first-touch: the paper's OpenCL workloads copy
@@ -843,23 +826,30 @@ impl System {
             host: RwLock::new(host),
             threads: 1,
             tracer: Tracer::disabled(),
-            tlog: TraceLog::disabled(),
             prof: Profiler::disabled(),
             progress_every: 0,
             progress: None,
         }
     }
 
-    /// Runs with diagnostics on failure (debug aid for protocol livelocks).
+    /// Runs with diagnostics on failure (debug aid for protocol livelocks
+    /// and coherence bugs).
     ///
     /// # Errors
-    /// Like [`System::run`], but the error carries a state dump (including
-    /// the flight-recorder tail when one was enabled with
-    /// [`System::enable_trace_log`]).
+    /// Like [`System::run`], and also [`SimError::Invariant`] when the run
+    /// completes with stale translations. The error carries a state dump
+    /// that lists every stale entry and, when a tracer is installed with
+    /// [`System::set_tracer`], the tail of its events.
     pub fn run_debug(&mut self) -> Result<SimReport, (SimError, String)> {
-        match self.run_inner(400) {
-            Ok(()) => Ok(self.report()),
-            Err(e) => Err((e, self.debug_dump())),
+        if let Err(e) = self.run_inner(400) {
+            return Err((e, self.debug_dump()));
+        }
+        let report = self.report();
+        if report.stale_translations == 0 {
+            Ok(report)
+        } else {
+            let e = SimError::Invariant("stale translations survived the run");
+            Err((e, self.debug_dump()))
         }
     }
 
@@ -984,49 +974,41 @@ impl System {
             pcie_bytes,
             sharing_distribution: self.sh.sharing_distribution.clone(),
             events_processed,
-            stale_translations: self.audit_translations(),
+            stale_translations: self.audit_translations().len() as u64,
         }
     }
 
     /// End-of-run translation-coherence audit (DESIGN.md invariant 1): a
     /// valid local PTE must agree with the driver's mapping unless a
     /// migration is still in flight, the IRMB holds a pending invalidation
-    /// for it, or it is a granted read replica.
-    #[expect(
-        clippy::print_stderr,
-        reason = "end-of-run audit dump, opt-in through IDYLL_AUDIT_DEBUG; never on the event path"
-    )]
-    fn audit_translations(&self) -> u64 {
+    /// for it, or it is a granted read replica. Returns one line per stale
+    /// PTE: its GPU, page and frame, the driver's frame (`None`: no host
+    /// PTE), the GPU's replica frame and the page's replica holders.
+    pub(crate) fn audit_translations(&self) -> Vec<String> {
         let host = read_host(&self.host);
-        let mut stale = 0;
+        let mut stale = Vec::new();
         for g in 0..self.lanes.len() {
             let lane = lock_lane(&self.lanes, g);
             for (vpn, pte) in lane.gpu.page_table.iter() {
                 if !pte.is_valid() {
                     continue;
                 }
-                let Some(host_pte) = host.host_mem.pte(vpn) else {
-                    stale += 1;
-                    continue;
-                };
-                if pte.ppn() == host_pte.ppn() {
+                let host_ppn = host.host_mem.pte(vpn).map(|p| p.ppn());
+                if host_ppn == Some(pte.ppn()) {
                     continue;
                 }
-                let excused = host.migrations.is_migrating(vpn)
-                    || lane.irmb.as_ref().map(|i| i.contains(vpn)).unwrap_or(false)
-                    || host.replica_frames.get(&(g, vpn)) == Some(&pte.ppn());
+                let replica = host.replica_frames.get(&(g, vpn)).copied();
+                let excused = host_ppn.is_some()
+                    && (host.migrations.is_migrating(vpn)
+                        || lane.irmb.as_ref().is_some_and(|i| i.contains(vpn))
+                        || replica == Some(pte.ppn()));
                 if !excused {
-                    stale += 1;
-                    if std::env::var("IDYLL_AUDIT_DEBUG").is_ok() {
-                        eprintln!(
-                            "STALE gpu={g} vpn={:#x} pte_ppn={:#x} host_ppn={:#x} replica={:?} holders={}",
-                            vpn.0,
-                            pte.ppn(),
-                            host_pte.ppn(),
-                            host.replica_frames.get(&(g, vpn)),
-                            host.replicas.holders(vpn)
-                        );
-                    }
+                    stale.push(format!(
+                        "gpu={g} vpn={:#x} pte_ppn={} host_ppn={host_ppn:?} replica={replica:?} holders={}",
+                        vpn.0,
+                        pte.ppn(),
+                        host.replicas.holders(vpn)
+                    ));
                 }
             }
         }

@@ -25,7 +25,6 @@ use std::sync::Mutex;
 use sim_engine::metrics::MetricsRegistry;
 use sim_engine::prof::Profiler;
 use sim_engine::trace::{Tracer, Track};
-use sim_engine::tracelog::TraceLog;
 
 use gpu_model::gmmu::WalkClass;
 use uvm_driver::fault::FarFault;
@@ -53,6 +52,9 @@ pub(crate) const MIG_PID: u32 = 9000;
 pub(crate) const HOST_PID: u32 = 9001;
 /// Thread id (within a GPU process) for walks without a requesting warp.
 pub(crate) const GMMU_TID: u64 = u64::MAX;
+
+/// Trace events appended to a [`System::run_debug`] failure dump.
+const DUMP_TRACE_EVENTS: usize = 512;
 
 /// Process id of a GPU's translation timeline.
 #[expect(
@@ -84,19 +86,6 @@ impl System {
     /// the run).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Enables the bounded flight recorder holding the last `capacity`
-    /// protocol records; its tail is appended to [`System::run_debug`]
-    /// failure dumps.
-    pub fn enable_trace_log(&mut self, capacity: usize) {
-        self.tlog = TraceLog::new(capacity);
-    }
-
-    /// The flight recorder (disabled unless
-    /// [`System::enable_trace_log`] was called).
-    pub fn trace_log(&self) -> &TraceLog {
-        &self.tlog
     }
 
     /// Emits a progress line to stderr every `every_events` processed
@@ -132,78 +121,61 @@ impl System {
     /// is deterministic and byte-identical for identical runs — see
     /// [`MetricsRegistry::to_json`].
     pub fn metrics_registry(&self) -> MetricsRegistry {
-        // Audit first: it takes the lane locks itself.
-        let stale_translations = self.audit_translations();
+        // The report takes the lane locks itself, so build it first.
+        let r = self.report();
         let mut reg = MetricsRegistry::new();
-        // Hold every lane (fixed order) plus the host for a consistent
-        // post-run snapshot.
+        {
+            let mut sim = reg.scope("sim");
+            sim.count("exec_cycles", r.exec_cycles);
+            sim.count("events_processed", r.events_processed);
+            sim.count("accesses", r.accesses);
+            sim.count("instructions", r.instructions);
+            sim.count("far_faults", r.far_faults);
+            sim.count("migrations", r.migrations);
+            sim.count("invalidation_messages", r.invalidation_messages);
+            sim.count("stale_translations", r.stale_translations);
+        }
+        {
+            let mut lat = reg.scope("latency");
+            lat.accumulator("demand_miss", &r.demand_miss_latency);
+            lat.accumulator("access", &r.access_latency);
+            lat.accumulator("remote_data", &r.remote_data_latency);
+            lat.accumulator("invalidation", &r.invalidation_latency);
+            lat.accumulator("migration_waiting", &r.migration_waiting);
+            lat.accumulator("migration_total", &r.migration_total);
+        }
+        {
+            let m = r.walker_mix;
+            let mut mix = reg.scope("walker_mix");
+            mix.count("demand", m.demand);
+            mix.count("invalidation_necessary", m.invalidation_necessary);
+            mix.count("invalidation_unnecessary", m.invalidation_unnecessary);
+            mix.count("update", m.update);
+        }
+        {
+            let mut net = reg.scope("net");
+            net.count("nvlink_bytes", r.nvlink_bytes);
+            net.count("pcie_bytes", r.pcie_bytes);
+        }
+        if let Some(rate) = r.vm_cache_hit_rate {
+            reg.gauge("driver.vm_cache.hit_rate", rate);
+        }
+        if let Some((probes, hits, false_forwards)) = r.transfw {
+            let mut tf = reg.scope("transfw");
+            tf.count("probes", probes);
+            tf.count("hits", hits);
+            tf.count("false_forwards", false_forwards);
+        }
+        if let Some((replications, collapses)) = r.replication {
+            let mut rep = reg.scope("replication");
+            rep.count("replications", replications);
+            rep.count("collapses", collapses);
+        }
+        // Counters the report does not carry: the driver's and each GPU's.
         let lanes: Vec<_> = (0..self.lanes.len())
             .map(|g| lock_lane(&self.lanes, g))
             .collect();
         let host = read_host(&self.host);
-        // Merge the lane shards (fixed lane order, matching `report`).
-        let mut events_processed = host.events_processed;
-        let mut accesses = 0u64;
-        let mut far_faults = 0u64;
-        let mut invalidation_messages = 0u64;
-        let mut finish_cycle = sim_engine::Cycle::ZERO;
-        let mut mix = crate::metrics::WalkerMix::default();
-        let mut demand_miss = sim_engine::stats::Accumulator::new();
-        let mut access_lat = sim_engine::stats::Accumulator::new();
-        let mut remote_lat = sim_engine::stats::Accumulator::new();
-        let mut inval_lat = sim_engine::stats::Accumulator::new();
-        let mut nvlink_bytes = 0u64;
-        let mut pcie_bytes = host.pcie_down.iter().map(|p| p.bytes_total()).sum::<u64>();
-        for lane in &lanes {
-            events_processed += lane.events_processed;
-            accesses += lane.accesses_done;
-            far_faults += lane.far_faults;
-            invalidation_messages += lane.invalidation_messages;
-            finish_cycle = finish_cycle.max(lane.finish_cycle);
-            mix.demand += lane.walker_mix.demand;
-            mix.invalidation_necessary += lane.walker_mix.invalidation_necessary;
-            mix.invalidation_unnecessary += lane.walker_mix.invalidation_unnecessary;
-            mix.update += lane.walker_mix.update;
-            demand_miss.merge(&lane.demand_miss_latency);
-            access_lat.merge(&lane.access_latency);
-            remote_lat.merge(&lane.remote_data_latency);
-            inval_lat.merge(&lane.invalidation_latency);
-            nvlink_bytes += lane
-                .egress
-                .nvlink
-                .iter()
-                .map(|p| p.bytes_total())
-                .sum::<u64>();
-            pcie_bytes += lane.egress.pcie_up.bytes_total();
-        }
-        remote_lat.merge(&host.remote_data_latency);
-        {
-            let mut sim = reg.scope("sim");
-            sim.count("exec_cycles", finish_cycle.raw());
-            sim.count("events_processed", events_processed);
-            sim.count("accesses", accesses);
-            sim.count("instructions", self.sh.instructions);
-            sim.count("far_faults", far_faults);
-            sim.count("migrations", host.migrations_done);
-            sim.count("invalidation_messages", invalidation_messages);
-            sim.count("stale_translations", stale_translations);
-        }
-        {
-            let mut lat = reg.scope("latency");
-            lat.accumulator("demand_miss", &demand_miss);
-            lat.accumulator("access", &access_lat);
-            lat.accumulator("remote_data", &remote_lat);
-            lat.accumulator("invalidation", &inval_lat);
-            lat.accumulator("migration_waiting", &host.migration_waiting);
-            lat.accumulator("migration_total", &host.migration_total);
-        }
-        {
-            let mut mix_scope = reg.scope("walker_mix");
-            mix_scope.count("demand", mix.demand);
-            mix_scope.count("invalidation_necessary", mix.invalidation_necessary);
-            mix_scope.count("invalidation_unnecessary", mix.invalidation_unnecessary);
-            mix_scope.count("update", mix.update);
-        }
         {
             let mut drv = reg.scope("driver");
             drv.count("fault_batches", host.batcher.batches_emitted());
@@ -212,11 +184,6 @@ impl System {
             drv.count("walkers.grants", host.host_walkers.grants());
             drv.count("migrations_started", host.migrations.started());
             drv.count("migrations_deduped", host.migrations.dropped_duplicates());
-        }
-        {
-            let mut net = reg.scope("net");
-            net.count("nvlink_bytes", nvlink_bytes);
-            net.count("pcie_bytes", pcie_bytes);
         }
         for (g, lane) in lanes.iter().enumerate() {
             let gpu = &lane.gpu;
@@ -272,48 +239,16 @@ impl System {
                 s.count("superseded", irmb.removed_by_mapping());
             }
         }
-        if let Some(vm) = host.vm_dir.as_ref() {
-            reg.gauge("driver.vm_cache.hit_rate", vm.cache_hit_rate());
-        }
-        if lanes.iter().any(|l| l.prt.is_some()) {
-            let mut tf = reg.scope("transfw");
-            tf.count(
-                "probes",
-                lanes
-                    .iter()
-                    .filter_map(|l| l.prt.as_ref())
-                    .map(|p| p.probes())
-                    .sum(),
-            );
-            tf.count(
-                "hits",
-                lanes
-                    .iter()
-                    .filter_map(|l| l.prt.as_ref())
-                    .map(|p| p.hits())
-                    .sum(),
-            );
-            tf.count(
-                "false_forwards",
-                lanes
-                    .iter()
-                    .filter_map(|l| l.prt.as_ref())
-                    .map(|p| p.false_forwards())
-                    .sum(),
-            );
-        }
-        if self.sh.cfg.replication {
-            let mut rep = reg.scope("replication");
-            rep.count("replications", host.replicas.replications());
-            rep.count("collapses", host.replicas.collapses());
-        }
         reg
     }
 
-    /// Renders the livelock/stall state dump used by [`System::run_debug`]:
+    /// Renders the failure state dump used by [`System::run_debug`]:
     /// in-flight migrations, a sample of live requests, per-GPU queue
-    /// occupancy, and — when the flight recorder is enabled — its tail.
+    /// occupancy, every stale translation the audit finds, and — when a
+    /// tracer is installed — the tail of its events.
     pub(crate) fn debug_dump(&self) -> String {
+        // The audit takes the lane locks itself, so run it first.
+        let stale = self.audit_translations();
         let lanes: Vec<_> = (0..self.lanes.len())
             .map(|g| lock_lane(&self.lanes, g))
             .collect();
@@ -373,9 +308,15 @@ impl System {
                     .count()
             ));
         }
-        if self.tlog.is_enabled() {
-            d.push_str("--- flight recorder (oldest first) ---\n");
-            d.push_str(&self.tlog.dump());
+        d.push_str(&format!("stale translations: {}\n", stale.len()));
+        for line in &stale {
+            d.push_str(&format!("  stale {line}\n"));
+        }
+        if self.tracer.is_enabled() {
+            d.push_str(&format!(
+                "--- last {DUMP_TRACE_EVENTS} trace events (oldest first) ---\n"
+            ));
+            d.push_str(&self.tracer.tail(DUMP_TRACE_EVENTS));
         }
         d
     }

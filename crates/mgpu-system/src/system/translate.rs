@@ -484,11 +484,6 @@ impl GpuLane {
                 ],
             );
         }
-        if self.tlog.is_enabled() {
-            let gpu = self.id;
-            let msg = format!("far fault gpu={gpu} vpn={:#x} write={is_write}", vpn.0);
-            self.tlog.push(self.now, "fault", msg);
-        }
         let fault = uvm_driver::fault::FarFault {
             gpu: self.id,
             vpn,

@@ -55,3 +55,19 @@ fn unknown_trace_category_is_an_error_listing_the_valid_ones() {
     }
     assert!(out.stdout.is_empty(), "an unknown category still ran");
 }
+
+#[test]
+fn help_lists_every_scheme_and_trace_category() {
+    let out = mgpu_sim(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8_lossy(&out.stdout);
+    // Undo the help text's line wrapping.
+    let flat = help.split_whitespace().collect::<Vec<_>>().join(" ");
+    let schemes = mgpu_system::config::SCHEMES.join(" | ");
+    let categories = sim_engine::trace::CATEGORIES.join(", ");
+    assert!(flat.contains(&schemes), "--help omits `{schemes}`:\n{help}");
+    assert!(
+        flat.contains(&categories),
+        "--help omits `{categories}`:\n{help}"
+    );
+}

@@ -288,7 +288,7 @@ pub mod collection {
         HashSetStrategy { element, size }
     }
 
-    /// Result of [`vec`].
+    /// Result of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

@@ -56,7 +56,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
-pub mod tracelog;
 
 pub use collections::{DetHashMap, DetHashSet};
 pub use event::EventQueue;

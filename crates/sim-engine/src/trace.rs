@@ -1,9 +1,8 @@
 //! Span/event tracing with a Chrome-trace (Perfetto) JSON exporter.
 //!
-//! Unlike [`crate::tracelog::TraceLog`] — a bounded flight recorder of
-//! free-form lines for crash forensics — this module records *structured*
-//! timeline data: durated spans, instant events and counter samples, each
-//! tagged with a category and a track. The export loads directly into
+//! This module records *structured* timeline data: durated spans, instant
+//! events and counter samples, each tagged with a category and a track.
+//! The export loads directly into
 //! [ui.perfetto.dev](https://ui.perfetto.dev) or `chrome://tracing`, so a
 //! full translation lifecycle (L2 TLB miss → page-walk queue → walk → far
 //! fault → invalidation broadcast → data transfer → replay) renders as one
@@ -91,6 +90,16 @@ enum TraceEvent {
         at: Cycle,
         value: u64,
     },
+}
+
+impl TraceEvent {
+    /// The cycle the event completed: a span's end, otherwise its time.
+    fn done_at(&self) -> Cycle {
+        match self {
+            TraceEvent::Span { end, .. } => *end,
+            TraceEvent::Instant { at, .. } | TraceEvent::Counter { at, .. } => *at,
+        }
+    }
 }
 
 /// Every event category the simulator emits: the names a filter may list.
@@ -279,6 +288,24 @@ impl Tracer {
     /// Whether no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Renders the last `n` events, one `Debug` line each, stably sorted by
+    /// the cycle each completed (a span's end), oldest first. When events were
+    /// left out, a leading line says how many, so a truncated tail is never
+    /// mistaken for the full history.
+    pub fn tail(&self, n: usize) -> String {
+        let mut events: Vec<&TraceEvent> = self.events.iter().collect();
+        events.sort_by_key(|e| e.done_at());
+        let omitted = events.len().saturating_sub(n);
+        let mut out = String::new();
+        if omitted > 0 {
+            let _ = writeln!(out, "... ({omitted} earlier events omitted)");
+        }
+        for ev in events.iter().skip(omitted) {
+            let _ = writeln!(out, "[{}] {ev:?}", ev.done_at());
+        }
+        out
     }
 
     /// Renders the Chrome-trace JSON document.
@@ -638,6 +665,43 @@ mod tests {
         let err = Tracer::with_filter("walk, walks").expect_err("`walks` is not a category");
         assert!(err.contains("`walks`"), "{err}");
         assert!(CATEGORIES.iter().all(|c| err.contains(c)), "{err}");
+    }
+
+    #[test]
+    fn tail_orders_absorbed_shards_by_time_and_counts_what_it_omits() {
+        let mut master = Tracer::enabled();
+        let mut host = master.fork();
+        let mut lane = master.fork();
+        let track = Track { pid: 1, tid: 0 };
+        host.instant("fault", "late", track, Cycle(30), &[("vpn", 7)]);
+        host.instant("fault", "tie host", track, Cycle(20), &[]);
+        lane.span("walk", "early", track, Cycle(5), Cycle(10), &[]);
+        lane.instant("fault", "tie lane", track, Cycle(20), &[]);
+        master.absorb(host);
+        master.absorb(lane);
+
+        let all = master.tail(10);
+        let order: Vec<&str> = ["early", "tie host", "tie lane", "late"]
+            .into_iter()
+            .filter(|name| all.contains(&format!("name: \"{name}\"")))
+            .collect();
+        assert_eq!(order.len(), 4, "{all}");
+        // Sorted by completion cycle; equal cycles keep absorb order.
+        let lines: Vec<&str> = all.lines().collect();
+        for (line, name) in lines.iter().zip(order) {
+            assert!(line.contains(&format!("\"{name}\"")), "{all}");
+        }
+        assert!(lines[0].starts_with("[10cy] Span {"), "{all}");
+        assert!(lines[3].starts_with("[30cy] Instant {"), "{all}");
+
+        let last = master.tail(2);
+        assert_eq!(last.lines().count(), 3, "{last}");
+        assert!(
+            last.starts_with("... (2 earlier events omitted)\n"),
+            "{last}"
+        );
+        assert!(last.contains("tie lane") && last.contains("late"), "{last}");
+        assert_eq!(Tracer::disabled().tail(4), "");
     }
 
     #[test]

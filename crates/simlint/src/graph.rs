@@ -40,7 +40,7 @@
 //!   real edge. This is what keeps an `Option::take()` / `q.recycle()`
 //!   call from reaching `QueuePool::take(hint)` / `System::recycle(pool)`.
 //! - `T::g(...)` with a well-known std qualifier (`Vec::new()`,
-//!   `String::from(..)` — see [`STD_QUALIFIERS`]) that is not a workspace
+//!   `String::from(..)` — see `STD_QUALIFIERS`) that is not a workspace
 //!   `impl` type resolves to nothing: the callee lives in std, and edging
 //!   into every same-named workspace fn would only manufacture noise.
 //!

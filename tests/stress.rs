@@ -12,6 +12,7 @@
 use idyll::core::irmb::IrmbConfig;
 use idyll::core::transfw::TransFwConfig;
 use idyll::prelude::*;
+use idyll::sim::trace::Tracer;
 use idyll::vm::tlb::TlbConfig;
 
 fn base() -> SystemConfig {
@@ -22,14 +23,17 @@ fn base() -> SystemConfig {
     cfg
 }
 
-/// Runs with a flight recorder, so a failure prints the state dump and the
+/// Runs with the fault, invalidation and migration trace categories on, so
+/// a failure (a stall or a stale translation) prints the state dump and the
 /// protocol history leading up to it.
 fn run(cfg: SystemConfig, app: AppId) -> SimReport {
     let spec = WorkloadSpec::paper_default(app, Scale::Test);
     let wl = workloads::generate(&spec, cfg.n_gpus, 42);
     let expected = wl.total_accesses();
     let mut sys = System::new(cfg, &wl);
-    sys.enable_trace_log(512);
+    let tracer = Tracer::with_filter("fault,invalidation,migration")
+        .unwrap_or_else(|e| panic!("trace filter: {e}"));
+    sys.set_tracer(tracer);
     let r = sys
         .run_debug()
         .unwrap_or_else(|(e, dump)| panic!("did not complete under stress: {e}\n{dump}"));
