@@ -57,18 +57,24 @@ fn parse_args() -> Args {
             }
         }
     }
+    if args.trace_filter.is_some() && args.trace_out.is_none() {
+        eprintln!("error: --trace-filter needs --trace <file>");
+        std::process::exit(2);
+    }
     args
 }
 
-/// One fully instrumented reference run (IDYLL scheme, KM workload, 4 GPUs
-/// at the harness scale) whose timeline and metrics registry are written
-/// alongside the figures.
+/// One reference run (IDYLL scheme, KM workload, 4 GPUs at the harness
+/// scale) whose timeline and metrics registry are written alongside the
+/// figures; it records a trace only when one is asked for.
 fn observed_run(h: &Harness, args: &Args) {
     let cfg = h.idyll(4);
     let spec = WorkloadSpec::paper_default(AppId::Km, h.config().scale);
     let wl = workloads::generate(&spec, cfg.n_gpus, h.config().seed);
     let mut sys = System::new(cfg, &wl);
-    sys.set_tracer(args.trace_filter.clone().unwrap_or_else(Tracer::enabled));
+    if args.trace_out.is_some() {
+        sys.set_tracer(args.trace_filter.clone().unwrap_or_else(Tracer::enabled));
+    }
     if let Err(e) = sys.run() {
         eprintln!("observed reference run failed: {e}");
         std::process::exit(1);

@@ -36,8 +36,8 @@ USAGE:
 OPTIONS:
     --app <MT|MM|PR|ST|SC|KM|IM|C2D|BS|VGG16|RESNET18>   workload (default KM)
     --trace <FILE>          write a Chrome-trace/Perfetto timeline JSON
-    --trace-filter <CATS>   record only these comma-separated categories:
-                            {categories}
+    --trace-filter <CATS>   with --trace, record only these comma-separated
+                            categories: {categories}
     --metrics-json <FILE>   write the flattened metrics registry as JSON
     --progress <N>          print a progress line every N million events
     --gpus <N>              number of GPUs, 1 to 64 (default 4)
@@ -211,6 +211,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.trace_filter.is_some() && args.trace_out.is_none() {
+        eprintln!("error: --trace-filter needs --trace <FILE> (try --help)");
+        return ExitCode::from(2);
+    }
     let workload = match build_workload(&args) {
         Ok(w) => w,
         Err(e) => {
@@ -227,10 +231,8 @@ fn main() -> ExitCode {
     };
     let mut sys = System::new(cfg, &workload);
     sys.set_threads(args.threads);
-    if let Some(tracer) = &args.trace_filter {
-        sys.set_tracer(tracer.clone());
-    } else if args.trace_out.is_some() {
-        sys.set_tracer(Tracer::enabled());
+    if args.trace_out.is_some() {
+        sys.set_tracer(args.trace_filter.clone().unwrap_or_else(Tracer::enabled));
     }
     if let Some(every) = args.progress {
         sys.set_progress_interval(every.max(1) * 1_000_000);

@@ -92,9 +92,10 @@ pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Result<Vec<(String, SimReport
 /// # Panics
 /// If a worker thread panics (poisoning the internal queue locks).
 #[expect(
+    clippy::disallowed_types,
     clippy::expect_used,
     clippy::indexing_slicing,
-    reason = "a poisoned lock means a worker panicked (the `# Panics` above); each job index is < n and runs exactly once"
+    reason = "the job queue and result slots are shared by grid workers, never by lanes; a poisoned lock means a worker panicked (the `# Panics` above); each job index is < n and runs exactly once"
 )]
 pub fn run_jobs_timed(
     jobs: Vec<Job>,

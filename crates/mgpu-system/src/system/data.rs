@@ -161,7 +161,7 @@ impl HostState {
     /// Host-owner side: push the response down the requester's PCIe pipe.
     pub(crate) fn on_remote_served(
         &mut self,
-        lanes: &[std::sync::Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         token: u64,
         requester: usize,
         issue_at: Cycle,

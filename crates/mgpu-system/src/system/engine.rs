@@ -12,16 +12,16 @@
 //!    own state plus read-only host state.
 //! 2. **GPU phase.** Each GPU lane drains its queue up to `H`. Cross-domain
 //!    sends land in the lane's outbound mailbox, not the destination queue.
-//!    With workers, lanes are dealt round-robin (`lane % threads`); since
-//!    lanes never touch each other, the assignment affects wall-clock only.
+//!    With workers, each takes a contiguous share of the lanes for the
+//!    epoch; since lanes never touch each other, the split affects
+//!    wall-clock only.
 //! 3. **Barrier.** On the coordinating thread: wait for workers, route
 //!    every mailbox in fixed lane order (destination queues assign the
 //!    sequence numbers, so the merge key `(cycle, lane, seq)` never depends
 //!    on worker timing), aggregate lane status, and emit at most one
 //!    heartbeat.
 //! 4. **Host phase.** The host lane drains its queue up to `H`, serially,
-//!    with exclusive access — the only phase allowed to reach into GPU
-//!    lanes (one at a time).
+//!    holding every lane — the only phase allowed to reach into GPU lanes.
 //!
 //! The loop makes progress because the lane owning `T` processes at least
 //! one event per epoch, and `T` never decreases (all surviving and newly
@@ -32,9 +32,10 @@
 //! `T' < H − 1` the next. Components therefore never assume monotonic
 //! `now`; every resource model clamps (`max(now, next_free)`), which the
 //! pipes and thread pools already did.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+//!
+//! The serial driver holds the lanes and the host by `&mut` and touches no
+//! sync type; the lane threads' hand-off lives in the private `parallel`
+//! module, the one place where simulation state crosses threads.
 
 use mem_model::interconnect::Node;
 use sim_engine::prof::{Phase, Profiler};
@@ -42,10 +43,7 @@ use sim_engine::trace::Tracer;
 use sim_engine::Cycle;
 
 use super::observe::RunProgress;
-use super::{
-    lock_lane, read_host, write_host, Ev, GpuLane, HostState, ProgressCallback, Shared, SimError,
-    System,
-};
+use super::{lane_mut, Ev, GpuLane, HostState, ProgressCallback, Shared, SimError, System};
 
 impl System {
     /// The shared run loop behind the `run*` entry points.
@@ -72,8 +70,6 @@ impl System {
         let started = std::time::Instant::now();
         let mut drv = Driver {
             sh: &self.sh,
-            lanes: &self.lanes,
-            host: &self.host,
             limit,
             progress_every: self.progress_every,
             progress: self.progress.take(),
@@ -83,9 +79,9 @@ impl System {
             scratch: Vec::new(),
         };
         let result = if threads <= 1 {
-            drv.run_serial()
+            drv.run_serial(&mut self.lanes, &mut self.host)
         } else {
-            drv.run_parallel(threads)
+            drv.run_parallel(&mut self.lanes, &mut self.host, threads)
         };
         self.progress = drv.progress.take();
         self.prof = drv.prof;
@@ -98,69 +94,40 @@ impl System {
     /// disabled shards (the usual case: zero-cost).
     fn fork_shards(&mut self) {
         let prof_on = self.prof.is_enabled();
-        for g in 0..self.lanes.len() {
-            let mut lane = lock_lane(&self.lanes, g);
-            lane.tracer = self.tracer.fork();
-            lane.prof = if prof_on {
+        let shard = || {
+            if prof_on {
                 Profiler::enabled()
             } else {
                 Profiler::disabled()
-            };
-        }
-        let mut host = write_host(&self.host);
-        host.tracer = self.tracer.fork();
-        host.prof = if prof_on {
-            Profiler::enabled()
-        } else {
-            Profiler::disabled()
+            }
         };
+        for lane in &mut self.lanes {
+            lane.tracer = self.tracer.fork();
+            lane.prof = shard();
+        }
+        self.host.tracer = self.tracer.fork();
+        self.host.prof = shard();
     }
 
     /// Merges the per-lane shards back into the masters in fixed order
     /// (host first, then lanes by id) so post-run exports are independent
     /// of worker timing. Runs on every exit path, including errors.
     fn absorb_shards(&mut self) {
-        {
-            let mut host = write_host(&self.host);
-            let tracer = std::mem::replace(&mut host.tracer, Tracer::disabled());
-            self.tracer.absorb(tracer);
-            let prof = std::mem::take(&mut host.prof);
-            self.prof.merge(&prof);
-        }
-        for g in 0..self.lanes.len() {
-            let mut lane = lock_lane(&self.lanes, g);
-            let tracer = std::mem::replace(&mut lane.tracer, Tracer::disabled());
-            self.tracer.absorb(tracer);
-            let prof = std::mem::take(&mut lane.prof);
-            self.prof.merge(&prof);
+        let host = &mut self.host;
+        let lanes = self.lanes.iter_mut().map(|l| (&mut l.tracer, &mut l.prof));
+        for (tracer, prof) in std::iter::once((&mut host.tracer, &mut host.prof)).chain(lanes) {
+            self.tracer
+                .absorb(std::mem::replace(tracer, Tracer::disabled()));
+            self.prof.merge(&std::mem::take(prof));
         }
     }
 }
 
-/// Per-epoch synchronization state shared with the worker threads.
-struct EpochCtl {
-    /// Epoch generation counter; a bump releases the workers.
-    epoch: AtomicU64,
-    /// The current epoch's horizon (raw cycles), published before the bump.
-    horizon: AtomicU64,
-    /// Workers that have finished the current epoch's GPU phase.
-    done: AtomicUsize,
-    /// Set (before the final bump) to shut the workers down.
-    stop: AtomicBool,
-    /// Busy-spin iterations before falling back to `yield_now` while
-    /// waiting at the epoch edges. Zero when the machine cannot run all
-    /// workers concurrently: spinning there only burns the quantum the
-    /// next worker needs. Timing-only — results are unaffected.
-    spin_limit: u32,
-}
-
 /// The epoch loop: owns the run-scoped pieces (event limit, heartbeat
 /// state, the outbox routing scratch buffer, and the master profiler for
-/// barrier counts) and borrows the lanes.
+/// barrier counts); the lanes and the host are passed in by `&mut`.
 struct Driver<'a> {
     sh: &'a Shared,
-    lanes: &'a [Mutex<GpuLane>],
-    host: &'a RwLock<HostState>,
     limit: u64,
     progress_every: u64,
     progress: Option<ProgressCallback>,
@@ -175,126 +142,59 @@ struct Driver<'a> {
 
 impl Driver<'_> {
     /// Serial execution: the identical epoch schedule, one thread.
-    fn run_serial(&mut self) -> Result<(), SimError> {
+    fn run_serial(
+        &mut self,
+        lanes: &mut [Box<GpuLane>],
+        host: &mut HostState,
+    ) -> Result<(), SimError> {
         loop {
-            let Some(t) = self.min_peek() else {
-                return self.drained();
+            let Some(t) = min_peek(lanes, host) else {
+                return drained(lanes, host);
             };
             let horizon = t + self.sh.lookahead;
-            {
-                let host = read_host(self.host);
-                for g in 0..self.lanes.len() {
-                    lock_lane(self.lanes, g).run_epoch(self.sh, &host, horizon, self.limit);
-                }
+            for lane in lanes.iter_mut() {
+                lane.run_epoch(self.sh, host, horizon, self.limit);
             }
-            if self.barrier_and_host_phase(t, horizon, || {})? {
+            if self.barrier_and_host_phase(lanes, host, t, horizon)? {
                 return Ok(());
             }
         }
     }
 
-    /// Parallel execution on `threads` scoped workers (including the
-    /// coordinating thread, which takes the `lane % threads == 0` share).
-    fn run_parallel(&mut self, threads: usize) -> Result<(), SimError> {
-        let ctl = EpochCtl {
-            epoch: AtomicU64::new(0),
-            horizon: AtomicU64::new(0),
-            done: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            spin_limit: match std::thread::available_parallelism() {
-                Ok(n) if threads <= n.get() => 10_000,
-                _ => 0,
-            },
-        };
-        let (sh, lanes, host, limit) = (self.sh, self.lanes, self.host, self.limit);
-        std::thread::scope(|scope| {
-            for wid in 1..threads {
-                let ctl = &ctl;
-                scope.spawn(move || worker_loop(wid, threads, ctl, sh, lanes, host, limit));
-            }
-            let result = self.parallel_epochs(&ctl, threads);
-            // Release the workers one last time with the stop flag up.
-            ctl.stop.store(true, Ordering::Release);
-            ctl.epoch.fetch_add(1, Ordering::Release);
-            result
-        })
-    }
-
-    fn parallel_epochs(&mut self, ctl: &EpochCtl, threads: usize) -> Result<(), SimError> {
-        loop {
-            let Some(t) = self.min_peek() else {
-                return self.drained();
-            };
-            let horizon = t + self.sh.lookahead;
-            ctl.horizon.store(horizon.raw(), Ordering::Relaxed);
-            ctl.done.store(0, Ordering::Relaxed);
-            ctl.epoch.fetch_add(1, Ordering::Release);
-            {
-                let host = read_host(self.host);
-                let mut g = 0;
-                while g < self.lanes.len() {
-                    lock_lane(self.lanes, g).run_epoch(self.sh, &host, horizon, self.limit);
-                    g += threads;
-                }
-            }
-            let workers = threads - 1;
-            let stop = self.barrier_and_host_phase(t, horizon, || {
-                // Spin briefly, then yield: on an oversubscribed host the
-                // workers need this core to finish their share.
-                let mut spins = 0u32;
-                while ctl.done.load(Ordering::Acquire) != workers {
-                    spins += 1;
-                    if spins < ctl.spin_limit {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })?;
-            if stop {
-                return Ok(());
-            }
-        }
-    }
-
-    /// The barrier + host phase shared by both execution modes. `wait`
-    /// blocks until every worker finished the GPU phase (a no-op serially).
-    /// Each barrier counts once toward [`Phase::Barrier`] on the master
-    /// profiler, so profile counts stay thread-count-independent.
+    /// The barrier + host phase shared by both execution modes; every lane
+    /// is back in `lanes` by the time it runs. Each barrier counts once
+    /// toward [`Phase::Barrier`] on the master profiler, so profile counts
+    /// stay thread-count-independent.
     ///
     /// Returns `Ok(true)` when every GPU has finished (stop the run).
     fn barrier_and_host_phase(
         &mut self,
+        lanes: &mut [Box<GpuLane>],
+        host: &mut HostState,
         t: Cycle,
         horizon: Cycle,
-        wait: impl FnOnce(),
     ) -> Result<bool, SimError> {
         self.prof.add(Phase::Barrier, 1);
-        wait();
-        let mut host = write_host(self.host);
         let mut total = host.events_processed;
         let mut all_finished = true;
         let mut first_error = None;
         let mut faults = 0u64;
-        for g in 0..self.lanes.len() {
-            {
-                let mut lane = lock_lane(self.lanes, g);
-                std::mem::swap(&mut lane.outbox, &mut self.scratch);
-                total += lane.events_processed;
-                all_finished &= lane.finished;
-                if first_error.is_none() {
-                    first_error = lane.error.clone();
-                }
-                faults += lane.far_faults;
+        for g in 0..lanes.len() {
+            let lane = lane_mut(lanes, g);
+            std::mem::swap(&mut lane.outbox, &mut self.scratch);
+            total += lane.events_processed;
+            all_finished &= lane.finished;
+            if first_error.is_none() {
+                first_error = lane.error.clone();
             }
-            // Route with lane g unlocked: destinations include other lanes.
+            faults += lane.far_faults;
             // Destination queues assign the per-lane sequence numbers here,
             // in fixed (source lane, FIFO) order — the deterministic half
             // of the (cycle, lane, seq) merge key.
             for (at, node, ev) in self.scratch.drain(..) {
                 match node {
                     Node::Host => host.q.schedule(at, ev),
-                    Node::Gpu(d) => lock_lane(self.lanes, d).q.schedule(at, ev),
+                    Node::Gpu(d) => lane_mut(lanes, d).q.schedule(at, ev),
                 }
             }
         }
@@ -314,46 +214,8 @@ impl Driver<'_> {
             let migrations = host.migrations_done;
             self.emit_progress(total, t, faults, migrations);
         }
-        host.run_epoch(self.sh, self.lanes, horizon, self.limit)?;
+        host.run_epoch(self.sh, lanes, horizon, self.limit)?;
         Ok(false)
-    }
-
-    /// The global minimum next-event time, or `None` when every queue has
-    /// drained.
-    fn min_peek(&self) -> Option<Cycle> {
-        let mut t: Option<Cycle> = None;
-        for g in 0..self.lanes.len() {
-            if let Some(pt) = lock_lane(self.lanes, g).q.peek_time() {
-                t = Some(t.map_or(pt, |x| x.min(pt)));
-            }
-        }
-        if let Some(pt) = read_host(self.host).q.peek_time() {
-            t = Some(t.map_or(pt, |x| x.min(pt)));
-        }
-        t
-    }
-
-    /// Every queue drained: success if every GPU retired, a stall report
-    /// otherwise.
-    fn drained(&mut self) -> Result<(), SimError> {
-        let mut unfinished = 0;
-        let mut at = Cycle::ZERO;
-        for g in 0..self.lanes.len() {
-            let lane = lock_lane(self.lanes, g);
-            if !lane.finished {
-                unfinished += 1;
-            }
-            at = at.max(lane.now);
-        }
-        at = at.max(read_host(self.host).now);
-        if unfinished == 0 {
-            Ok(())
-        } else {
-            Err(SimError::Stalled {
-                at,
-                unfinished_gpus: unfinished,
-            })
-        }
     }
 
     /// One heartbeat: the installed callback when present, otherwise the
@@ -384,46 +246,199 @@ impl Driver<'_> {
     }
 }
 
-/// Worker thread body: wait for an epoch release, run this worker's share
-/// of the GPU phase under a host read guard, report done, repeat.
-fn worker_loop(
-    wid: usize,
-    threads: usize,
-    ctl: &EpochCtl,
-    sh: &Shared,
-    lanes: &[Mutex<GpuLane>],
-    host: &RwLock<HostState>,
-    limit: u64,
-) {
-    let mut seen = 0u64;
-    loop {
-        let mut spins = 0u32;
+/// The global minimum next-event time, or `None` when every queue has
+/// drained.
+fn min_peek(lanes: &[Box<GpuLane>], host: &HostState) -> Option<Cycle> {
+    lanes
+        .iter()
+        .map(|l| &l.q)
+        .chain(std::iter::once(&host.q))
+        .filter_map(|q| q.peek_time())
+        .min()
+}
+
+/// Every queue drained: success if every GPU retired, a stall report
+/// otherwise.
+fn drained(lanes: &[Box<GpuLane>], host: &HostState) -> Result<(), SimError> {
+    let unfinished = lanes.iter().filter(|l| !l.finished).count();
+    if unfinished == 0 {
+        return Ok(());
+    }
+    let at = lanes.iter().map(|l| l.now).fold(host.now, Cycle::max);
+    Err(SimError::Stalled {
+        at,
+        unfinished_gpus: unfinished,
+    })
+}
+
+/// The driver for two or more lane threads. Its persistent workers wait
+/// on a spin barrier; each epoch the coordinating thread (worker 0) deals
+/// worker `w` the `w`-th contiguous share of the lane boxes through `w`'s
+/// slot, runs its own share, waits for the rest, and appends every share
+/// back in lane order before the barrier. The host is read-shared during
+/// the GPU phase and write-locked by the coordinator for the host phase.
+/// No lock here is ever contended: the epoch counter already orders every
+/// hand-off, and the locks make the moves visible to the type system.
+#[expect(
+    clippy::disallowed_types,
+    clippy::vec_box,
+    reason = "the lane threads' epoch hand-off is the one place lanes and the host cross threads; lanes move as boxes"
+)]
+mod parallel {
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
+
+    use sim_engine::Cycle;
+
+    use super::{drained, min_peek, Driver};
+    use crate::system::{GpuLane, HostState, Shared, SimError};
+
+    /// One worker's lanes for the current epoch.
+    type Slot = Mutex<Vec<Box<GpuLane>>>;
+
+    /// Per-epoch synchronization state shared with the worker threads.
+    struct EpochCtl {
+        /// Epoch generation counter; a bump releases the workers.
+        epoch: AtomicU64,
+        /// The current epoch's horizon (raw cycles), published before the bump.
+        horizon: AtomicU64,
+        /// Workers that have finished the current epoch's GPU phase.
+        done: AtomicUsize,
+        /// Set (before the final bump) to shut the workers down.
+        stop: AtomicBool,
+        /// Busy-spin iterations before falling back to `yield_now` while
+        /// waiting at the epoch edges. Zero when the machine cannot run all
+        /// workers concurrently: spinning there only burns the quantum the
+        /// next worker needs. Timing-only — results are unaffected.
+        spin_limit: u32,
+    }
+
+    impl EpochCtl {
+        /// Spins (then yields) until `ready` holds.
+        fn wait(&self, mut ready: impl FnMut() -> bool) {
+            let mut spins = 0u32;
+            while !ready() {
+                spins += 1;
+                if spins < self.spin_limit {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+
+    /// Locks a slot, ignoring poison: the event handlers that run under it
+    /// deny the panic family, and `thread::scope` re-raises a worker panic.
+    fn lock(slot: &Slot) -> MutexGuard<'_, Vec<Box<GpuLane>>> {
+        slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    impl Driver<'_> {
+        /// Runs the epoch schedule on `threads` (≥ 2, ≤ lanes) threads:
+        /// the calling thread plus `threads - 1` scoped workers.
+        pub(super) fn run_parallel(
+            &mut self,
+            lanes: &mut Vec<Box<GpuLane>>,
+            host: &mut HostState,
+            threads: usize,
+        ) -> Result<(), SimError> {
+            let ctl = EpochCtl {
+                epoch: AtomicU64::new(0),
+                horizon: AtomicU64::new(0),
+                done: AtomicUsize::new(0),
+                stop: AtomicBool::new(false),
+                spin_limit: match std::thread::available_parallelism() {
+                    Ok(n) if threads <= n.get() => 10_000,
+                    _ => 0,
+                },
+            };
+            // `slots[w - 1]` carries worker `w`'s share.
+            let slots: Vec<Slot> = (1..threads).map(|_| Mutex::new(Vec::new())).collect();
+            let host = RwLock::new(host);
+            let (sh, limit) = (self.sh, self.limit);
+            std::thread::scope(|scope| {
+                for slot in &slots {
+                    let (ctl, host) = (&ctl, &host);
+                    scope.spawn(move || worker_loop(ctl, slot, sh, host, limit));
+                }
+                let result = self.parallel_epochs(&ctl, &slots, lanes, &host);
+                // Release the workers one last time with the stop flag up.
+                ctl.stop.store(true, Ordering::Release);
+                ctl.epoch.fetch_add(1, Ordering::Release);
+                result
+            })
+        }
+
+        fn parallel_epochs(
+            &mut self,
+            ctl: &EpochCtl,
+            slots: &[Slot],
+            lanes: &mut Vec<Box<GpuLane>>,
+            host: &RwLock<&mut HostState>,
+        ) -> Result<(), SimError> {
+            let (n, threads) = (lanes.len(), slots.len() + 1);
+            loop {
+                let t = {
+                    let host = host.read().unwrap_or_else(PoisonError::into_inner);
+                    match min_peek(lanes, &host) {
+                        Some(t) => t,
+                        None => return drained(lanes, &host),
+                    }
+                };
+                let horizon = t + self.sh.lookahead;
+                ctl.horizon.store(horizon.raw(), Ordering::Relaxed);
+                ctl.done.store(0, Ordering::Relaxed);
+                // Worker `w` takes lanes `w * n / threads ..`, so shares are
+                // contiguous and differ by at most one lane. Deal from the
+                // back, so each drain takes the current tail.
+                for (i, slot) in slots.iter().enumerate().rev() {
+                    lock(slot).extend(lanes.drain((i + 1) * n / threads..));
+                }
+                ctl.epoch.fetch_add(1, Ordering::Release);
+                {
+                    let host = host.read().unwrap_or_else(PoisonError::into_inner);
+                    for lane in lanes.iter_mut() {
+                        lane.run_epoch(self.sh, &host, horizon, self.limit);
+                    }
+                }
+                ctl.wait(|| ctl.done.load(Ordering::Acquire) == slots.len());
+                for slot in slots {
+                    lanes.append(&mut lock(slot));
+                }
+                let mut host = host.write().unwrap_or_else(PoisonError::into_inner);
+                if self.barrier_and_host_phase(lanes, &mut host, t, horizon)? {
+                    return Ok(());
+                }
+            }
+        }
+    }
+
+    /// Worker thread body: wait for an epoch release, run the lanes in this
+    /// worker's slot under a host read guard, report done, repeat.
+    fn worker_loop(
+        ctl: &EpochCtl,
+        slot: &Slot,
+        sh: &Shared,
+        host: &RwLock<&mut HostState>,
+        limit: u64,
+    ) {
+        let mut seen = 0u64;
         loop {
-            let e = ctl.epoch.load(Ordering::Acquire);
-            if e != seen {
-                seen = e;
-                break;
+            ctl.wait(|| ctl.epoch.load(Ordering::Acquire) != seen);
+            seen += 1;
+            if ctl.stop.load(Ordering::Acquire) {
+                return;
             }
-            spins += 1;
-            if spins < ctl.spin_limit {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
+            let horizon = Cycle(ctl.horizon.load(Ordering::Relaxed));
+            {
+                let host = host.read().unwrap_or_else(PoisonError::into_inner);
+                for lane in lock(slot).iter_mut() {
+                    lane.run_epoch(sh, &host, horizon, limit);
+                }
             }
+            ctl.done.fetch_add(1, Ordering::Release);
         }
-        if ctl.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let horizon = Cycle(ctl.horizon.load(Ordering::Relaxed));
-        {
-            let host = read_host(host);
-            let mut g = wid;
-            while g < lanes.len() {
-                lock_lane(lanes, g).run_epoch(sh, &host, horizon, limit);
-                g += threads;
-            }
-        }
-        ctl.done.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -519,11 +534,11 @@ impl GpuLane {
 
 impl HostState {
     /// Drains the host queue up to (exclusive) `horizon`. Runs serially on
-    /// the coordinating thread with exclusive lane access.
+    /// the coordinating thread, holding every lane.
     fn run_epoch(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         horizon: Cycle,
         limit: u64,
     ) -> Result<(), SimError> {
@@ -554,10 +569,10 @@ impl HostState {
         clippy::wildcard_enum_match_arm,
         reason = "every `Ev` variant is named, so a new event must be routed on purpose"
     )]
-    fn handle(&mut self, sh: &Shared, lanes: &[Mutex<GpuLane>], ev: Ev) -> Result<(), SimError> {
+    fn handle(&mut self, sh: &Shared, lanes: &mut [Box<GpuLane>], ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::FaultAtHost { fault } => self.on_fault_at_host(sh, lanes, fault),
-            Ev::BatchWindow => self.on_batch_window(sh, lanes),
+            Ev::BatchWindow => self.on_batch_window(sh),
             Ev::FaultResolved { fault } => self.on_fault_resolved(sh, lanes, fault),
             Ev::AckAtHost { gpu, vpn } => self.on_ack_at_host(sh, lanes, gpu, vpn),
             Ev::MigRequestAtHost { vpn, to } => self.on_mig_request(sh, lanes, vpn, to),

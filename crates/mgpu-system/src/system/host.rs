@@ -4,10 +4,8 @@
 //! Every handler here runs on the host lane, which is serviced serially on
 //! the driver thread while the GPU workers sit at the epoch barrier. That
 //! gives the host exclusive access to every lane, so delivering a mapping is
-//! a direct (locked) push into the target lane's queue via
+//! a direct push into the target lane's queue via
 //! [`HostState::sched_lane`] rather than a mailbox hop.
-
-use std::sync::Mutex;
 
 use mem_model::interconnect::Node;
 use sim_engine::Cycle;
@@ -16,7 +14,7 @@ use uvm_driver::policy::MigrationPolicy;
 use vm_model::pte::Pte;
 
 use super::observe::{HOST_PID, MIG_PID};
-use super::{broadcast_prt_record, lock_lane, msg, Ev, GpuLane, OrInvariant, Shared, SimError};
+use super::{broadcast_prt_record, lane_mut, msg, Ev, GpuLane, OrInvariant, Shared, SimError};
 use vm_model::addr::Vpn;
 
 impl super::HostState {
@@ -25,13 +23,13 @@ impl super::HostState {
     pub(crate) fn on_fault_at_host(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         fault: FarFault,
     ) -> Result<(), SimError> {
         // The fault leaves the GPU fault buffer when the driver fetches it.
-        let _ = lock_lane(lanes, fault.gpu).gpu.fault_buffer.pop();
+        let _ = lane_mut(lanes, fault.gpu).gpu.fault_buffer.pop();
         if let Some(batch) = self.batcher.push(fault) {
-            self.process_fault_batch(sh, lanes, batch)?;
+            self.process_fault_batch(sh, batch)?;
         } else if !self.batch_flush_scheduled {
             self.batch_flush_scheduled = true;
             let at = self.now + sh.cfg.host.batch_window;
@@ -41,25 +39,16 @@ impl super::HostState {
     }
 
     /// Batch-window expiry: flush whatever is pending.
-    pub(crate) fn on_batch_window(
-        &mut self,
-        sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
-    ) -> Result<(), SimError> {
+    pub(crate) fn on_batch_window(&mut self, sh: &Shared) -> Result<(), SimError> {
         self.batch_flush_scheduled = false;
         if let Some(batch) = self.batcher.flush() {
-            self.process_fault_batch(sh, lanes, batch)?;
+            self.process_fault_batch(sh, batch)?;
         }
         Ok(())
     }
 
     /// Resolves each batched fault through the host walker pool.
-    fn process_fault_batch(
-        &mut self,
-        sh: &Shared,
-        _lanes: &[Mutex<GpuLane>],
-        batch: Vec<FarFault>,
-    ) -> Result<(), SimError> {
+    fn process_fault_batch(&mut self, sh: &Shared, batch: Vec<FarFault>) -> Result<(), SimError> {
         if self.tracer.is_enabled() {
             let track = self.host_track();
             let now = self.now;
@@ -97,7 +86,7 @@ impl super::HostState {
     pub(crate) fn on_fault_resolved(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         fault: FarFault,
     ) -> Result<(), SimError> {
         // Faults against a migrating page park until the migration ends.
@@ -232,7 +221,7 @@ impl super::HostState {
     fn grant_replica(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         fault: FarFault,
         owner: usize,
     ) -> Result<(), SimError> {
@@ -290,7 +279,7 @@ impl super::HostState {
                 .pte(fault.vpn)
                 .or_invariant("replicated page lost its host PTE")?
                 .ppn();
-            lock_lane(lanes, owner).gpu.shootdown(fault.vpn);
+            lane_mut(lanes, owner).gpu.shootdown(fault.vpn);
             self.send_mapping(
                 lanes,
                 owner,
@@ -318,7 +307,7 @@ impl super::HostState {
     /// Sends a PTE (new mapping) to a GPU over PCIe.
     pub(crate) fn send_mapping(
         &mut self,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         gpu: usize,
         vpn: Vpn,
         pte: Pte,

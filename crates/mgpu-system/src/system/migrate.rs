@@ -5,8 +5,6 @@
 //! (`GpuLane::on_inval_arrive`) runs on the target lane and acks back
 //! through its mailbox.
 
-use std::sync::Mutex;
-
 use gpu_model::gmmu::WalkClass;
 use mem_model::gpuset::GpuSet;
 use mem_model::interconnect::Node;
@@ -16,14 +14,14 @@ use vm_model::pte::Pte;
 
 use crate::config::DirectoryMode;
 
-use super::{lock_lane, msg, Ev, GpuLane, HostState, OrInvariant, Shared, SimError};
+use super::{msg, Ev, GpuLane, HostState, OrInvariant, Shared, SimError};
 
 impl HostState {
     /// A counter-triggered migration request reaches the driver.
     pub(crate) fn on_mig_request(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         vpn: Vpn,
         to: usize,
     ) -> Result<(), SimError> {
@@ -55,7 +53,7 @@ impl HostState {
     pub(crate) fn start_migration(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         vpn: Vpn,
         from: usize,
         to: usize,
@@ -65,9 +63,8 @@ impl HostState {
             return Ok(());
         }
         // Any access counter or PRT fingerprint pointing at this page is
-        // about to go stale — one lock pass over the lanes.
-        for g in 0..lanes.len() {
-            let mut lane = lock_lane(lanes, g);
+        // about to go stale — one pass over the lanes.
+        for lane in lanes.iter_mut() {
             lane.counters.reset_page(vpn);
             if let Some(prt) = lane.prt.as_mut() {
                 prt.invalidate(vpn);
@@ -169,7 +166,7 @@ impl HostState {
     pub(crate) fn on_mig_host_walk_done(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         vpn: Vpn,
     ) -> Result<(), SimError> {
         if self.pending_dir_lookup.remove(&vpn) {
@@ -197,7 +194,7 @@ impl HostState {
     /// Fans invalidation requests out to `targets` over PCIe.
     pub(crate) fn send_invalidations(
         &mut self,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         vpn: Vpn,
         targets: GpuSet,
     ) {
@@ -211,7 +208,7 @@ impl HostState {
     pub(crate) fn on_ack_at_host(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         gpu: usize,
         vpn: Vpn,
     ) -> Result<(), SimError> {
@@ -239,7 +236,7 @@ impl HostState {
     fn begin_data_transfer(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         vpn: Vpn,
     ) -> Result<(), SimError> {
         let (from, to, waiting) = {
@@ -265,7 +262,7 @@ impl HostState {
     pub(crate) fn on_mig_data_done(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         vpn: Vpn,
     ) -> Result<(), SimError> {
         let m = self
@@ -312,8 +309,8 @@ impl HostState {
                 &[("waiters", m.waiters.len() as u64)],
             );
         }
-        for g in 0..lanes.len() {
-            lock_lane(lanes, g).inval_done.remove(&vpn);
+        for lane in lanes.iter_mut() {
+            lane.inval_done.remove(&vpn);
         }
         // Free every replica frame the collapse invalidated — including the
         // destination's own replica copy (it receives the migrated primary

@@ -17,6 +17,12 @@
 //! * [`data`](self) — the post-translation data path and access counters;
 //! * [`engine`](self) — the epoch loop (serial and `std::thread::scope`
 //!   parallel execution).
+//!
+//! Lanes own their state: the host phase gets `&mut [Box<GpuLane>]`, a GPU
+//! handler gets only its own lane plus `&Shared` and `&HostState`, so the
+//! borrow checker keeps one GPU's handlers out of another GPU's state. The
+//! only locks on simulation state are the parallel driver's epoch hand-off
+//! in `engine`.
 
 mod data;
 mod engine;
@@ -25,8 +31,6 @@ mod migrate;
 mod observe;
 mod reqs;
 mod translate;
-
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use gpu_model::gmmu::{DispatchedWalk, WalkClass};
 use gpu_model::gpu::Gpu;
@@ -209,7 +213,7 @@ pub enum SimError {
 
 /// Converts `Option`/`Result` invariant checks in event handlers into
 /// [`SimError::Invariant`] so failures propagate instead of panicking
-/// (the `hot-path-panic` lint rule).
+/// (clippy's denied panic family).
 pub(crate) trait OrInvariant<T> {
     fn or_invariant(self, what: &'static str) -> Result<T, SimError>;
 }
@@ -404,7 +408,7 @@ impl GpuLane {
 /// The host/driver lane: UVM driver state, the host-side interconnect pipes
 /// (host→GPU direction), and the host future-event list. The host phase runs
 /// serially after every barrier and is the only place that may reach into
-/// GPU lanes (locking one lane at a time).
+/// GPU lanes.
 pub(crate) struct HostState {
     pub host_mem: HostMemory,
     pub host_walkers: ThreadPool,
@@ -452,8 +456,8 @@ impl HostState {
     /// Schedules an event directly into GPU lane `g`'s queue. Host-phase
     /// sends are already deterministic (the host runs serially with every
     /// worker idle), so they skip the mailbox.
-    pub(crate) fn sched_lane(&mut self, lanes: &[Mutex<GpuLane>], g: usize, at: Cycle, ev: Ev) {
-        lock_lane(lanes, g).q.schedule(at, ev);
+    pub(crate) fn sched_lane(&mut self, lanes: &mut [Box<GpuLane>], g: usize, at: Cycle, ev: Ev) {
+        lane_mut(lanes, g).q.schedule(at, ev);
         self.ext_pushes += 1;
     }
 
@@ -462,7 +466,7 @@ impl HostState {
     /// egress, host→GPU over PCIe).
     pub(crate) fn xfer_from(
         &mut self,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &mut [Box<GpuLane>],
         from: Node,
         to: usize,
         bytes: u64,
@@ -471,7 +475,7 @@ impl HostState {
             Node::Gpu(f) if f == to => self.now,
             Node::Gpu(f) => {
                 let now = self.now;
-                lock_lane(lanes, f).egress.gpu_to_gpu(now, f, to, bytes)
+                lane_mut(lanes, f).egress.gpu_to_gpu(now, f, to, bytes)
             }
             Node::Host => self.xfer_down(to, bytes),
         }
@@ -500,46 +504,31 @@ impl HostState {
     }
 }
 
-/// Locks one GPU lane, tolerating poison (a panicking worker must not mask
-/// the original panic with a second one on the coordinating thread).
+/// GPU lane `g`, for host-phase code that reaches into one lane.
 #[expect(
     clippy::indexing_slicing,
     reason = "GPU ids are < n_gpus, the number of lanes built from the same config"
 )]
-pub(crate) fn lock_lane<'a>(lanes: &'a [Mutex<GpuLane>], g: usize) -> MutexGuard<'a, GpuLane> {
-    match lanes[g].lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Read-locks the host lane (worker side), tolerating poison.
-pub(crate) fn read_host(host: &RwLock<HostState>) -> RwLockReadGuard<'_, HostState> {
-    match host.read() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Write-locks the host lane (barrier/host phase), tolerating poison.
-pub(crate) fn write_host(host: &RwLock<HostState>) -> RwLockWriteGuard<'_, HostState> {
-    match host.write() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+pub(crate) fn lane_mut(lanes: &mut [Box<GpuLane>], g: usize) -> &mut GpuLane {
+    &mut lanes[g]
 }
 
 /// Teaches every other GPU's PRT that `holder` has a translation of `vpn`
-/// (driver notification, state-only). Free function: this is host-phase
-/// coordinator code, not lane-handler code (see the `cross-domain-mutation`
-/// lint rule). Without Trans-FW no lane has a PRT, so it locks none.
-pub(crate) fn broadcast_prt_record(sh: &Shared, lanes: &[Mutex<GpuLane>], vpn: Vpn, holder: usize) {
+/// (driver notification, state-only). Host-phase code: it needs every
+/// lane, which only the host phase holds. Without Trans-FW no lane has a
+/// PRT, so it visits none.
+pub(crate) fn broadcast_prt_record(
+    sh: &Shared,
+    lanes: &mut [Box<GpuLane>],
+    vpn: Vpn,
+    holder: usize,
+) {
     if sh.cfg.transfw.is_none() {
         return;
     }
-    for g in 0..lanes.len() {
+    for (g, lane) in lanes.iter_mut().enumerate() {
         if g != holder {
-            if let Some(prt) = lock_lane(lanes, g).prt.as_mut() {
+            if let Some(prt) = lane.prt.as_mut() {
                 prt.record(vpn, holder);
             }
         }
@@ -578,8 +567,13 @@ impl QueuePool {
 /// shards are merged into after a run.
 pub struct System {
     pub(crate) sh: Shared,
-    pub(crate) lanes: Vec<Mutex<GpuLane>>,
-    pub(crate) host: RwLock<HostState>,
+    /// Boxed so the parallel driver hands lanes to its workers by pointer.
+    #[expect(
+        clippy::vec_box,
+        reason = "a lane is 2.7 kB; the parallel driver moves every lane out and back each epoch"
+    )]
+    pub(crate) lanes: Vec<Box<GpuLane>>,
+    pub(crate) host: HostState,
     /// Worker thread count for the parallel event core (1 = serial; the
     /// schedule and all exports are identical either way).
     pub(crate) threads: usize,
@@ -625,17 +619,9 @@ impl System {
     /// [`System::new_with_pool`].
     pub fn recycle(self, pool: &mut QueuePool) {
         for lane in self.lanes {
-            let lane = match lane.into_inner() {
-                Ok(l) => l,
-                Err(poisoned) => poisoned.into_inner(),
-            };
             pool.inner.put(lane.q);
         }
-        let host = match self.host.into_inner() {
-            Ok(h) => h,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.inner.put(host.q);
+        pool.inner.put(self.host.q);
     }
 
     #[expect(
@@ -717,41 +703,43 @@ impl System {
             Some(p) => p.inner.take(hint),
             None => LaneQueue::with_capacity(hint),
         };
-        let mut lanes: Vec<GpuLane> = (0..cfg.n_gpus)
-            .map(|g| GpuLane {
-                id: g,
-                gpu: Gpu::new(g, gpu_cfg),
-                irmb: irmb_cfg.map(Irmb::new),
-                prt: cfg.transfw.map(TransFw::new),
-                warp_cursors: vec![0; sh.warp_plans[g].len()],
-                overflow: std::collections::VecDeque::new(),
-                dispatch_scheduled: false,
-                mshr_waiters: std::collections::VecDeque::new(),
-                mshr_stalls: 0,
-                reqs: reqs::ReqTable::new(warps_per_gpu),
-                updates: DetHashMap::default(),
-                next_update: 0,
-                inflight_faults: DetHashSet::default(),
-                inval_done: DetHashSet::default(),
-                counters: AccessCounters::new(),
-                finished: false,
-                finish_cycle: Cycle::ZERO,
-                q: take_q(lane_hint),
-                outbox: Vec::new(),
-                now: Cycle::ZERO,
-                events_processed: 0,
-                error: None,
-                egress: Egress::new(&cfg),
-                demand_miss_latency: Accumulator::new(),
-                access_latency: Accumulator::new(),
-                remote_data_latency: Accumulator::new(),
-                invalidation_latency: Accumulator::new(),
-                walker_mix: WalkerMix::default(),
-                invalidation_messages: 0,
-                far_faults: 0,
-                accesses_done: 0,
-                tracer: Tracer::disabled(),
-                prof: Profiler::disabled(),
+        let mut lanes: Vec<Box<GpuLane>> = (0..cfg.n_gpus)
+            .map(|g| {
+                Box::new(GpuLane {
+                    id: g,
+                    gpu: Gpu::new(g, gpu_cfg),
+                    irmb: irmb_cfg.map(Irmb::new),
+                    prt: cfg.transfw.map(TransFw::new),
+                    warp_cursors: vec![0; sh.warp_plans[g].len()],
+                    overflow: std::collections::VecDeque::new(),
+                    dispatch_scheduled: false,
+                    mshr_waiters: std::collections::VecDeque::new(),
+                    mshr_stalls: 0,
+                    reqs: reqs::ReqTable::new(warps_per_gpu),
+                    updates: DetHashMap::default(),
+                    next_update: 0,
+                    inflight_faults: DetHashSet::default(),
+                    inval_done: DetHashSet::default(),
+                    counters: AccessCounters::new(),
+                    finished: false,
+                    finish_cycle: Cycle::ZERO,
+                    q: take_q(lane_hint),
+                    outbox: Vec::new(),
+                    now: Cycle::ZERO,
+                    events_processed: 0,
+                    error: None,
+                    egress: Egress::new(&cfg),
+                    demand_miss_latency: Accumulator::new(),
+                    access_latency: Accumulator::new(),
+                    remote_data_latency: Accumulator::new(),
+                    invalidation_latency: Accumulator::new(),
+                    walker_mix: WalkerMix::default(),
+                    invalidation_messages: 0,
+                    far_faults: 0,
+                    accesses_done: 0,
+                    tracer: Tracer::disabled(),
+                    prof: Profiler::disabled(),
+                })
             })
             .collect();
         let mut host = HostState {
@@ -822,8 +810,8 @@ impl System {
         }
         System {
             sh,
-            lanes: lanes.into_iter().map(Mutex::new).collect(),
-            host: RwLock::new(host),
+            lanes,
+            host,
             threads: 1,
             tracer: Tracer::disabled(),
             prof: Profiler::disabled(),
@@ -893,8 +881,7 @@ impl System {
         let mut have_prts = false;
         let mut nvlink_bytes = 0u64;
         let mut pcie_bytes = 0u64;
-        for i in 0..self.lanes.len() {
-            let lane = lock_lane(&self.lanes, i);
+        for lane in &self.lanes {
             l1_hits += lane.gpu.l1_tlbs.hits();
             l1_misses += lane.gpu.l1_tlbs.misses();
             l2_hits += lane.gpu.l2_tlb.hits();
@@ -934,7 +921,7 @@ impl System {
                 .sum::<u64>();
             pcie_bytes += lane.egress.pcie_up.bytes_total();
         }
-        let host = read_host(&self.host);
+        let host = &self.host;
         events_processed += host.events_processed;
         remote_data_latency.merge(&host.remote_data_latency);
         pcie_bytes += host.pcie_down.iter().map(|p| p.bytes_total()).sum::<u64>();
@@ -985,10 +972,9 @@ impl System {
     /// PTE: its GPU, page and frame, the driver's frame (`None`: no host
     /// PTE), the GPU's replica frame and the page's replica holders.
     pub(crate) fn audit_translations(&self) -> Vec<String> {
-        let host = read_host(&self.host);
+        let host = &self.host;
         let mut stale = Vec::new();
-        for g in 0..self.lanes.len() {
-            let lane = lock_lane(&self.lanes, g);
+        for (g, lane) in self.lanes.iter().enumerate() {
             for (vpn, pte) in lane.gpu.page_table.iter() {
                 if !pte.is_valid() {
                     continue;

@@ -20,8 +20,6 @@
 //!   on one track.
 //! * `pid = `[`HOST_PID`] — the UVM driver (fault batching, host walkers).
 
-use std::sync::Mutex;
-
 use sim_engine::metrics::MetricsRegistry;
 use sim_engine::prof::Profiler;
 use sim_engine::trace::{Tracer, Track};
@@ -29,7 +27,7 @@ use sim_engine::trace::{Tracer, Track};
 use gpu_model::gmmu::WalkClass;
 use uvm_driver::fault::FarFault;
 
-use super::{lock_lane, read_host, GpuLane, HostState, Shared, System};
+use super::{GpuLane, HostState, Shared, System};
 
 /// A progress snapshot delivered to a [`ProgressCallback`] at every
 /// heartbeat interval (see [`System::set_progress_callback`]).
@@ -121,7 +119,6 @@ impl System {
     /// is deterministic and byte-identical for identical runs — see
     /// [`MetricsRegistry::to_json`].
     pub fn metrics_registry(&self) -> MetricsRegistry {
-        // The report takes the lane locks itself, so build it first.
         let r = self.report();
         let mut reg = MetricsRegistry::new();
         {
@@ -172,10 +169,7 @@ impl System {
             rep.count("collapses", collapses);
         }
         // Counters the report does not carry: the driver's and each GPU's.
-        let lanes: Vec<_> = (0..self.lanes.len())
-            .map(|g| lock_lane(&self.lanes, g))
-            .collect();
-        let host = read_host(&self.host);
+        let host = &self.host;
         {
             let mut drv = reg.scope("driver");
             drv.count("fault_batches", host.batcher.batches_emitted());
@@ -185,7 +179,7 @@ impl System {
             drv.count("migrations_started", host.migrations.started());
             drv.count("migrations_deduped", host.migrations.dropped_duplicates());
         }
-        for (g, lane) in lanes.iter().enumerate() {
+        for (g, lane) in self.lanes.iter().enumerate() {
             let gpu = &lane.gpu;
             let mut scope = reg.scope(format!("gpu{g}"));
             {
@@ -247,12 +241,8 @@ impl System {
     /// occupancy, every stale translation the audit finds, and — when a
     /// tracer is installed — the tail of its events.
     pub(crate) fn debug_dump(&self) -> String {
-        // The audit takes the lane locks itself, so run it first.
         let stale = self.audit_translations();
-        let lanes: Vec<_> = (0..self.lanes.len())
-            .map(|g| lock_lane(&self.lanes, g))
-            .collect();
-        let host = read_host(&self.host);
+        let (lanes, host) = (&self.lanes, &self.host);
         let mut d = String::new();
         let now = lanes
             .iter()
@@ -427,12 +417,12 @@ impl HostState {
     pub(crate) fn fault_track(
         &mut self,
         sh: &Shared,
-        lanes: &[Mutex<GpuLane>],
+        lanes: &[Box<GpuLane>],
         fault: &FarFault,
     ) -> Track {
-        if fault.token != u64::MAX && fault.gpu < lanes.len() {
-            let req = lock_lane(lanes, fault.gpu).reqs.get(fault.token).copied();
-            if let Some(r) = req {
+        if fault.token != u64::MAX {
+            let req = lanes.get(fault.gpu).and_then(|l| l.reqs.get(fault.token));
+            if let Some(r) = req.copied() {
                 let pid = gpu_pid(fault.gpu);
                 let tid = (r.cu * sh.cfg.gpu.warps_per_cu + r.warp) as u64;
                 if self.tracer.is_enabled() {

@@ -2,9 +2,9 @@
 //!
 //! Every handler here runs on a GPU lane: it owns `self` (this GPU's state)
 //! exclusively, reads [`Shared`] and the host lane immutably, and sends
-//! cross-domain effects through the lane mailbox ([`GpuLane::to_host`] /
-//! [`GpuLane::to_gpu`]) — never by mutating another domain directly (the
-//! `cross-domain-mutation` lint rule).
+//! cross-domain effects through the lane mailbox ([`GpuLane::send_host`] /
+//! [`GpuLane::send_gpu`]). It holds no other lane, so it cannot mutate
+//! another domain directly.
 
 use gpu_model::gmmu::{DispatchedWalk, WalkClass};
 use mem_model::mshr::MshrOutcome;

@@ -1,5 +1,6 @@
 //! `mgpu-sim` rejects out-of-range or unknown arguments with an error line
-//! and exit code 1, never a panic.
+//! and exit code 1, and a `--trace-filter` with no `--trace` to write with
+//! exit code 2; never with a panic.
 
 #![expect(
     clippy::expect_used,
@@ -54,6 +55,18 @@ fn unknown_trace_category_is_an_error_listing_the_valid_ones() {
         assert!(stderr.contains(valid), "{valid} missing: {stderr}");
     }
     assert!(out.stdout.is_empty(), "an unknown category still ran");
+}
+
+#[test]
+fn trace_filter_without_trace_is_a_usage_error() {
+    let out = mgpu_sim(&["--scale", "test", "--trace-filter", "walk,tlb"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: --trace-filter needs --trace"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a filter with no trace still ran");
 }
 
 #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Lint canary: proves that the compiler and clippy lints holding the
-# model crates' determinism and event-loop rules are armed. It plants one
-# bad line per rule in a throwaway `git archive` copy of HEAD, runs the
-# same clippy command as scripts/lint.sh, and fails unless that command
-# fails with every expected diagnostic. All planted lines live in
+# model crates' determinism, event-loop and lane-isolation rules are
+# armed. It plants one bad line per rule in a throwaway `git archive` copy
+# of HEAD, runs the same clippy command as scripts/lint.sh, and fails
+# unless that command fails with every expected diagnostic. All planted lines live in
 # `mgpu-system` (the handler-side ones under `src/system/`), because a
 # lint error in a crate stops clippy from checking the crates above it.
 # Allocation on the event path is held by tests/alloc_per_event.rs, not
@@ -85,6 +85,21 @@ pub fn print_stderr() {
 pub fn dbg_macro(x: u8) -> u8 {
     dbg!(x)
 }
+// Lane isolation: lanes own their state, so no lock, cell or `static mut`
+// may share it.
+impl super::GpuLane {
+    pub fn lane_lock(&mut self, lanes: &[std::sync::Mutex<super::GpuLane>]) -> usize {
+        lanes.len()
+    }
+}
+pub struct SharedCell {
+    pub hits: std::cell::RefCell<u64>,
+}
+pub static ONCE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+static mut EVENTS: u64 = 0;
+pub fn static_mut() -> u64 {
+    unsafe { EVENTS }
+}
 EOF
 sed -i '0,/^mod /s//pub mod canary;\nmod /' system/mod.rs
 # An event nobody sends, and both dispatchers folding variants into `_`.
@@ -121,6 +136,10 @@ expected=(
   "print_stdout: use of \`println!\`"
   "print_stderr: use of \`eprintln!\`"
   "dbg_macro: the \`dbg!\` macro is intended as a debugging tool"
+  "disallowed_types (lane lock): use of a disallowed type \`std::sync::Mutex\`"
+  "disallowed_types (cell field): use of a disallowed type \`std::cell::RefCell\`"
+  "disallowed_types (lazy static): use of a disallowed type \`std::sync::OnceLock\`"
+  "unsafe_code (static mut): usage of an \`unsafe\` block"
   "dead_code (unsent event): variant \`Canary\` is never constructed"
 )
 missing=0

@@ -189,6 +189,10 @@ fn trace_filter_restricts_categories() {
 /// The same observed run with a progress callback installed at a cadence
 /// low enough to fire many times at test scale; returns the exports plus
 /// every heartbeat the callback saw.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the callback is `Send`, so the test reads its samples back through a Mutex"
+)]
 fn watched_run_once(
     seed: u64,
     every: u64,

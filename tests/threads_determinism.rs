@@ -47,7 +47,8 @@ fn thread_sweep_is_byte_identical() {
     for (ci, cfg) in sweep_configs().iter().enumerate() {
         let (trace1, metrics1, events1, cycles1) = observed_run(cfg, 11, 1);
         validate_json(&trace1).expect("trace export is well-formed");
-        for threads in [2usize, 4, 8] {
+        // 3 splits the 4 lanes unevenly (2 + 1 + 1); 8 clamps to 4.
+        for threads in [2usize, 3, 4, 8] {
             let (trace_n, metrics_n, events_n, cycles_n) = observed_run(cfg, 11, threads);
             assert_eq!(
                 events1, events_n,
