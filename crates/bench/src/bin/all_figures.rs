@@ -1,5 +1,5 @@
-//! Regenerates every table and figure in the paper's evaluation, writing
-//! each to `results/<id>.txt` and echoing to stdout.
+//! Regenerates every table and figure in the paper's evaluation through one
+//! plan, writing each to `results/<id>.txt` and echoing to stdout.
 //!
 //! ```text
 //! all_figures                         # every figure
@@ -9,7 +9,7 @@
 //!     # and write its Perfetto timeline / metrics registry
 //! ```
 
-use idyll_bench::{all_figures, grid_metrics, Harness, HarnessConfig};
+use idyll_bench::{evaluate, grid_metrics, Harness, HarnessConfig, FIGURES};
 use mgpu_system::System;
 use sim_engine::trace::Tracer;
 use workloads::{AppId, WorkloadSpec};
@@ -95,36 +95,35 @@ fn observed_run(h: &Harness, args: &Args) {
 
 fn main() {
     let args = parse_args();
-    let h = Harness::new(HarnessConfig::from_env());
+    let config = HarnessConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let h = Harness::new(config);
     if args.trace_out.is_some() || args.metrics_json.is_some() {
         observed_run(&h, &args);
     }
     std::fs::create_dir_all("results").expect("create results dir");
+    let figures: Vec<_> = FIGURES
+        .into_iter()
+        .filter(|f| args.only.as_ref().is_none_or(|only| f.id == only))
+        .collect();
     let mut failures = 0;
-    let mut matched = false;
-    for (id, figure) in all_figures() {
-        if let Some(only) = &args.only {
-            if id != only {
-                continue;
-            }
-        }
-        matched = true;
-        eprintln!("[{id}] running…");
-        match figure(&h) {
+    if let (Some(only), true) = (&args.only, figures.is_empty()) {
+        eprintln!("error: no figure named `{only}`");
+        failures += 1;
+    }
+    eprintln!("running {} figures in one plan…", figures.len());
+    for (figure, out) in figures.iter().zip(evaluate(&h, &figures)) {
+        match out {
             Ok(out) => {
                 println!("{out}");
-                std::fs::write(format!("results/{id}.txt"), &out).expect("write result");
+                std::fs::write(format!("results/{}.txt", figure.id), &out).expect("write result");
             }
             Err(e) => {
-                eprintln!("{id}: simulation failed: {e}");
+                eprintln!("{}: simulation failed: {e}", figure.id);
                 failures += 1;
             }
-        }
-    }
-    if let Some(only) = &args.only {
-        if !matched {
-            eprintln!("error: no figure named `{only}`");
-            failures += 1;
         }
     }
     // Host-side throughput of everything the figures just ran (ROADMAP:

@@ -1,13 +1,13 @@
 //! The evaluation ledger: process-wide record of what the figure grids
 //! simulated, and the reports they can share.
 //!
-//! Every grid the [`Harness`](crate::Harness) runs appends one
-//! [`RunRecord`] per simulation it actually ran. Spec-level cells are also
-//! memoised here: [`store`] keeps each cell's `SimReport` under its
-//! `mgpu_system::canon::job_key`, and a later figure that asks for the same
-//! cell takes the report from [`plan`] instead of simulating it again.
-//! `grid.runs` therefore counts *distinct* simulations, and `grid.reused`
-//! the cells served without one (ledger hits plus repeats within a batch).
+//! Every [`evaluate`](crate::evaluate) call plans its figures' cells here
+//! once: [`plan`] serves each cell this evaluation already simulated from
+//! the report kept under its `mgpu_system::canon::job_key`, and [`store`]
+//! appends one [`RunRecord`] per simulation actually run and keeps its
+//! report for later plans. `grid.runs` therefore counts *distinct*
+//! simulations, and `grid.reused` the cells served without one (ledger hits
+//! plus repeats within a plan).
 //!
 //! [`clear`] is the evaluation boundary: it forgets the records and the
 //! reports, so the next figure simulates every cell afresh. An
@@ -22,7 +22,7 @@
 //! does not cover them (two runs of the same grid legitimately differ here).
 //!
 //! Reuse is sound because a report is a pure function of its key: the key
-//! covers every `SystemConfig` and `WorkloadSpec` field plus the seed, and
+//! covers every `SystemConfig` and `WorkloadSource` field plus the seed, and
 //! lane threads never change a report.
 
 // Event counts are far below 2^52, so u64 → f64 throughput math is exact
@@ -31,15 +31,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-use mgpu_system::runner::TimedRun;
 use mgpu_system::SimReport;
 use sim_engine::metrics::MetricsRegistry;
 
 /// Host-side cost of one completed grid job.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// Job label with the internal `\u{1}` app/scheme separator replaced by
-    /// `.` so it is printable and JSON-friendly (e.g. `KM.idyll`).
+    /// The cell's `row.scheme` label (e.g. `KM.idyll`, `VGG16.base`).
     pub label: String,
     /// Wall-clock seconds the job took on its worker thread.
     pub wall_secs: f64,
@@ -88,29 +86,13 @@ fn lock() -> std::sync::MutexGuard<'static, Ledger> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn push_records(ledger: &mut Ledger, runs: &[TimedRun]) {
-    for run in runs {
-        ledger.records.push(RunRecord {
-            label: run.scheme.replace('\u{1}', "."),
-            wall_secs: run.wall_secs,
-            events: run.report.events_processed,
-        });
-    }
-}
-
-/// Appends one record per timed run, without memoising the reports (for
-/// jobs that have no job key).
-pub fn record(runs: &[TimedRun]) {
-    push_records(&mut lock(), runs);
-}
-
 /// Plans a batch of cells keyed by job key: returns the reports this
 /// evaluation already holds for any of `keys`, and the index of the first
 /// cell of every other key, i.e. the cells left to simulate. Every cell not
 /// in that list (a ledger hit or a repeat within the batch) counts as
 /// reused.
 #[must_use]
-pub fn plan(keys: &[String]) -> (BTreeMap<String, SimReport>, Vec<usize>) {
+pub fn plan(keys: &[&str]) -> (BTreeMap<String, SimReport>, Vec<usize>) {
     let mut ledger = lock();
     let mut hits = BTreeMap::new();
     let mut misses = Vec::new();
@@ -119,9 +101,9 @@ pub fn plan(keys: &[String]) -> (BTreeMap<String, SimReport>, Vec<usize>) {
         if !seen.insert(key) {
             continue;
         }
-        match ledger.reports.get(key) {
+        match ledger.reports.get(*key) {
             Some(report) => {
-                hits.insert(key.clone(), report.clone());
+                hits.insert(key.to_string(), report.clone());
             }
             None => misses.push(i),
         }
@@ -130,13 +112,13 @@ pub fn plan(keys: &[String]) -> (BTreeMap<String, SimReport>, Vec<usize>) {
     (hits, misses)
 }
 
-/// Records the runs of a batch's misses and memoises each report under its
-/// job key (`keys[i]` belongs to `runs[i]`).
-pub fn store(keys: &[String], runs: &[TimedRun]) {
+/// Records the simulations a plan ran and memoises each report under its
+/// job key.
+pub fn store(runs: impl IntoIterator<Item = (String, RunRecord, SimReport)>) {
     let mut ledger = lock();
-    push_records(&mut ledger, runs);
-    for (key, run) in keys.iter().zip(runs) {
-        ledger.reports.insert(key.clone(), run.report.clone());
+    for (key, record, report) in runs {
+        ledger.records.push(record);
+        ledger.reports.insert(key, report);
     }
 }
 
@@ -223,33 +205,34 @@ pub fn summary_line() -> String {
 mod tests {
     use super::*;
 
-    fn timed(label: &str, secs: f64, events: u64) -> TimedRun {
-        TimedRun {
-            scheme: label.to_string(),
-            report: SimReport {
-                events_processed: events,
-                ..Default::default()
-            },
+    fn run(key: &str, label: &str, secs: f64, events: u64) -> (String, RunRecord, SimReport) {
+        let record = RunRecord {
+            label: label.to_string(),
             wall_secs: secs,
-        }
+            events,
+        };
+        let report = SimReport {
+            events_processed: events,
+            ..Default::default()
+        };
+        (key.to_string(), record, report)
     }
 
     // The recorder is process-global and other bench tests run grids in
     // parallel, so assertions are containment/≥-style, never exact counts.
     #[test]
-    fn record_sanitizes_labels_and_registry_exports_them() {
-        record(&[
-            timed("KM\u{1}idyll", 2.0, 1000),
-            timed("BS\u{1}base", 0.0, 7),
+    fn store_memoises_and_registry_exports_the_records() {
+        store([
+            run("unit-test-km", "KM.idyll", 2.0, 1000),
+            run("unit-test-bs", "BS.base", 0.0, 7),
         ]);
+        let (hits, misses) = plan(&["unit-test-km", "unit-test-none"]);
+        assert_eq!(hits["unit-test-km"].events_processed, 1000);
+        assert_eq!(misses, vec![1]);
         let snap = snapshot();
         assert!(snap
             .iter()
             .any(|r| r.label == "KM.idyll" && r.events == 1000));
-        assert!(
-            snap.iter().all(|r| !r.label.contains('\u{1}')),
-            "labels must be sanitized"
-        );
         let zero = snap
             .iter()
             .find(|r| r.label == "BS.base")

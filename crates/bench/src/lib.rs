@@ -1,32 +1,41 @@
-//! Experiment harness: one function per paper table/figure.
+//! Experiment harness: one [`Figure`] per paper table/figure.
 //!
-//! Every function runs the required scheme × workload grid on the simulator
-//! and renders a text table shaped like the corresponding figure in the
-//! paper (rows = applications in figure order, columns = schemes/series,
-//! plus the paper's `Ave.` row). The `all_figures` binary (`--only <id>`
-//! for one figure) and perfbench call into here; EXPERIMENTS.md records
-//! the outputs next to the paper's numbers.
+//! A figure is its cells (the scheme × workload simulations it needs) plus
+//! a pure render of their reports into a text table shaped like the
+//! corresponding figure in the paper (rows = applications in figure order,
+//! columns = schemes/series, plus the paper's `Ave.` row). [`evaluate`]
+//! runs any set of figures through one plan: every cell is keyed by
+//! `job_key`, the distinct cells the evaluation has not simulated yet run
+//! on one job pool, and each figure renders from its own cells' reports.
+//! The `all_figures` binary (`--only <id>` for one figure) and perfbench
+//! call into here; EXPERIMENTS.md records the outputs next to the paper's
+//! numbers.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use idyll_bench::{Harness, HarnessConfig};
-//! let h = Harness::new(HarnessConfig::from_env());
-//! println!("{}", h.fig11().expect("simulation succeeds"));
+//! use idyll_bench::{evaluate, Harness, HarnessConfig, FIGURES};
+//! let h = Harness::new(HarnessConfig::from_env().expect("valid IDYLL_* variables"));
+//! let fig11 = FIGURES.iter().filter(|f| f.id == "fig11").copied();
+//! for text in evaluate(&h, &fig11.collect::<Vec<_>>()) {
+//!     println!("{}", text.expect("simulation succeeds"));
+//! }
 //! ```
 
 use std::collections::BTreeMap;
 
-use idyll_core::irmb::IrmbConfig;
-use idyll_core::transfw::TransFwConfig;
 use mgpu_system::canon::job_key;
-use mgpu_system::config::{DirectoryMode, IdyllConfig, SystemConfig};
-use mgpu_system::runner::{format_table, run_jobs_timed, Job};
+use mgpu_system::config::{IdyllConfig, SystemConfig};
 use mgpu_system::system::SimError;
 use mgpu_system::SimReport;
 use uvm_driver::policy::MigrationPolicy;
-use workloads::dnn::{generate_dnn, DnnModel, DnnSpec};
-use workloads::{AppId, Scale, WorkloadSpec};
+use workloads::{Scale, WorkloadSource};
+
+mod figures;
+pub mod grid_metrics;
+mod pool;
+
+pub use figures::FIGURES;
 
 /// Harness-wide knobs.
 #[derive(Debug, Clone, Copy)]
@@ -44,37 +53,54 @@ pub struct HarnessConfig {
     pub seed: u64,
 }
 
+/// Reads `name`: `default` when it is unset, its parsed value when `parse`
+/// accepts it, else an error naming the variable and the `accepted` values.
+fn env_var<T>(
+    name: &str,
+    default: T,
+    accepted: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => Ok(default),
+        Ok(value) => parse(&value)
+            .ok_or_else(|| format!("{name}={value:?} is not valid; accepted: {accepted}")),
+        Err(std::env::VarError::NotUnicode(value)) => Err(format!(
+            "{name}={value:?} is not valid; accepted: {accepted}"
+        )),
+    }
+}
+
 impl HarnessConfig {
     /// Reads `IDYLL_SCALE`, `IDYLL_THREADS`, `IDYLL_SIM_THREADS` and
-    /// `IDYLL_SEED` from the environment.
-    pub fn from_env() -> Self {
-        let scale = match std::env::var("IDYLL_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("test") => Scale::Test,
-            _ => Scale::Small,
-        };
-        let threads = std::env::var("IDYLL_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            });
-        let sim_threads = std::env::var("IDYLL_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let seed = std::env::var("IDYLL_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        HarnessConfig {
+    /// `IDYLL_SEED` from the environment; an unset variable keeps its
+    /// default (`small`, the available parallelism, 1 and 42).
+    ///
+    /// # Errors
+    /// A set variable whose value is not one of the accepted values, named
+    /// in the message.
+    pub fn from_env() -> Result<Self, String> {
+        let scale = env_var(
+            "IDYLL_SCALE",
+            Scale::Small,
+            "test, small, full",
+            |v| match v {
+                "test" => Some(Scale::Test),
+                "small" => Some(Scale::Small),
+                "full" => Some(Scale::Full),
+                _ => None,
+            },
+        )?;
+        let parallelism = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let count = "a non-negative integer";
+        Ok(HarnessConfig {
             scale,
-            threads,
-            sim_threads,
-            seed,
-        }
+            threads: env_var("IDYLL_THREADS", parallelism, count, |v| v.parse().ok())?,
+            sim_threads: env_var("IDYLL_SIM_THREADS", 1, count, |v| v.parse().ok())?,
+            seed: env_var("IDYLL_SEED", 42, "an unsigned 64-bit integer", |v| {
+                v.parse().ok()
+            })?,
+        })
     }
 }
 
@@ -87,20 +113,6 @@ impl Default for HarnessConfig {
             seed: 42,
         }
     }
-}
-
-pub mod grid_metrics;
-
-/// `results[app][scheme]` for a completed grid.
-pub type Grid = BTreeMap<String, BTreeMap<String, SimReport>>;
-
-/// One grid cell described by value; its workload is generated when it runs.
-struct Cell {
-    /// `{row}\u{1}{scheme}` composite key, split again by `collect_grid`.
-    scheme: String,
-    config: SystemConfig,
-    spec: WorkloadSpec,
-    seed: u64,
 }
 
 /// The experiment harness.
@@ -143,791 +155,173 @@ impl Harness {
         cfg
     }
 
+    /// Baseline with free (zero-latency) invalidations.
     fn zerolat(&self, n_gpus: usize) -> SystemConfig {
         let mut cfg = self.baseline(n_gpus);
         cfg.zero_latency_invalidation = true;
         cfg
     }
-
-    /// Runs jobs on the grid's thread pool, recording per-run wall-clock and
-    /// event counts into [`grid_metrics`] before stripping the timing. The
-    /// reports are not memoised: these jobs have no `WorkloadSpec` key.
-    fn run_jobs_recorded(&self, jobs: Vec<Job>) -> Result<Vec<(String, SimReport)>, SimError> {
-        let timed = run_jobs_timed(jobs, self.cfg.threads, self.cfg.sim_threads)?;
-        grid_metrics::record(&timed);
-        Ok(timed.into_iter().map(|t| (t.scheme, t.report)).collect())
-    }
-
-    /// Runs spec-level grid cells through the evaluation ledger: each cell
-    /// is keyed by `job_key`, cells this evaluation already simulated (or
-    /// that repeat within the batch) are served from the ledger, and only
-    /// the distinct misses have their workload generated and run. Results
-    /// come back in cell order, assembled from a batch-local map so that a
-    /// concurrent `grid_metrics::clear` can cost a re-simulation but never
-    /// a missing report.
-    fn run_cells_recorded(&self, cells: Vec<Cell>) -> Result<Vec<(String, SimReport)>, SimError> {
-        let keys: Vec<String> = cells
-            .iter()
-            .map(|c| job_key(&c.config, &c.spec, c.seed))
-            .collect();
-        let (mut done, misses) = grid_metrics::plan(&keys);
-        let jobs = misses
-            .iter()
-            .map(|&i| {
-                let cell = &cells[i];
-                Job {
-                    workload: workloads::generate(&cell.spec, cell.config.n_gpus, cell.seed),
-                    scheme: cell.scheme.clone(),
-                    config: cell.config.clone(),
-                }
-            })
-            .collect();
-        let miss_keys: Vec<String> = misses.iter().map(|&i| keys[i].clone()).collect();
-        let timed = run_jobs_timed(jobs, self.cfg.threads, self.cfg.sim_threads)?;
-        grid_metrics::store(&miss_keys, &timed);
-        done.extend(
-            miss_keys
-                .into_iter()
-                .zip(timed.into_iter().map(|t| t.report)),
-        );
-        Ok(cells
-            .into_iter()
-            .zip(&keys)
-            .map(|(cell, key)| (cell.scheme, done[key].clone()))
-            .collect())
-    }
-
-    /// Runs `schemes` over the given apps at this harness's scale; returns
-    /// `results[app][scheme]`.
-    ///
-    /// # Errors
-    /// Propagates the first [`SimError`].
-    pub fn run_grid(
-        &self,
-        apps: &[AppId],
-        schemes: &[(&str, SystemConfig)],
-    ) -> Result<Grid, SimError> {
-        let mut cells = Vec::new();
-        for &app in apps {
-            for (name, cfg) in schemes {
-                cells.push(Cell {
-                    scheme: format!("{app}\u{1}{name}"),
-                    config: cfg.clone(),
-                    spec: WorkloadSpec::paper_default(app, self.cfg.scale),
-                    seed: self.cfg.seed,
-                });
-            }
-        }
-        collect_grid(self.run_cells_recorded(cells)?)
-    }
-
-    fn rows(
-        &self,
-        apps: &[AppId],
-        grid: &Grid,
-        columns: &[&str],
-        cell: impl Fn(&BTreeMap<String, SimReport>, &str) -> f64,
-    ) -> Vec<(&'static str, Vec<f64>)> {
-        apps.iter()
-            .map(|app| {
-                let per_app = &grid[app.name()];
-                (
-                    app.name(),
-                    columns.iter().map(|c| cell(per_app, c)).collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// Table 2: prints the baseline configuration.
-    pub fn table2(&self) -> String {
-        let cfg = self.baseline(4);
-        let mut s = String::from("Table 2: baseline multi-GPU configuration\n");
-        s.push_str(&format!("  CUs per GPU            : {}\n", cfg.gpu.cus));
-        s.push_str(&format!(
-            "  Warps per CU           : {}\n",
-            cfg.gpu.warps_per_cu
-        ));
-        s.push_str(&format!(
-            "  L1 TLB                 : {} entries, {}-way, {} lookup\n",
-            cfg.gpu.l1_tlb.entries, cfg.gpu.l1_tlb.ways, cfg.gpu.l1_tlb.latency
-        ));
-        s.push_str(&format!(
-            "  L2 TLB                 : {} entries, {}-way, {} lookup\n",
-            cfg.gpu.l2_tlb.entries, cfg.gpu.l2_tlb.ways, cfg.gpu.l2_tlb.latency
-        ));
-        s.push_str(&format!(
-            "  Page walkers           : {} threads, {} per level\n",
-            cfg.gpu.gmmu.walker_threads, cfg.gpu.gmmu.walker.per_level_latency
-        ));
-        s.push_str(&format!(
-            "  Page-walk cache        : {} entries\n",
-            cfg.gpu.gmmu.pwc_entries
-        ));
-        s.push_str(&format!(
-            "  Page-walk queue        : {} entries\n",
-            cfg.gpu.gmmu.walk_queue_entries
-        ));
-        s.push_str(&format!(
-            "  Access counter thresh. : {} (paper: 256; scaled, DESIGN.md §6)\n",
-            self.cfg.scale.counter_threshold()
-        ));
-        s.push_str(&format!(
-            "  Inter-GPU network      : {:.0} B/cy NVLink-v2\n",
-            cfg.interconnect.nvlink_bytes_per_cycle
-        ));
-        s.push_str(&format!(
-            "  CPU-GPU network        : {:.0} B/cy PCIe-v4\n",
-            cfg.interconnect.pcie_bytes_per_cycle
-        ));
-        s.push_str(&format!("  Page size              : {}\n", cfg.page_size));
-        s
-    }
-
-    /// Table 3: applications, suites, patterns, measured vs paper MPKI.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn table3(&self) -> Result<String, SimError> {
-        let schemes = [("base", self.baseline(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let mut s =
-            String::from("Table 3: applications (measured MPKI from baseline simulation)\n");
-        s.push_str(&format!(
-            "{:<6}{:<24}{:<16}{:>12}{:>12}\n",
-            "app", "suite", "pattern", "paper MPKI", "sim MPKI"
-        ));
-        for app in AppId::ALL {
-            let r = &grid[app.name()]["base"];
-            s.push_str(&format!(
-                "{:<6}{:<24}{:<16}{:>12.2}{:>12.2}\n",
-                app.name(),
-                app.suite(),
-                format!("{:?}", app.pattern()),
-                app.paper_mpki(),
-                r.mpki()
-            ));
-        }
-        Ok(s)
-    }
-
-    /// Figure 1: page-table invalidation overhead as % of execution time,
-    /// measured by differential simulation (baseline vs zero-latency
-    /// invalidation) on a 2-GPU system, for the paper's six profiled apps.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig01(&self) -> Result<String, SimError> {
-        let apps = [
-            AppId::Mt,
-            AppId::Mm,
-            AppId::Pr,
-            AppId::St,
-            AppId::Sc,
-            AppId::Km,
-        ];
-        let schemes = [("base", self.baseline(2)), ("zerolat", self.zerolat(2))];
-        let grid = self.run_grid(&apps, &schemes)?;
-        let rows = self.rows(&apps, &grid, &["overhead%"], |per, _| {
-            let base = per["base"].exec_cycles as f64;
-            let ideal = per["zerolat"].exec_cycles as f64;
-            ((base - ideal) / base * 100.0).max(0.0)
-        });
-        Ok(format_table(
-            "Figure 1: page table invalidation overhead (% of execution time, 2 GPUs; paper avg ~42%)",
-            &["overhead%"],
-            &rows,
-            1,
-        ))
-    }
-
-    /// Figure 2: migration-policy comparison, normalised to access-counter
-    /// based migration.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig02(&self) -> Result<String, SimError> {
-        let mut first_touch = self.baseline(4);
-        first_touch.policy = MigrationPolicy::FirstTouch;
-        let mut on_touch = self.baseline(4);
-        on_touch.policy = MigrationPolicy::OnTouch;
-        let schemes = [
-            ("counter", self.baseline(4)),
-            ("first-touch", first_touch),
-            ("on-touch", on_touch),
-            ("zerolat", self.zerolat(4)),
-        ];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = ["first-touch", "on-touch", "zerolat"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            per[c].speedup_vs(&per["counter"])
-        });
-        Ok(format_table(
-            "Figure 2: performance relative to access-counter-based migration (higher is better)",
-            &cols,
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 4: distribution of accesses referencing shared pages.
-    ///
-    /// # Errors
-    /// Never fails in practice (no simulation involved).
-    pub fn fig04(&self) -> Result<String, SimError> {
-        let n = 4;
-        let mut rows = Vec::new();
-        for app in AppId::ALL {
-            let spec = WorkloadSpec::paper_default(app, self.cfg.scale);
-            let wl = workloads::generate(&spec, n, self.cfg.seed);
-            let dist = wl.access_sharing_distribution();
-            rows.push((app.name(), dist.iter().map(|v| v * 100.0).collect()));
-        }
-        Ok(format_table(
-            "Figure 4: % of accesses to pages shared by k GPUs",
-            &["1 GPU", "2 GPUs", "3 GPUs", "4 GPUs"],
-            &rows,
-            1,
-        ))
-    }
-
-    /// Figure 5: walker request mix (demand vs necessary vs unnecessary
-    /// invalidations) in the baseline.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig05(&self) -> Result<String, SimError> {
-        let schemes = [("base", self.baseline(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = ["demand%", "necessary%", "unnecessary%"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            let mix = per["base"].walker_mix;
-            let denom = (mix.demand + mix.invalidations()) as f64;
-            if denom == 0.0 {
-                return 0.0;
-            }
-            match c {
-                "demand%" => mix.demand as f64 / denom * 100.0,
-                "necessary%" => mix.invalidation_necessary as f64 / denom * 100.0,
-                _ => mix.invalidation_unnecessary as f64 / denom * 100.0,
-            }
-        });
-        Ok(format_table(
-            "Figure 5: page-walker request mix (paper: invalidations ~27.2% of requests, ~32% of them unnecessary)",
-            &cols,
-            &rows,
-            1,
-        ))
-    }
-
-    /// Figure 6: demand TLB miss latency, baseline vs eliminating
-    /// invalidation contention (relative total latency + actual mean
-    /// cycles).
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig06(&self) -> Result<String, SimError> {
-        let schemes = [("base", self.baseline(4)), ("no-inval", self.zerolat(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = ["relative", "base cycles", "no-inv cycles"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| match c {
-            "relative" => per["no-inval"].relative_demand_latency(&per["base"]),
-            "base cycles" => per["base"].demand_miss_latency.mean().unwrap_or(0.0),
-            _ => per["no-inval"].demand_miss_latency.mean().unwrap_or(0.0),
-        });
-        Ok(format_table(
-            "Figure 6: demand TLB miss latency without invalidation contention (paper: 55.8% reduction)",
-            &cols,
-            &rows,
-            2,
-        ))
-    }
-
-    /// Figure 7: page-migration waiting latency share of total migration
-    /// latency in the baseline.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig07(&self) -> Result<String, SimError> {
-        let schemes = [("base", self.baseline(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = ["waiting%", "wait cycles", "total cycles"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            let r = &per["base"];
-            match c {
-                "waiting%" => {
-                    let total = r.migration_total.sum();
-                    if total == 0.0 {
-                        0.0
-                    } else {
-                        r.migration_waiting.sum() / total * 100.0
-                    }
-                }
-                "wait cycles" => r.migration_waiting.mean().unwrap_or(0.0),
-                _ => r.migration_total.mean().unwrap_or(0.0),
-            }
-        });
-        Ok(format_table(
-            "Figure 7: migration waiting latency (paper: 38.3% of migration latency; ~854 of ~2230 cycles)",
-            &cols,
-            &rows,
-            1,
-        ))
-    }
-
-    /// Figure 11: overall performance of the IDYLL design points relative
-    /// to baseline.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig11(&self) -> Result<String, SimError> {
-        let mut only_lazy = self.baseline(4);
-        only_lazy.idyll = Some(IdyllConfig::only_lazy());
-        let mut only_dir = self.baseline(4);
-        only_dir.idyll = Some(IdyllConfig::only_directory());
-        let mut inmem = self.baseline(4);
-        inmem.idyll = Some(IdyllConfig::in_mem());
-        let schemes = [
-            ("base", self.baseline(4)),
-            ("only-lazy", only_lazy),
-            ("only-in-pte", only_dir),
-            ("idyll-inmem", inmem),
-            ("idyll", self.idyll(4)),
-            ("zerolat", self.zerolat(4)),
-        ];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = [
-            "only-lazy",
-            "only-in-pte",
-            "idyll-inmem",
-            "idyll",
-            "zerolat",
-        ];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            per[c].speedup_vs(&per["base"])
-        });
-        Ok(format_table(
-            "Figure 11: performance relative to baseline (paper: lazy 1.558x, in-PTE 1.273x, InMem 1.70x, IDYLL 1.699x)",
-            &cols,
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 12: demand TLB miss latency under IDYLL relative to baseline.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig12(&self) -> Result<String, SimError> {
-        let schemes = [("base", self.baseline(4)), ("idyll", self.idyll(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let rows = self.rows(&AppId::ALL, &grid, &["relative"], |per, _| {
-            per["idyll"].relative_demand_latency(&per["base"])
-        });
-        Ok(format_table(
-            "Figure 12: IDYLL demand TLB miss latency relative to baseline (paper avg ~0.40)",
-            &["relative"],
-            &rows,
-            2,
-        ))
-    }
-
-    /// Figure 13: invalidation request count and total latency under IDYLL
-    /// relative to baseline.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig13(&self) -> Result<String, SimError> {
-        let schemes = [("base", self.baseline(4)), ("idyll", self.idyll(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = ["latency ratio", "count ratio"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| match c {
-            "latency ratio" => per["idyll"].relative_invalidation_latency(&per["base"]),
-            _ => {
-                let b = per["base"].invalidation_messages as f64;
-                if b == 0.0 {
-                    0.0
-                } else {
-                    per["idyll"].invalidation_messages as f64 / b
-                }
-            }
-        });
-        Ok(format_table(
-            "Figure 13: IDYLL invalidation latency/count relative to baseline (paper: latency 0.32, count 0.68)",
-            &cols,
-            &rows,
-            2,
-        ))
-    }
-
-    /// Figure 14: migration waiting latency under IDYLL relative to
-    /// baseline.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig14(&self) -> Result<String, SimError> {
-        let schemes = [("base", self.baseline(4)), ("idyll", self.idyll(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let rows = self.rows(&AppId::ALL, &grid, &["relative"], |per, _| {
-            per["idyll"].relative_migration_waiting(&per["base"])
-        });
-        Ok(format_table(
-            "Figure 14: IDYLL migration waiting latency relative to baseline (paper avg ~0.29)",
-            &["relative"],
-            &rows,
-            2,
-        ))
-    }
-
-    /// Figure 15: IRMB geometry sensitivity.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig15(&self) -> Result<String, SimError> {
-        let geometries = [(16, 8), (16, 16), (32, 8), (32, 16), (64, 16)];
-        let mut schemes: Vec<(String, SystemConfig)> = vec![("base".into(), self.baseline(4))];
-        for (bases, offsets) in geometries {
-            let mut cfg = self.idyll(4);
-            cfg.idyll = Some(IdyllConfig {
-                irmb: IrmbConfig::new(bases, offsets),
-                ..IdyllConfig::full()
-            });
-            schemes.push((format!("({bases},{offsets})"), cfg));
-        }
-        let scheme_refs: Vec<(&str, SystemConfig)> = schemes
-            .iter()
-            .map(|(n, c)| (n.as_str(), c.clone()))
-            .collect();
-        let grid = self.run_grid(&AppId::ALL, &scheme_refs)?;
-        let cols: Vec<&str> = schemes[1..].iter().map(|(n, _)| n.as_str()).collect();
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            per[c].speedup_vs(&per["base"])
-        });
-        Ok(format_table(
-            "Figure 15: IDYLL speedup vs baseline across IRMB geometries (paper: (16,8) 1.448x … (64,16) 1.769x)",
-            &cols,
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 16: sensitivity to page-table-walker thread count.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig16(&self) -> Result<String, SimError> {
-        let mut schemes: Vec<(String, SystemConfig)> = Vec::new();
-        for threads in [16usize, 32] {
-            let mut base = self.baseline(4);
-            base.gpu.gmmu.walker_threads = threads;
-            let mut idy = self.idyll(4);
-            idy.gpu.gmmu.walker_threads = threads;
-            schemes.push((format!("base{threads}"), base));
-            schemes.push((format!("idyll{threads}"), idy));
-        }
-        let scheme_refs: Vec<(&str, SystemConfig)> = schemes
-            .iter()
-            .map(|(n, c)| (n.as_str(), c.clone()))
-            .collect();
-        let grid = self.run_grid(&AppId::ALL, &scheme_refs)?;
-        let cols = ["16 threads", "32 threads"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            if c.starts_with("16") {
-                per["idyll16"].speedup_vs(&per["base16"])
-            } else {
-                per["idyll32"].speedup_vs(&per["base32"])
-            }
-        });
-        Ok(format_table(
-            "Figure 16: IDYLL speedup with 16/32 walker threads (paper: 1.60x / 1.433x)",
-            &cols,
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 17: 2048-entry L2 TLB.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig17(&self) -> Result<String, SimError> {
-        let mut base = self.baseline(4);
-        base.gpu.l2_tlb = vm_model::tlb::TlbConfig::large_l2();
-        let mut idy = self.idyll(4);
-        idy.gpu.l2_tlb = vm_model::tlb::TlbConfig::large_l2();
-        let schemes = [("base2048", base), ("idyll2048", idy)];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let rows = self.rows(&AppId::ALL, &grid, &["speedup"], |per, _| {
-            per["idyll2048"].speedup_vs(&per["base2048"])
-        });
-        Ok(format_table(
-            "Figure 17: IDYLL speedup with a 2048-entry L2 TLB (paper: 1.614x)",
-            &["speedup"],
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 18: 8- and 16-GPU systems.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig18(&self) -> Result<String, SimError> {
-        self.gpu_scaling(
-            &[8, 16],
-            11,
-            "Figure 18: IDYLL speedup with 8/16 GPUs (paper: 1.753x / 1.791x)",
-        )
-    }
-
-    /// Figure 19: 4 directory access bits at 8/16/32 GPUs.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig19(&self) -> Result<String, SimError> {
-        self.gpu_scaling(
-            &[8, 16, 32],
-            4,
-            "Figure 19: IDYLL speedup with 4 access bits at 8/16/32 GPUs (paper: 1.565x/1.571x/1.701x)",
-        )
-    }
-
-    fn gpu_scaling(
-        &self,
-        counts: &[usize],
-        access_bits: u32,
-        title: &str,
-    ) -> Result<String, SimError> {
-        let mut schemes: Vec<(String, SystemConfig)> = Vec::new();
-        for &n in counts {
-            let base = self.baseline(n);
-            let mut idy = self.idyll(n);
-            idy.idyll = Some(IdyllConfig {
-                directory: DirectoryMode::InPte { access_bits },
-                ..IdyllConfig::full()
-            });
-            schemes.push((format!("base{n}"), base));
-            schemes.push((format!("idyll{n}"), idy));
-        }
-        let scheme_refs: Vec<(&str, SystemConfig)> = schemes
-            .iter()
-            .map(|(n, c)| (n.as_str(), c.clone()))
-            .collect();
-        let grid = self.run_grid(&AppId::ALL, &scheme_refs)?;
-        let cols: Vec<String> = counts.iter().map(|n| format!("{n} GPUs")).collect();
-        let col_refs: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
-        let rows = self.rows(&AppId::ALL, &grid, &col_refs, |per, c| {
-            let n: usize = c.split(' ').next().expect("count").parse().expect("int");
-            per[&format!("idyll{n}")].speedup_vs(&per[&format!("base{n}")])
-        });
-        Ok(format_table(title, &col_refs, &rows, 3))
-    }
-
-    /// Figure 20: access-counter threshold sensitivity (T vs 2T, mirroring
-    /// the paper's 256 vs 512).
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig20(&self) -> Result<String, SimError> {
-        let t = self.cfg.scale.counter_threshold();
-        let double = MigrationPolicy::AccessCounter { threshold: t * 2 };
-        let mut base2 = self.baseline(4);
-        base2.policy = double;
-        let mut idy2 = self.idyll(4);
-        idy2.policy = double;
-        let schemes = [
-            ("baseT", self.baseline(4)),
-            ("idyllT", self.idyll(4)),
-            ("base2T", base2),
-            ("idyll2T", idy2),
-        ];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = ["idyll@T", "base@2T", "idyll@2T"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            let r = match c {
-                "idyll@T" => &per["idyllT"],
-                "base@2T" => &per["base2T"],
-                _ => &per["idyll2T"],
-            };
-            r.speedup_vs(&per["baseT"])
-        });
-        Ok(format_table(
-            "Figure 20: threshold sensitivity, normalised to baseline@T (paper: idyll@256 1.699x, base@512 0.90x, idyll@512 ~1.17x)",
-            &cols,
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 21: 2 MiB pages with enlarged inputs.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig21(&self) -> Result<String, SimError> {
-        let base = self.baseline(4).with_large_pages();
-        let idy = self.idyll(4).with_large_pages();
-        let schemes = [("base2M", base), ("idyll2M", idy)];
-        // Enlarged inputs (§7.3) to stress the 2 MiB reach.
-        let mut cells = Vec::new();
-        for app in AppId::ALL {
-            let spec = WorkloadSpec::paper_default(app, self.cfg.scale).enlarged(4);
-            for (name, cfg) in &schemes {
-                cells.push(Cell {
-                    scheme: format!("{app}\u{1}{name}"),
-                    config: cfg.clone(),
-                    spec: spec.clone(),
-                    seed: self.cfg.seed,
-                });
-            }
-        }
-        let grid = collect_grid(self.run_cells_recorded(cells)?)?;
-        let rows = self.rows(&AppId::ALL, &grid, &["speedup"], |per, _| {
-            per["idyll2M"].speedup_vs(&per["base2M"])
-        });
-        Ok(format_table(
-            "Figure 21: IDYLL speedup with 2MB pages (paper: 1.363x average)",
-            &["speedup"],
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 22: IDYLL vs page replication.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig22(&self) -> Result<String, SimError> {
-        let mut repl = self.baseline(4);
-        repl.replication = true;
-        let schemes = [("replication", repl), ("idyll", self.idyll(4))];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let rows = self.rows(&AppId::ALL, &grid, &["idyll/replication"], |per, _| {
-            per["idyll"].speedup_vs(&per["replication"])
-        });
-        Ok(format_table(
-            "Figure 22: IDYLL relative to page replication (paper: 1.25x average; biggest on write-heavy IM/C2D)",
-            &["idyll/replication"],
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 23: comparison and combination with Trans-FW.
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig23(&self) -> Result<String, SimError> {
-        let mut transfw = self.baseline(4);
-        transfw.transfw = Some(TransFwConfig::default());
-        let mut combined = self.idyll(4);
-        combined.transfw = Some(TransFwConfig::default());
-        let schemes = [
-            ("base", self.baseline(4)),
-            ("trans-fw", transfw),
-            ("idyll", self.idyll(4)),
-            ("combined", combined),
-        ];
-        let grid = self.run_grid(&AppId::ALL, &schemes)?;
-        let cols = ["trans-fw", "idyll", "idyll+trans-fw"];
-        let rows = self.rows(&AppId::ALL, &grid, &cols, |per, c| {
-            let r = match c {
-                "trans-fw" => &per["trans-fw"],
-                "idyll" => &per["idyll"],
-                _ => &per["combined"],
-            };
-            r.speedup_vs(&per["base"])
-        });
-        Ok(format_table(
-            "Figure 23: Trans-FW vs IDYLL vs combination (paper: 1.30x / 1.699x / 1.863x)",
-            &cols,
-            &rows,
-            3,
-        ))
-    }
-
-    /// Figure 24: DNN workloads (VGG16, ResNet18).
-    ///
-    /// # Errors
-    /// Propagates simulation failures.
-    pub fn fig24(&self) -> Result<String, SimError> {
-        let mut jobs = Vec::new();
-        for model in [DnnModel::Vgg16, DnnModel::Resnet18] {
-            let spec = match self.cfg.scale {
-                Scale::Test => DnnSpec::test_default(model),
-                _ => DnnSpec::paper_default(model),
-            };
-            let wl = generate_dnn(&spec, 4, self.cfg.seed);
-            for (name, cfg) in [("base", self.baseline(4)), ("idyll", self.idyll(4))] {
-                jobs.push(Job {
-                    scheme: format!("{model}\u{1}{name}"),
-                    config: cfg,
-                    workload: wl.clone(),
-                });
-            }
-        }
-        let grid = collect_grid(self.run_jobs_recorded(jobs)?)?;
-        let mut s = String::from(
-            "Figure 24: IDYLL on DNN workloads (paper: VGG16 +15.9%, ResNet18 +12.0%)\n",
-        );
-        for model in ["VGG16", "ResNet18"] {
-            let per = &grid[model];
-            s.push_str(&format!(
-                "{:<10} speedup = {:.3}x\n",
-                model,
-                per["idyll"].speedup_vs(&per["base"])
-            ));
-        }
-        Ok(s)
-    }
 }
 
-fn collect_grid(results: Vec<(String, SimReport)>) -> Result<Grid, SimError> {
-    let mut grid: Grid = BTreeMap::new();
-    for (key, report) in results {
-        let (row, scheme) = key.split_once('\u{1}').expect("composite key");
-        grid.entry(row.to_string())
-            .or_default()
-            .insert(scheme.to_string(), report);
+/// One simulation a figure needs, described by value; its trace is
+/// generated on the pool worker that runs it.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The figure row: an application or DNN model name.
+    pub row: &'static str,
+    /// The scheme (series) within the row.
+    pub scheme: String,
+    /// The simulated system.
+    pub config: SystemConfig,
+    /// What the trace is generated from.
+    pub source: WorkloadSource,
+    /// Workload seed.
+    pub seed: u64,
+}
+
+/// A figure's reports: one entry per row, in the order its cells first name
+/// the row, each holding that row's reports by scheme.
+pub type Grid = Vec<(&'static str, BTreeMap<String, SimReport>)>;
+
+/// One table or figure of the paper's evaluation.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The id `all_figures --only` takes and `results/<id>.txt` is named by.
+    pub id: &'static str,
+    /// The simulations the figure needs.
+    pub cells: fn(&Harness) -> Vec<Cell>,
+    /// Renders the figure from its cells' reports.
+    pub render: fn(&Harness, &Grid) -> String,
+}
+
+/// Evaluates `figures` through one plan and returns each figure's text in
+/// order. Every cell is keyed by `job_key`; cells this evaluation already
+/// simulated (see [`grid_metrics`]) or that repeat within the plan are
+/// reused, and the distinct misses run on one job pool. The reports are
+/// assembled from a plan-local map, so a concurrent `grid_metrics::clear`
+/// can cost a re-simulation but never a missing report.
+///
+/// # Errors
+/// A figure is `Err` with the first failure among its own cells; the other
+/// figures still render.
+pub fn evaluate(h: &Harness, figures: &[Figure]) -> Vec<Result<String, SimError>> {
+    let planned: Vec<Vec<(String, Cell)>> = figures
+        .iter()
+        .map(|f| {
+            (f.cells)(h)
+                .into_iter()
+                .map(|c| (job_key(&c.config, &c.source, c.seed), c))
+                .collect()
+        })
+        .collect();
+    let flat: Vec<&(String, Cell)> = planned.iter().flatten().collect();
+    let keys: Vec<&str> = flat.iter().map(|(key, _)| key.as_str()).collect();
+    let (hits, misses) = grid_metrics::plan(&keys);
+    let jobs: Vec<&Cell> = misses.iter().map(|&i| &flat[i].1).collect();
+    let runs = pool::run_jobs_timed(&jobs, h.cfg.threads, h.cfg.sim_threads);
+    grid_metrics::store(misses.iter().zip(&runs).filter_map(|(&i, run)| {
+        let run = run.as_ref().ok()?;
+        let (key, cell) = flat[i];
+        let record = grid_metrics::RunRecord {
+            label: format!("{}.{}", cell.row, cell.scheme),
+            wall_secs: run.wall_secs,
+            events: run.report.events_processed,
+        };
+        Some((key.clone(), record, run.report.clone()))
+    }));
+    let mut done: BTreeMap<String, Result<SimReport, SimError>> = hits
+        .into_iter()
+        .map(|(key, report)| (key, Ok(report)))
+        .collect();
+    for (&i, run) in misses.iter().zip(runs) {
+        done.insert(keys[i].to_string(), run.map(|r| r.report));
     }
-    Ok(grid)
+    figures
+        .iter()
+        .zip(&planned)
+        .map(|(figure, cells)| {
+            let mut grid = Grid::new();
+            for (key, cell) in cells {
+                let report = done[key.as_str()].clone()?;
+                let row = match grid.iter().position(|(row, _)| *row == cell.row) {
+                    Some(row) => row,
+                    None => {
+                        grid.push((cell.row, BTreeMap::new()));
+                        grid.len() - 1
+                    }
+                };
+                grid[row].1.insert(cell.scheme.clone(), report);
+            }
+            Ok((figure.render)(h, &grid))
+        })
+        .collect()
 }
 
 /// A lazily-evaluated figure generator.
 pub type FigureFn = fn(&Harness) -> Result<String, SimError>;
 
-/// All figure ids with their harness functions, used by the `all_figures`
-/// binary and perfbench. Lazy, so callers can evaluate and persist
-/// each figure incrementally.
+/// [`evaluate`] on `FIGURES[I]` alone.
+fn evaluate_one<const I: usize>(h: &Harness) -> Result<String, SimError> {
+    evaluate(h, &FIGURES[I..=I]).remove(0)
+}
+
+/// All figure ids with their generators, each [`evaluate`] on that figure
+/// alone; perfbench times them one by one. Lazy, so callers can evaluate
+/// and persist each figure incrementally.
 pub fn all_figures() -> Vec<(&'static str, FigureFn)> {
-    vec![
-        ("table2", |h| Ok(h.table2())),
-        ("table3", Harness::table3),
-        ("fig01", Harness::fig01),
-        ("fig02", Harness::fig02),
-        ("fig04", Harness::fig04),
-        ("fig05", Harness::fig05),
-        ("fig06", Harness::fig06),
-        ("fig07", Harness::fig07),
-        ("fig11", Harness::fig11),
-        ("fig12", Harness::fig12),
-        ("fig13", Harness::fig13),
-        ("fig14", Harness::fig14),
-        ("fig15", Harness::fig15),
-        ("fig16", Harness::fig16),
-        ("fig17", Harness::fig17),
-        ("fig18", Harness::fig18),
-        ("fig19", Harness::fig19),
-        ("fig20", Harness::fig20),
-        ("fig21", Harness::fig21),
-        ("fig22", Harness::fig22),
-        ("fig23", Harness::fig23),
-        ("fig24", Harness::fig24),
-    ]
+    macro_rules! by_index {
+        ($($i:literal)*) => {
+            vec![$((FIGURES[$i].id, evaluate_one::<$i> as FigureFn)),*]
+        };
+    }
+    by_index!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21)
+}
+
+/// Formats a figure-style table: rows = workloads (paper order), columns =
+/// series, cell = formatted value; appends an `Ave.` row using the
+/// arithmetic mean (as the paper's figures do).
+#[must_use]
+pub fn format_table(
+    title: &str,
+    columns: &[&str],
+    rows: &[(&str, Vec<f64>)],
+    precision: usize,
+) -> String {
+    use std::fmt::Write as _;
+    let mut s = String::new();
+    s.push_str(title);
+    s.push('\n');
+    let _ = write!(s, "{:<8}", "app");
+    for c in columns {
+        let _ = write!(s, "{c:>16}");
+    }
+    s.push('\n');
+    let mut sums = vec![0.0; columns.len()];
+    for (app, values) in rows {
+        let _ = write!(s, "{app:<8}");
+        for (i, v) in values.iter().enumerate() {
+            let _ = write!(s, "{v:>16.precision$}");
+            if let Some(sum) = sums.get_mut(i) {
+                *sum += v;
+            }
+        }
+        s.push('\n');
+    }
+    if !rows.is_empty() {
+        let _ = write!(s, "{:<8}", "Ave.");
+        for sum in sums {
+            let avg = sum / rows.len() as f64;
+            let _ = write!(s, "{avg:>16.precision$}");
+        }
+        s.push('\n');
+    }
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{AppId, WorkloadSpec};
 
     fn test_harness() -> Harness {
         Harness::new(HarnessConfig {
@@ -938,10 +332,21 @@ mod tests {
         })
     }
 
+    fn figure(id: &str) -> Figure {
+        *FIGURES.iter().find(|f| f.id == id).expect("known figure")
+    }
+
+    #[test]
+    fn every_figure_has_one_generator_in_order() {
+        let ids: Vec<&str> = all_figures().into_iter().map(|(id, _)| id).collect();
+        let expected: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+        assert_eq!(ids, expected);
+    }
+
     #[test]
     fn table2_mentions_key_parameters() {
-        let h = test_harness();
-        let t = h.table2();
+        let t = evaluate(&test_harness(), &[figure("table2")]).remove(0);
+        let t = t.expect("no simulation needed");
         assert!(t.contains("512 entries"));
         assert!(t.contains("8 threads"));
         assert!(t.contains("128 entries"));
@@ -949,22 +354,52 @@ mod tests {
 
     #[test]
     fn fig04_rows_sum_to_100() {
-        let h = test_harness();
-        let out = h.fig04().expect("no simulation needed");
+        let out = evaluate(&test_harness(), &[figure("fig04")]).remove(0);
+        let out = out.expect("no simulation needed");
         assert!(out.contains("MT"));
         assert!(out.contains("Ave."));
     }
 
     #[test]
     fn fig11_smoke_at_test_scale() {
-        let h = test_harness();
-        let out = h.fig11().expect("runs");
+        let out = evaluate(&test_harness(), &[figure("fig11")]).remove(0);
+        let out = out.expect("runs");
         assert!(out.contains("idyll"));
         assert!(out.contains("Ave."));
         // All nine apps appear.
         for app in AppId::ALL {
             assert!(out.contains(app.name()), "{out}");
         }
+    }
+
+    #[test]
+    fn a_failed_cell_fails_only_its_own_figure() {
+        let failing = Figure {
+            id: "failing",
+            cells: |h| {
+                let mut config = h.baseline(2);
+                config.max_events = 1;
+                vec![Cell {
+                    row: "BS",
+                    scheme: "limited".to_string(),
+                    config,
+                    source: WorkloadSource::App(WorkloadSpec::paper_default(
+                        AppId::Bs,
+                        h.config().scale,
+                    )),
+                    seed: h.config().seed,
+                }]
+            },
+            render: |_, _| unreachable!("a figure with a failed cell is not rendered"),
+        };
+        let out = evaluate(&test_harness(), &[failing, figure("fig12")]);
+        assert!(
+            matches!(out[0], Err(SimError::EventLimit(_))),
+            "{:?}",
+            out[0]
+        );
+        let fig12 = out[1].as_ref().expect("fig12 renders");
+        assert!(fig12.starts_with("Figure 12"));
     }
 
     #[test]
@@ -976,5 +411,20 @@ mod tests {
                 threshold: Scale::Test.counter_threshold()
             }
         );
+    }
+
+    #[test]
+    fn format_table_includes_average() {
+        let out = format_table(
+            "Fig X",
+            &["a", "b"],
+            &[("MT", vec![1.0, 2.0]), ("MM", vec![3.0, 4.0])],
+            2,
+        );
+        assert!(out.contains("Fig X"));
+        assert!(out.contains("MT"));
+        assert!(out.contains("Ave."));
+        assert!(out.contains("2.00")); // average of column a
+        assert!(out.contains("3.00")); // average of column b
     }
 }

@@ -4,7 +4,9 @@
 //! The ledger is process-global, so everything lives in one `#[test]`: no
 //! other test in this binary can clear it or add to it mid-check.
 
-use idyll_bench::{all_figures, grid_metrics, FigureFn, Harness, HarnessConfig};
+use idyll_bench::{
+    all_figures, evaluate, grid_metrics, Figure, FigureFn, Harness, HarnessConfig, FIGURES,
+};
 use workloads::Scale;
 
 fn harness() -> Harness {
@@ -14,6 +16,12 @@ fn harness() -> Harness {
         sim_threads: 1,
         seed: 7,
     })
+}
+
+fn figures(ids: &[&str]) -> Vec<Figure> {
+    ids.iter()
+        .map(|id| *FIGURES.iter().find(|f| f.id == *id).expect("known figure"))
+        .collect()
 }
 
 fn figure(id: &str) -> FigureFn {
@@ -49,15 +57,44 @@ fn ledger_shares_cells_within_an_evaluation_only() {
         );
     }
 
-    // (b) table3, fig05 and fig12 ask only for cells fig11 also runs, so
-    // the ledger simulates fig11's 54 distinct cells and nothing else.
+    // ... and so do the same figures evaluated in one plan.
     grid_metrics::clear();
-    for id in ["table3", "fig05", "fig11", "fig12"] {
+    let planned: Vec<String> = evaluate(&h, &figures(&ids))
+        .into_iter()
+        .map(|text| text.expect("figure runs"))
+        .collect();
+    assert_eq!(planned, alone, "one plan changed a figure's text");
+
+    // (b) table3, fig05 and fig12 ask only for cells fig11 also runs, so
+    // the ledger simulates fig11's 54 distinct cells and nothing else,
+    // whether the figures run one by one or in one plan.
+    let shared = ["table3", "fig05", "fig11", "fig12"];
+    grid_metrics::clear();
+    for id in shared {
         figure(id)(&h).expect("figure runs");
     }
-    assert_eq!(grid_metrics::snapshot().len(), 54);
+    let sequential = grid_metrics::snapshot();
+    assert_eq!(sequential.len(), 54);
     // 9 + 9 + 54 + 18 cells asked for, 54 simulated.
     assert_eq!(grid_metrics::reused(), 90 - 54);
+    grid_metrics::clear();
+    for text in evaluate(&h, &figures(&shared)) {
+        text.expect("figure runs");
+    }
+    let planned = grid_metrics::snapshot();
+    assert_eq!(planned.len(), 54);
+    assert_eq!(grid_metrics::reused(), 90 - 54);
+    let labels = |records: &[grid_metrics::RunRecord]| {
+        records
+            .iter()
+            .map(|r| (r.label.clone(), r.events))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        labels(&planned),
+        labels(&sequential),
+        "same runs, same order"
+    );
 
     // (c) `clear` is the evaluation boundary: nothing is served across it.
     grid_metrics::clear();

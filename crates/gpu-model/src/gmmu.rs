@@ -212,11 +212,6 @@ impl Gmmu {
         })
     }
 
-    /// Whether a dispatch could start right now.
-    pub fn can_dispatch(&self, now: Cycle) -> bool {
-        !self.queue.is_empty() && self.walkers.has_free(now)
-    }
-
     /// The earliest cycle a walker thread frees up.
     pub fn next_walker_free(&self) -> Cycle {
         self.walkers.earliest_free()

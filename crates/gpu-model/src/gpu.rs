@@ -175,11 +175,6 @@ impl Gpu {
     pub fn all_done(&self) -> bool {
         self.cus.iter().all(|cu| cu.all_done())
     }
-
-    /// Total memory accesses issued by this GPU.
-    pub fn accesses_issued(&self) -> u64 {
-        self.cus.iter().map(|cu| cu.issued_total()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //!
 //! A simulation cell is identified by *content*, not by name: [`job_key`]
 //! is a hash of the derived `Debug` rendering of
-//! `(SystemConfig, WorkloadSpec, seed)`. For that to be sound the rendering
+//! `(SystemConfig, WorkloadSource, seed)`, where the source is an
+//! application's `WorkloadSpec` or a `DnnSpec`. For that to be sound the rendering
 //! must be **total** (every field appears, so any change to the inputs
 //! changes the key) and **deterministic** (identical values render to
 //! identical bytes).
@@ -20,18 +21,18 @@
 //! ```
 //! use mgpu_system::canon;
 //! use mgpu_system::config::SystemConfig;
-//! use workloads::{AppId, Scale, WorkloadSpec};
+//! use workloads::{AppId, Scale, WorkloadSource, WorkloadSpec};
 //!
 //! let cfg = SystemConfig::idyll(4);
-//! let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
-//! let key = canon::job_key(&cfg, &spec, 42);
+//! let source = WorkloadSource::App(WorkloadSpec::paper_default(AppId::Km, Scale::Test));
+//! let key = canon::job_key(&cfg, &source, 42);
 //! assert_eq!(key.len(), 32); // 128-bit hex
 //! ```
 
 use std::hash::{BuildHasher, Hasher};
 
 use sim_engine::collections::DetState;
-use workloads::WorkloadSpec;
+use workloads::WorkloadSource;
 
 use crate::config::SystemConfig;
 use crate::metrics::SimReport;
@@ -62,14 +63,14 @@ fn hash_with_seed(seed: u64, bytes: &[u8]) -> u64 {
 
 /// The 128-bit content address of one simulation cell, as 32 lowercase hex
 /// digits: a fixed-seed hash of the configuration (which embeds the IDYLL
-/// mechanism set), the workload spec (which embeds the scale) and the
-/// workload seed.
+/// mechanism set), the workload source (whose spec embeds the scale) and
+/// the workload seed.
 ///
 /// Stable within a process and under the `IDYLL_HASH_SEED` hostile
 /// override; changes whenever any field of the inputs changes.
 #[must_use]
-pub fn job_key(cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> String {
-    let doc = format!("{cfg:?}\u{0}{spec:?}\u{0}{seed}");
+pub fn job_key(cfg: &SystemConfig, source: &WorkloadSource, seed: u64) -> String {
+    let doc = format!("{cfg:?}\u{0}{source:?}\u{0}{seed}");
     let lo = hash_with_seed(KEY_SEED_LO, doc.as_bytes());
     let hi = hash_with_seed(KEY_SEED_HI, doc.as_bytes());
     format!("{lo:016x}{hi:016x}")
@@ -82,7 +83,12 @@ mod tests {
     use idyll_core::transfw::TransFwConfig;
     use sim_engine::Cycle;
     use uvm_driver::policy::MigrationPolicy;
-    use workloads::{AppId, Scale};
+    use workloads::dnn::{DnnModel, DnnSpec};
+    use workloads::{AppId, Scale, WorkloadSpec};
+
+    fn app(app: AppId) -> WorkloadSource {
+        WorkloadSource::App(WorkloadSpec::paper_default(app, Scale::Test))
+    }
 
     /// A named one-field change to a configuration.
     type Mutation = (&'static str, fn(&mut SystemConfig));
@@ -90,7 +96,7 @@ mod tests {
     #[test]
     fn every_config_field_and_payload_changes_the_key() {
         let base = SystemConfig::idyll(4);
-        let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
+        let spec = app(AppId::Km);
         let key = job_key(&base, &spec, 42);
         let mutations: &[Mutation] = &[
             ("n_gpus", |c| c.n_gpus += 1),
@@ -151,7 +157,7 @@ mod tests {
     #[test]
     fn job_key_is_stable_and_input_sensitive() {
         let cfg = SystemConfig::idyll(4);
-        let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
+        let spec = app(AppId::Km);
         let key = job_key(&cfg, &spec, 42);
         assert_eq!(key.len(), 32);
         assert_eq!(key, job_key(&cfg, &spec, 42), "same inputs, same key");
@@ -163,19 +169,38 @@ mod tests {
         );
         assert_ne!(
             key,
-            job_key(
-                &cfg,
-                &WorkloadSpec::paper_default(AppId::Bs, Scale::Test),
-                42
-            ),
+            job_key(&cfg, &app(AppId::Bs), 42),
             "spec changes the key"
         );
     }
 
     #[test]
+    fn dnn_specs_are_keyed_apart_from_apps_and_by_every_field() {
+        let cfg = SystemConfig::idyll(4);
+        let vgg = DnnSpec::test_default(DnnModel::Vgg16);
+        let key = job_key(&cfg, &WorkloadSource::Dnn(vgg), 42);
+        assert_ne!(key, job_key(&cfg, &app(AppId::Km), 42));
+        let variants = [
+            DnnSpec::test_default(DnnModel::Resnet18),
+            DnnSpec::paper_default(DnnModel::Vgg16),
+            DnnSpec {
+                weight_sharing: 0.5,
+                ..vgg
+            },
+        ];
+        for spec in variants {
+            assert_ne!(
+                key,
+                job_key(&cfg, &WorkloadSource::Dnn(spec), 42),
+                "{spec:?}"
+            );
+        }
+    }
+
+    #[test]
     fn job_key_ignores_the_hostile_hash_seed() {
         let cfg = SystemConfig::test(2);
-        let spec = WorkloadSpec::paper_default(AppId::Mt, Scale::Test);
+        let spec = app(AppId::Mt);
         let before = job_key(&cfg, &spec, 7);
         // set_var is safe in edition 2021. DetState::default would react to
         // this; the key hashing must not.

@@ -1,7 +1,7 @@
 //! The full multi-GPU system simulator: wires the GPU models, the UVM
 //! driver, the interconnect and the IDYLL mechanisms into one deterministic
-//! discrete-event simulation, and provides the experiment runner used by the
-//! per-figure benchmark harness.
+//! discrete-event simulation. The figure harness (`idyll-bench`) runs its
+//! cells on this crate's [`System`].
 //!
 //! # Example
 //!
@@ -19,7 +19,6 @@
 pub mod canon;
 pub mod config;
 pub mod metrics;
-pub mod runner;
 pub mod system;
 
 pub use config::{DirectoryMode, IdyllConfig, SystemConfig};

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::stats::{Accumulator, Counter, Histogram};
+use crate::stats::Accumulator;
 use crate::trace::escape_json;
 
 /// One registered metric.
@@ -48,17 +48,6 @@ pub enum MetricValue {
         /// Maximum, absent when empty.
         max: Option<f64>,
     },
-    /// Summary of a [`Histogram`] (approximate upper-edge quantiles).
-    Quantiles {
-        /// Number of samples.
-        count: u64,
-        /// Median upper edge.
-        p50: Option<u64>,
-        /// 90th-percentile upper edge.
-        p90: Option<u64>,
-        /// 99th-percentile upper edge.
-        p99: Option<u64>,
-    },
 }
 
 /// Flat map from dotted metric name to value; insertion-order independent.
@@ -78,11 +67,6 @@ impl MetricsRegistry {
         self.entries.insert(name.into(), MetricValue::Count(value));
     }
 
-    /// Registers a [`Counter`].
-    pub fn counter(&mut self, name: impl Into<String>, c: &Counter) {
-        self.count(name, c.get());
-    }
-
     /// Registers a scalar gauge (rates, ratios, averages).
     pub fn gauge(&mut self, name: impl Into<String>, value: f64) {
         self.entries.insert(name.into(), MetricValue::Gauge(value));
@@ -98,19 +82,6 @@ impl MetricsRegistry {
                 mean: a.mean(),
                 min: a.min(),
                 max: a.max(),
-            },
-        );
-    }
-
-    /// Registers a [`Histogram`] as approximate quantiles.
-    pub fn histogram(&mut self, name: impl Into<String>, h: &Histogram) {
-        self.entries.insert(
-            name.into(),
-            MetricValue::Quantiles {
-                count: h.total(),
-                p50: h.approx_quantile(0.5),
-                p90: h.approx_quantile(0.9),
-                p99: h.approx_quantile(0.99),
             },
         );
     }
@@ -175,20 +146,6 @@ impl MetricsRegistry {
                         json_opt_f64(*max)
                     );
                 }
-                MetricValue::Quantiles {
-                    count,
-                    p50,
-                    p90,
-                    p99,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"count\": {count}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                        json_opt_u64(*p50),
-                        json_opt_u64(*p90),
-                        json_opt_u64(*p99)
-                    );
-                }
             }
         }
         out.push_str("\n}\n");
@@ -213,11 +170,6 @@ impl Scope<'_> {
         self.reg.count(full, value);
     }
 
-    /// Registers a [`Counter`] under the scope prefix.
-    pub fn counter(&mut self, name: &str, c: &Counter) {
-        self.count(name, c.get());
-    }
-
     /// Registers a gauge under the scope prefix.
     pub fn gauge(&mut self, name: &str, value: f64) {
         let full = self.full(name);
@@ -228,12 +180,6 @@ impl Scope<'_> {
     pub fn accumulator(&mut self, name: &str, a: &Accumulator) {
         let full = self.full(name);
         self.reg.accumulator(full, a);
-    }
-
-    /// Registers a [`Histogram`] under the scope prefix.
-    pub fn histogram(&mut self, name: &str, h: &Histogram) {
-        let full = self.full(name);
-        self.reg.histogram(full, h);
     }
 
     /// A deeper scope (`prefix.name.*`).
@@ -262,11 +208,6 @@ fn json_opt_f64(v: Option<f64>) -> String {
     v.map(json_f64).unwrap_or_else(|| "null".to_string())
 }
 
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map(|x| x.to_string())
-        .unwrap_or_else(|| "null".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,10 +224,7 @@ mod tests {
         scope.accumulator("gmmu.walk_latency", &acc);
         let mut gmmu = scope.scope("gmmu");
         gmmu.count("walk_queue.overflows", 2);
-        let mut h = Histogram::new();
-        h.record(5);
-        h.record(300);
-        reg.histogram("driver.batch_size", &h);
+        reg.count("driver.batch_size", 2);
         reg.accumulator("driver.empty", &Accumulator::new());
         reg
     }
@@ -316,19 +254,6 @@ mod tests {
     #[test]
     fn export_is_deterministic() {
         assert_eq!(sample().to_json(), sample().to_json());
-    }
-
-    #[test]
-    fn histogram_quantiles_registered() {
-        let reg = sample();
-        match reg.get("driver.batch_size") {
-            Some(MetricValue::Quantiles {
-                count: 2, p50, p90, ..
-            }) => {
-                assert!(p50.is_some() && p90.is_some());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -104,23 +104,6 @@ impl<T> BoundedQueue<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
-
-    /// Removes and returns all elements matching `pred` while keeping the
-    /// relative order of the rest. Used for cancelling queued walks when a
-    /// newer mapping supersedes them.
-    pub fn drain_matching<F: FnMut(&T) -> bool>(&mut self, mut pred: F) -> Vec<T> {
-        let mut kept = VecDeque::with_capacity(self.items.len());
-        let mut out = Vec::new();
-        for item in self.items.drain(..) {
-            if pred(&item) {
-                out.push(item);
-            } else {
-                kept.push_back(item);
-            }
-        }
-        self.items = kept;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -162,18 +145,6 @@ mod tests {
         q.pop();
         assert_eq!(q.peak(), 2, "peak is sticky");
         assert_eq!(q.front(), Some(&2));
-    }
-
-    #[test]
-    fn drain_matching_preserves_order() {
-        let mut q = BoundedQueue::new(8);
-        for i in 0..8 {
-            q.push(i).unwrap();
-        }
-        let evens = q.drain_matching(|x| x % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4, 6]);
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(rest, vec![1, 3, 5, 7]);
     }
 
     #[test]

@@ -107,25 +107,6 @@ impl DetRng {
         }
     }
 
-    /// Picks a uniformly random element, or `None` for an empty slice.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "u64 → usize cannot truncate: sim_engine refuses to build for non-64-bit hosts"
-    )]
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            xs.get(self.below(xs.len() as u64) as usize)
-        }
-    }
-
-    /// Next 32-bit output (upper half of the 64-bit stream).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fills `dest` with pseudorandom bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);

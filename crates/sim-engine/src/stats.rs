@@ -1,4 +1,4 @@
-//! Measurement primitives: counters, accumulators and log-scale histograms.
+//! Measurement primitives: counters and accumulators.
 //!
 //! Every component in the simulator keeps its own statistics built from these
 //! primitives; `mgpu-system` flattens them into a report at the end of a run.
@@ -155,78 +155,6 @@ impl fmt::Display for Accumulator {
     }
 }
 
-/// Power-of-two bucketed histogram for latency distributions.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 additionally
-/// catches zero.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram with 64 log2 buckets.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            total: 0,
-        }
-    }
-
-    /// Records one sample.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the bucket is floor(log2(value)) ≤ 63, one of 64"
-    )]
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `i` (samples in `[2^i, 2^(i+1))`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Approximate quantile: upper edge of the bucket containing quantile
-    /// `q` in `[0,1]`, or `None` when empty.
-    pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "rank of a sample count; far below 2^53, ceil keeps it conservative"
-        )]
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return Some(1u64 << (i + 1).min(63));
-            }
-        }
-        Some(u64::MAX)
-    }
-}
-
 /// A ratio between two counters, rendered as a percentage; convenience for
 /// hit-rate style statistics.
 ///
@@ -326,130 +254,6 @@ mod tests {
         assert_eq!(a.count(), u64::MAX, "count saturates instead of wrapping");
         assert_eq!(a.min(), Some(1.0));
         assert_eq!(a.max(), Some(9.0));
-    }
-
-    #[test]
-    fn histogram_quantile_empty_is_none() {
-        let h = Histogram::new();
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.approx_quantile(0.0), None);
-        assert_eq!(h.approx_quantile(0.5), None);
-        assert_eq!(h.approx_quantile(1.0), None);
-    }
-
-    #[test]
-    fn histogram_quantile_single_bucket_returns_its_upper_edge() {
-        // All samples land in bucket 2 ([4, 8)); every quantile answers
-        // with that bucket's upper edge.
-        let mut h = Histogram::new();
-        for v in [4, 5, 6, 7] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket(2), 4);
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.approx_quantile(q), Some(8), "q={q}");
-        }
-        // Out-of-range q clamps rather than panicking or escaping.
-        assert_eq!(h.approx_quantile(-1.0), Some(8));
-        assert_eq!(h.approx_quantile(2.0), Some(8));
-    }
-
-    #[test]
-    fn histogram_quantile_walks_buckets_in_order() {
-        let mut h = Histogram::new();
-        h.record(1); // bucket 0
-        h.record(2); // bucket 1
-        h.record(3); // bucket 1
-        h.record(100); // bucket 6
-        assert_eq!(h.approx_quantile(0.25), Some(2));
-        assert_eq!(h.approx_quantile(0.5), Some(4));
-        assert_eq!(h.approx_quantile(1.0), Some(128));
-    }
-
-    #[test]
-    fn histogram_top_bucket_edge_does_not_overflow() {
-        let mut h = Histogram::new();
-        h.record(u64::MAX); // bucket 63; upper edge clamps to 1 << 63
-        assert_eq!(h.bucket(63), 1);
-        assert_eq!(h.approx_quantile(1.0), Some(1u64 << 63));
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.bucket(0), 2); // 0 and 1
-        assert_eq!(h.bucket(1), 2); // 2 and 3
-        assert_eq!(h.bucket(10), 1); // 1024
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new();
-        assert_eq!(h.approx_quantile(0.5), None);
-        for _ in 0..99 {
-            h.record(4);
-        }
-        h.record(1_000_000);
-        let median = h.approx_quantile(0.5).unwrap();
-        assert!(median <= 8);
-        let p999 = h.approx_quantile(0.999).unwrap();
-        assert!(p999 > 1_000_000 / 2);
-    }
-
-    #[test]
-    fn histogram_empty_is_inert() {
-        let h = Histogram::new();
-        assert_eq!(h.total(), 0);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.approx_quantile(q), None);
-        }
-        for i in 0..64 {
-            assert_eq!(h.bucket(i), 0);
-        }
-        // Out-of-range bucket indices read as empty, not panic.
-        assert_eq!(h.bucket(64), 0);
-        assert_eq!(h.bucket(usize::MAX), 0);
-    }
-
-    #[test]
-    fn histogram_single_sample() {
-        let mut h = Histogram::new();
-        h.record(100); // bucket 6: [64, 128)
-        assert_eq!(h.total(), 1);
-        assert_eq!(h.bucket(6), 1);
-        // Every quantile of a one-sample distribution lands in its bucket:
-        // the reported value is the bucket's upper edge.
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.approx_quantile(q), Some(128));
-        }
-    }
-
-    #[test]
-    fn histogram_saturating_bucket() {
-        let mut h = Histogram::new();
-        h.record(u64::MAX); // top bucket (63)
-        h.record(1u64 << 63);
-        assert_eq!(h.bucket(63), 2);
-        // The top bucket's "upper edge" saturates at 2^63 rather than
-        // overflowing the shift.
-        assert_eq!(h.approx_quantile(1.0), Some(1u64 << 63));
-        assert_eq!(h.total(), 2);
-    }
-
-    #[test]
-    fn histogram_quantile_clamps_out_of_range_q() {
-        let mut h = Histogram::new();
-        h.record(10);
-        // q outside [0,1] clamps instead of panicking or returning None.
-        assert_eq!(h.approx_quantile(-1.0), h.approx_quantile(0.0));
-        assert_eq!(h.approx_quantile(2.0), h.approx_quantile(1.0));
-        assert_eq!(h.approx_quantile(f64::NAN), h.approx_quantile(0.0));
     }
 
     #[test]

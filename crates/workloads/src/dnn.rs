@@ -109,6 +109,12 @@ impl DnnSpec {
             ..DnnSpec::paper_default(model)
         }
     }
+
+    /// Accesses the generated trace holds across all GPUs: every layer
+    /// issues `accesses_per_layer` per batch, whatever the GPU count.
+    pub fn total_accesses(&self) -> u64 {
+        self.batches * self.model.weight_pages().len() as u64 * self.accesses_per_layer
+    }
 }
 
 /// Generates the layer-parallel DNN trace set.

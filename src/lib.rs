@@ -5,7 +5,7 @@
 //!
 //! * [`core`] — the IDYLL mechanisms (in-PTE directory, IRMB, IDYLL-InMem,
 //!   Trans-FW);
-//! * [`system`] — the multi-GPU simulator and experiment runner;
+//! * [`system`] — the multi-GPU simulator;
 //! * [`workloads`] — the synthetic multi-GPU workload generators;
 //! * plus the substrate crates ([`sim`], [`mem`], [`vm`], [`uvm`], [`gpu`]).
 //!
