@@ -4,13 +4,12 @@
 use std::collections::BTreeMap;
 
 use idyll_core::irmb::IrmbConfig;
-use idyll_core::transfw::TransFwConfig;
-use mgpu_system::config::{DirectoryMode, IdyllConfig, SystemConfig};
+use mgpu_system::config::{Scheme, SystemConfig};
 use mgpu_system::SimReport;
 use uvm_driver::policy::MigrationPolicy;
 use vm_model::tlb::TlbConfig;
-use workloads::dnn::{DnnModel, DnnSpec};
-use workloads::{AppId, Scale, WorkloadSource, WorkloadSpec};
+use workloads::dnn::DnnModel;
+use workloads::{AppId, WorkloadSource, WorkloadSpec};
 
 use crate::{format_table, Cell, Figure, Grid, Harness};
 
@@ -166,7 +165,10 @@ const FIG01_APPS: [AppId; 6] = [
 const FIG01: Figure = Figure {
     id: "fig01",
     cells: |h| {
-        let schemes = [("base", h.baseline(2)), ("zerolat", h.zerolat(2))];
+        let schemes = [
+            ("base", h.baseline(2)),
+            ("zerolat", h.scheme(2, Scheme::ZeroLat)),
+        ];
         app_cells(h, &FIG01_APPS, &schemes)
     },
     render: |_, grid| {
@@ -197,7 +199,7 @@ const FIG02: Figure = Figure {
             ("counter", h.baseline(4)),
             ("first-touch", first_touch),
             ("on-touch", on_touch),
-            ("zerolat", h.zerolat(4)),
+            ("zerolat", h.scheme(4, Scheme::ZeroLat)),
         ];
         app_cells(h, &AppId::ALL, &schemes)
     },
@@ -268,7 +270,10 @@ const FIG05: Figure = Figure {
 const FIG06: Figure = Figure {
     id: "fig06",
     cells: |h| {
-        let schemes = [("base", h.baseline(4)), ("no-inval", h.zerolat(4))];
+        let schemes = [
+            ("base", h.baseline(4)),
+            ("no-inval", h.scheme(4, Scheme::ZeroLat)),
+        ];
         app_cells(h, &AppId::ALL, &schemes)
     },
     render: |_, grid| {
@@ -321,20 +326,15 @@ const FIG07: Figure = Figure {
 const FIG11: Figure = Figure {
     id: "fig11",
     cells: |h| {
-        let with = |idyll: IdyllConfig| {
-            let mut cfg = h.baseline(4);
-            cfg.idyll = Some(idyll);
-            cfg
-        };
         let schemes = [
-            ("base", h.baseline(4)),
-            ("only-lazy", with(IdyllConfig::only_lazy())),
-            ("only-in-pte", with(IdyllConfig::only_directory())),
-            ("idyll-inmem", with(IdyllConfig::in_mem())),
-            ("idyll", h.idyll(4)),
-            ("zerolat", h.zerolat(4)),
+            ("base", Scheme::Baseline),
+            ("only-lazy", Scheme::OnlyLazy),
+            ("only-in-pte", Scheme::OnlyInPte),
+            ("idyll-inmem", Scheme::IdyllInMem),
+            ("idyll", Scheme::Idyll),
+            ("zerolat", Scheme::ZeroLat),
         ];
-        app_cells(h, &AppId::ALL, &schemes)
+        app_cells(h, &AppId::ALL, &schemes.map(|(c, s)| (c, h.scheme(4, s))))
     },
     render: |_, grid| {
         table(
@@ -426,10 +426,7 @@ const FIG15: Figure = Figure {
         let mut schemes = vec![("base".to_string(), h.baseline(4))];
         for (bases, offsets) in IRMB_GEOMETRIES {
             let mut cfg = h.idyll(4);
-            cfg.idyll = Some(IdyllConfig {
-                irmb: IrmbConfig::new(bases, offsets),
-                ..IdyllConfig::full()
-            });
+            cfg.irmb = IrmbConfig::new(bases, offsets);
             schemes.push((geometry((bases, offsets)), cfg));
         }
         app_cells(h, &AppId::ALL, &schemes)
@@ -501,10 +498,7 @@ fn scaling_cells(h: &Harness, counts: &[usize], access_bits: u32) -> Vec<Cell> {
     let mut schemes = Vec::new();
     for &n in counts {
         let mut idy = h.idyll(n);
-        idy.idyll = Some(IdyllConfig {
-            directory: DirectoryMode::InPte { access_bits },
-            ..IdyllConfig::full()
-        });
+        idy.access_bits = access_bits;
         schemes.push((format!("base{n}"), h.baseline(n)));
         schemes.push((format!("idyll{n}"), idy));
     }
@@ -616,13 +610,11 @@ const FIG21: Figure = Figure {
 const FIG22: Figure = Figure {
     id: "fig22",
     cells: |h| {
-        let mut repl = h.baseline(4);
-        repl.replication = true;
-        app_cells(
-            h,
-            &AppId::ALL,
-            &[("replication", repl), ("idyll", h.idyll(4))],
-        )
+        let schemes = [
+            ("replication", h.scheme(4, Scheme::Replication)),
+            ("idyll", h.idyll(4)),
+        ];
+        app_cells(h, &AppId::ALL, &schemes)
     },
     render: |_, grid| {
         table(
@@ -639,17 +631,13 @@ const FIG22: Figure = Figure {
 const FIG23: Figure = Figure {
     id: "fig23",
     cells: |h| {
-        let mut transfw = h.baseline(4);
-        transfw.transfw = Some(TransFwConfig::default());
-        let mut combined = h.idyll(4);
-        combined.transfw = Some(TransFwConfig::default());
         let schemes = [
-            ("base", h.baseline(4)),
-            ("trans-fw", transfw),
-            ("idyll", h.idyll(4)),
-            ("combined", combined),
+            ("base", Scheme::Baseline),
+            ("trans-fw", Scheme::TransFw),
+            ("idyll", Scheme::Idyll),
+            ("combined", Scheme::IdyllTransFw),
         ];
-        app_cells(h, &AppId::ALL, &schemes)
+        app_cells(h, &AppId::ALL, &schemes.map(|(c, s)| (c, h.scheme(4, s))))
     },
     render: |_, grid| {
         table(
@@ -673,12 +661,9 @@ const FIG23: Figure = Figure {
 const FIG24: Figure = Figure {
     id: "fig24",
     cells: |h| {
-        let rows = [DnnModel::Vgg16, DnnModel::Resnet18].map(|model| {
-            let spec = match h.config().scale {
-                Scale::Test => DnnSpec::test_default(model),
-                _ => DnnSpec::paper_default(model),
-            };
-            (model.name(), WorkloadSource::Dnn(spec))
+        let rows = DnnModel::ALL.map(|model| {
+            let source = WorkloadSource::named(model.name(), h.config().scale);
+            (model.name(), source.expect("a DNN model's own name"))
         });
         cells(h, rows, &[("base", h.baseline(4)), ("idyll", h.idyll(4))])
     },

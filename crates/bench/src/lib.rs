@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use mgpu_system::canon::job_key;
-use mgpu_system::config::{IdyllConfig, SystemConfig};
+use mgpu_system::config::{Scheme, SystemConfig};
 use mgpu_system::system::SimError;
 use mgpu_system::SimReport;
 use uvm_driver::policy::MigrationPolicy;
@@ -140,26 +140,24 @@ impl Harness {
         }
     }
 
-    /// The baseline system at `n_gpus` with the scaled policy.
+    /// The baseline system at `n_gpus` with the scaled policy, running
+    /// `scheme`.
+    pub fn scheme(&self, n_gpus: usize, scheme: Scheme) -> SystemConfig {
+        SystemConfig {
+            policy: self.policy(),
+            scheme,
+            ..SystemConfig::baseline(n_gpus)
+        }
+    }
+
+    /// [`Harness::scheme`] with [`Scheme::Baseline`].
     pub fn baseline(&self, n_gpus: usize) -> SystemConfig {
-        let mut cfg = SystemConfig::baseline(n_gpus);
-        cfg.policy = self.policy();
-        cfg.seed = self.cfg.seed;
-        cfg
+        self.scheme(n_gpus, Scheme::Baseline)
     }
 
-    /// Baseline + full IDYLL.
+    /// [`Harness::scheme`] with [`Scheme::Idyll`].
     pub fn idyll(&self, n_gpus: usize) -> SystemConfig {
-        let mut cfg = self.baseline(n_gpus);
-        cfg.idyll = Some(IdyllConfig::full());
-        cfg
-    }
-
-    /// Baseline with free (zero-latency) invalidations.
-    fn zerolat(&self, n_gpus: usize) -> SystemConfig {
-        let mut cfg = self.baseline(n_gpus);
-        cfg.zero_latency_invalidation = true;
-        cfg
+        self.scheme(n_gpus, Scheme::Idyll)
     }
 }
 

@@ -124,11 +124,6 @@ impl InPteDirectory {
             pte.set_unused_bit(UNUSED_HI_LO + bit, false);
         }
     }
-
-    /// Whether any GPU may hold the mapping.
-    pub fn any_holder(&self, pte: &Pte) -> bool {
-        !self.invalidation_targets(pte).is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -169,9 +164,9 @@ mod tests {
         let mut pte = Pte::new_mapped(1, true);
         dir.record_access(&mut pte, 0);
         dir.record_access(&mut pte, 2);
-        assert!(dir.any_holder(&pte));
+        assert!(!dir.invalidation_targets(&pte).is_empty());
         dir.clear(&mut pte);
-        assert!(!dir.any_holder(&pte));
+        assert!(dir.invalidation_targets(&pte).is_empty());
         assert!(pte.is_valid(), "clear touches only access bits");
     }
 

@@ -170,30 +170,9 @@ impl VmDirectory {
         sim_engine::stats::hit_rate(self.hits, self.misses)
     }
 
-    /// VM-Cache hits.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// VM-Cache misses (VM-Table memory accesses).
-    pub fn cache_misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Dirty write-backs to the VM-Table.
     pub fn writebacks(&self) -> u64 {
         self.writebacks
-    }
-
-    /// VM-Table resident entries (distinct pages ever spilled from cache).
-    pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Space the VM-Table would occupy in bytes (8 bytes per tracked page) —
-    /// the §6.4 overhead figure of 0.2 % of the footprint.
-    pub fn table_bytes_for(pages: u64) -> u64 {
-        pages * 8
     }
 }
 
@@ -252,7 +231,6 @@ mod tests {
         // Third distinct page evicts the LRU dirty line into the table.
         dir.record_access(Vpn(3), 2);
         assert_eq!(dir.writebacks(), 1);
-        assert_eq!(dir.table_len(), 1);
         // The spilled page's bits survive the round-trip.
         let (targets, timing) = dir.invalidation_targets(Vpn(1), 0);
         assert!(targets.contains(0));
@@ -265,15 +243,6 @@ mod tests {
         dir.record_access(Vpn(9), 0); // miss
         dir.record_access(Vpn(9), 1); // hit
         dir.record_access(Vpn(9), 2); // hit
-        assert_eq!(dir.cache_misses(), 1);
-        assert_eq!(dir.cache_hits(), 2);
         assert!((dir.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overhead_formula() {
-        // 2^x footprint → 2^(x-12) pages → 2^(x-9) bytes (§6.4).
-        let pages = 1u64 << 20; // 4 GiB footprint
-        assert_eq!(VmDirectory::table_bytes_for(pages), 1 << 23);
     }
 }

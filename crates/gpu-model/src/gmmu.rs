@@ -11,7 +11,7 @@ use sim_engine::queue::BoundedQueue;
 use sim_engine::resource::ThreadPool;
 use sim_engine::stats::Accumulator;
 use sim_engine::Cycle;
-use vm_model::addr::Vpn;
+use vm_model::addr::{PageSize, Vpn};
 use vm_model::page_table::PageTable;
 use vm_model::pwc::PageWalkCache;
 use vm_model::walker::{walk_invalidate, walk_translate, WalkResult, WalkerConfig};
@@ -91,7 +91,7 @@ pub struct WalkClassStats {
 ///
 /// let mut pt = PageTable::new(PageSize::Size4K);
 /// pt.insert(Vpn(5), Pte::new_mapped(1, true));
-/// let mut gmmu = Gmmu::new(GmmuConfig::default());
+/// let mut gmmu = Gmmu::new(GmmuConfig::default(), PageSize::Size4K);
 /// gmmu.enqueue(Vpn(5), WalkClass::Demand, 0, Cycle(0)).unwrap();
 /// let walk = gmmu.try_dispatch(Cycle(0), &mut pt).unwrap();
 /// assert!(walk.result.outcome.mapped().is_some());
@@ -117,8 +117,6 @@ pub struct GmmuConfig {
     pub walker_threads: usize,
     /// Page-walk cache entries (128, shared).
     pub pwc_entries: usize,
-    /// Radix levels of the local page table (5 for 4 KiB pages).
-    pub levels: u32,
     /// Per-level walk latency (100 cycles).
     pub walker: WalkerConfig,
 }
@@ -129,19 +127,19 @@ impl Default for GmmuConfig {
             walk_queue_entries: 64,
             walker_threads: 8,
             pwc_entries: 128,
-            levels: 5,
             walker: WalkerConfig::default(),
         }
     }
 }
 
 impl Gmmu {
-    /// Creates a GMMU.
-    pub fn new(cfg: GmmuConfig) -> Self {
+    /// Creates a GMMU whose page-walk cache covers the radix levels of a
+    /// `page_size` page table.
+    pub fn new(cfg: GmmuConfig, page_size: PageSize) -> Self {
         Gmmu {
             queue: BoundedQueue::new(cfg.walk_queue_entries),
             walkers: ThreadPool::new(cfg.walker_threads),
-            pwc: PageWalkCache::new(cfg.pwc_entries, cfg.levels),
+            pwc: PageWalkCache::new(cfg.pwc_entries, page_size.levels()),
             walker_cfg: cfg.walker,
             demand: WalkClassStats::default(),
             invalidation: WalkClassStats::default(),
@@ -285,7 +283,7 @@ mod tests {
     #[test]
     fn demand_walk_translates() {
         let mut pt = pt_with(&[5]);
-        let mut g = Gmmu::new(GmmuConfig::default());
+        let mut g = Gmmu::new(GmmuConfig::default(), PageSize::Size4K);
         g.enqueue(Vpn(5), WalkClass::Demand, 7, Cycle(0)).unwrap();
         let w = g.try_dispatch(Cycle(0), &mut pt).unwrap();
         assert_eq!(w.request.token, 7);
@@ -302,7 +300,7 @@ mod tests {
     #[test]
     fn invalidation_walk_clears_and_classifies() {
         let mut pt = pt_with(&[5]);
-        let mut g = Gmmu::new(GmmuConfig::default());
+        let mut g = Gmmu::new(GmmuConfig::default(), PageSize::Size4K);
         g.enqueue(Vpn(5), WalkClass::Invalidation, 0, Cycle(0))
             .unwrap();
         g.enqueue(Vpn(5), WalkClass::Invalidation, 1, Cycle(0))
@@ -318,10 +316,13 @@ mod tests {
     #[test]
     fn walker_threads_limit_concurrency() {
         let mut pt = pt_with(&[1, 2, 3]);
-        let mut g = Gmmu::new(GmmuConfig {
-            walker_threads: 2,
-            ..GmmuConfig::default()
-        });
+        let mut g = Gmmu::new(
+            GmmuConfig {
+                walker_threads: 2,
+                ..GmmuConfig::default()
+            },
+            PageSize::Size4K,
+        );
         for (i, v) in [1u64, 2, 3].iter().enumerate() {
             g.enqueue(Vpn(*v), WalkClass::Demand, i as u64, Cycle(0))
                 .unwrap();
@@ -339,10 +340,13 @@ mod tests {
 
     #[test]
     fn queue_backpressure() {
-        let mut g = Gmmu::new(GmmuConfig {
-            walk_queue_entries: 1,
-            ..GmmuConfig::default()
-        });
+        let mut g = Gmmu::new(
+            GmmuConfig {
+                walk_queue_entries: 1,
+                ..GmmuConfig::default()
+            },
+            PageSize::Size4K,
+        );
         g.enqueue(Vpn(1), WalkClass::Demand, 0, Cycle(0)).unwrap();
         let rejected = g.enqueue(Vpn(2), WalkClass::Demand, 1, Cycle(0));
         assert!(rejected.is_err());
@@ -352,7 +356,7 @@ mod tests {
     #[test]
     fn queue_latency_is_tracked() {
         let mut pt = pt_with(&[1]);
-        let mut g = Gmmu::new(GmmuConfig::default());
+        let mut g = Gmmu::new(GmmuConfig::default(), PageSize::Size4K);
         g.enqueue(Vpn(1), WalkClass::Demand, 0, Cycle(100)).unwrap();
         let w = g.try_dispatch(Cycle(160), &mut pt).unwrap();
         assert_eq!(w.queued_for, Cycle(60));
@@ -362,7 +366,7 @@ mod tests {
     #[test]
     fn idle_detection() {
         let mut pt = pt_with(&[1]);
-        let mut g = Gmmu::new(GmmuConfig::default());
+        let mut g = Gmmu::new(GmmuConfig::default(), PageSize::Size4K);
         assert!(g.is_idle(Cycle(0)));
         g.enqueue(Vpn(1), WalkClass::Demand, 0, Cycle(0)).unwrap();
         assert!(!g.is_idle(Cycle(0)));
@@ -374,7 +378,7 @@ mod tests {
     #[test]
     fn update_walks_do_not_invalidate() {
         let mut pt = pt_with(&[9]);
-        let mut g = Gmmu::new(GmmuConfig::default());
+        let mut g = Gmmu::new(GmmuConfig::default(), PageSize::Size4K);
         g.enqueue(Vpn(9), WalkClass::Update, 0, Cycle(0)).unwrap();
         let w = g.try_dispatch(Cycle(0), &mut pt).unwrap();
         assert_eq!(w.necessary, None);
@@ -386,7 +390,7 @@ mod tests {
     fn irmb_writeback_batches_amortise_pwc() {
         // Two write-backs sharing a base: the second hits the PWC.
         let mut pt = pt_with(&[0x200, 0x201]);
-        let mut g = Gmmu::new(GmmuConfig::default());
+        let mut g = Gmmu::new(GmmuConfig::default(), PageSize::Size4K);
         g.enqueue(Vpn(0x200), WalkClass::IrmbWriteback, 0, Cycle(0))
             .unwrap();
         g.enqueue(Vpn(0x201), WalkClass::IrmbWriteback, 1, Cycle(0))

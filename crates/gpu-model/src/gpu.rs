@@ -43,8 +43,6 @@ pub struct GpuConfig {
     pub l1_hit_latency: Cycle,
     /// L2 data-cache hit latency.
     pub l2_hit_latency: Cycle,
-    /// Page size translated by this GPU's page table.
-    pub page_size: PageSize,
 }
 
 impl Default for GpuConfig {
@@ -63,7 +61,6 @@ impl Default for GpuConfig {
             dram_occupancy: 4,
             l1_hit_latency: Cycle(4),
             l2_hit_latency: Cycle(24),
-            page_size: PageSize::Size4K,
         }
     }
 }
@@ -74,9 +71,10 @@ impl Default for GpuConfig {
 ///
 /// ```
 /// use gpu_model::gpu::{Gpu, GpuConfig};
-/// use vm_model::{Vpn, Pte};
+/// use vm_model::{PageSize, Vpn, Pte};
 ///
-/// let mut gpu = Gpu::new(0, GpuConfig { cus: 2, ..GpuConfig::default() });
+/// let config = GpuConfig { cus: 2, ..GpuConfig::default() };
+/// let mut gpu = Gpu::new(0, config, PageSize::Size4K);
 /// gpu.l1_tlbs.fill(0, Vpn(1), Pte::new_mapped(5, true));
 /// gpu.l1_tlbs.fill(1, Vpn(1), Pte::new_mapped(5, true));
 /// gpu.l2_tlb.fill(Vpn(1), Pte::new_mapped(5, true));
@@ -109,8 +107,8 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// Creates GPU `id` from `config`.
-    pub fn new(id: GpuId, config: GpuConfig) -> Self {
+    /// Creates GPU `id` from `config`, translating `page_size` pages.
+    pub fn new(id: GpuId, config: GpuConfig, page_size: PageSize) -> Self {
         Gpu {
             id,
             cus: (0..config.cus)
@@ -119,8 +117,8 @@ impl Gpu {
             l1_tlbs: TlbBank::new(config.cus, config.l1_tlb),
             l2_tlb: Tlb::new(config.l2_tlb),
             l2_mshr: Mshr::new(config.l2_mshr_entries),
-            page_table: PageTable::new(config.page_size),
-            gmmu: Gmmu::new(config.gmmu),
+            page_table: PageTable::new(page_size),
+            gmmu: Gmmu::new(config.gmmu, page_size),
             fault_buffer: BoundedQueue::new(config.fault_buffer_entries),
             l2_cache: Cache::new(config.l2_cache),
             dram: Dram::new(
@@ -168,7 +166,7 @@ impl Gpu {
     /// Drops all cached data lines of a page that is migrating away.
     pub fn drop_page_lines(&mut self, page_base_paddr: u64) -> usize {
         self.l2_cache
-            .invalidate_page(page_base_paddr, self.config.page_size.bytes())
+            .invalidate_page(page_base_paddr, self.page_table.page_size().bytes())
     }
 
     /// Whether every CU has retired all warps.
@@ -190,6 +188,7 @@ mod tests {
                 warps_per_cu: 2,
                 ..GpuConfig::default()
             },
+            PageSize::Size4K,
         )
     }
 

@@ -16,15 +16,14 @@
 
 use std::process::ExitCode;
 
-use mgpu_system::config::{SystemConfig, SCHEMES};
+use mgpu_system::config::{Scheme, SystemConfig};
 use mgpu_system::System;
 use sim_engine::trace::{Tracer, CATEGORIES};
 use uvm_driver::policy::MigrationPolicy;
-use workloads::dnn::{generate_dnn, DnnModel, DnnSpec};
-use workloads::{AppId, Scale, Workload, WorkloadSpec};
+use workloads::{Scale, Workload, WorkloadSource};
 
 /// The `--help` text. The `--scheme` and `--trace-filter` lines list
-/// [`SCHEMES`] and [`CATEGORIES`], the names the parser accepts.
+/// [`Scheme::ALL`] and [`CATEGORIES`], the names the parser accepts.
 fn usage() -> String {
     format!(
         "\
@@ -53,7 +52,7 @@ OPTIONS:
     -h, --help              print this help
 ",
         categories = listing(&CATEGORIES, ", ", 4),
-        schemes = listing(&SCHEMES, " | ", 4),
+        schemes = listing(&Scheme::ALL.map(Scheme::name), " | ", 4),
     )
 }
 
@@ -71,7 +70,7 @@ struct Args {
     metrics_json: Option<String>,
     progress: Option<u64>,
     gpus: usize,
-    scheme: String,
+    scheme: Scheme,
     policy: String,
     threshold: Option<u32>,
     scale: Scale,
@@ -88,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
         metrics_json: None,
         progress: None,
         gpus: 4,
-        scheme: "baseline".into(),
+        scheme: Scheme::Baseline,
         policy: "counter".into(),
         threshold: None,
         scale: Scale::Small,
@@ -100,7 +99,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
-            "--app" => args.app = value("--app")?.to_uppercase(),
+            "--app" => args.app = value("--app")?,
             "--trace" => args.trace_out = Some(value("--trace")?),
             "--trace-filter" => {
                 let filter = value("--trace-filter")?;
@@ -123,7 +122,11 @@ fn parse_args() -> Result<Args, String> {
                     return Err(format!("--gpus: {} is out of range 1..=64", args.gpus));
                 }
             }
-            "--scheme" => args.scheme = value("--scheme")?.to_lowercase(),
+            "--scheme" => {
+                let name = value("--scheme")?.to_lowercase();
+                args.scheme =
+                    Scheme::from_name(&name).ok_or_else(|| format!("unknown scheme `{name}`"))?;
+            }
             "--policy" => args.policy = value("--policy")?.to_lowercase(),
             "--threshold" => {
                 args.threshold = Some(
@@ -162,26 +165,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn build_workload(args: &Args) -> Result<Workload, String> {
-    match args.app.as_str() {
-        "VGG16" => Ok(generate_dnn(
-            &DnnSpec::paper_default(DnnModel::Vgg16),
-            args.gpus,
-            args.seed,
-        )),
-        "RESNET18" => Ok(generate_dnn(
-            &DnnSpec::paper_default(DnnModel::Resnet18),
-            args.gpus,
-            args.seed,
-        )),
-        name => {
-            let app = AppId::from_name(name).ok_or_else(|| format!("unknown app `{name}`"))?;
-            Ok(workloads::generate(
-                &WorkloadSpec::paper_default(app, args.scale),
-                args.gpus,
-                args.seed,
-            ))
-        }
-    }
+    let source = WorkloadSource::named(&args.app, args.scale)
+        .ok_or_else(|| format!("unknown app `{}`", args.app))?;
+    Ok(source.generate(args.gpus, args.seed))
 }
 
 fn build_config(args: &Args) -> Result<SystemConfig, String> {
@@ -195,8 +181,7 @@ fn build_config(args: &Args) -> Result<SystemConfig, String> {
         "on-touch" => MigrationPolicy::OnTouch,
         other => return Err(format!("unknown policy `{other}`")),
     };
-    cfg.seed = args.seed;
-    cfg.apply_scheme(&args.scheme)?;
+    cfg.scheme = args.scheme;
     if args.large_pages {
         cfg = cfg.with_large_pages();
     }

@@ -79,8 +79,7 @@ pub fn job_key(cfg: &SystemConfig, source: &WorkloadSource, seed: u64) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DirectoryMode, IdyllConfig};
-    use idyll_core::transfw::TransFwConfig;
+    use crate::config::Scheme;
     use sim_engine::Cycle;
     use uvm_driver::policy::MigrationPolicy;
     use workloads::dnn::{DnnModel, DnnSpec};
@@ -103,45 +102,15 @@ mod tests {
             ("gpu", |c| c.gpu.gmmu.walker_threads += 1),
             ("page_size", |c| *c = c.clone().with_large_pages()),
             ("policy", |c| c.policy = MigrationPolicy::FirstTouch),
-            ("replication", |c| c.replication = !c.replication),
-            ("zero_latency_invalidation", |c| {
-                c.zero_latency_invalidation = !c.zero_latency_invalidation;
-            }),
-            ("idyll", |c| c.idyll = None),
-            ("transfw", |c| c.transfw = Some(TransFwConfig::default())),
+            ("irmb.bases", |c| c.irmb.bases += 1),
+            ("irmb.offsets_per_base", |c| c.irmb.offsets_per_base += 1),
+            ("access_bits", |c| c.access_bits = 4),
             ("interconnect", |c| {
                 c.interconnect.nvlink_latency += Cycle(1)
             }),
             ("host", |c| c.host.fault_batch += 1),
             ("frames_per_device", |c| c.frames_per_device += 1),
-            ("seed", |c| c.seed += 1),
             ("max_events", |c| c.max_events += 1),
-            ("idyll.lazy", |c| {
-                c.idyll = Some(IdyllConfig {
-                    lazy: false,
-                    ..IdyllConfig::full()
-                });
-            }),
-            ("idyll.directory", |c| {
-                c.idyll = Some(IdyllConfig {
-                    directory: DirectoryMode::InMem,
-                    ..IdyllConfig::full()
-                });
-            }),
-            ("idyll.directory access_bits", |c| {
-                c.idyll = Some(IdyllConfig {
-                    directory: DirectoryMode::InPte { access_bits: 5 },
-                    ..IdyllConfig::full()
-                });
-            }),
-            ("idyll.irmb", |c| {
-                let mut idyll = IdyllConfig::full();
-                idyll.irmb.offsets_per_base += 1;
-                c.idyll = Some(idyll);
-            }),
-            ("transfw fingerprints", |c| {
-                c.transfw = Some(TransFwConfig { fingerprints: 7 });
-            }),
             ("policy threshold", |c| {
                 c.policy = MigrationPolicy::AccessCounter { threshold: 99 };
             }),
@@ -152,6 +121,22 @@ mod tests {
             assert_ne!(cfg, base, "{field}: the mutation must change the config");
             assert_ne!(key, job_key(&cfg, &spec, 42), "{field} is not keyed");
         }
+        let mut keys: Vec<String> = Scheme::ALL
+            .into_iter()
+            .map(|scheme| {
+                job_key(
+                    &SystemConfig {
+                        scheme,
+                        ..base.clone()
+                    },
+                    &spec,
+                    42,
+                )
+            })
+            .collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), Scheme::ALL.len(), "every scheme is keyed apart");
     }
 
     #[test]

@@ -2,73 +2,108 @@
 
 use gpu_model::gpu::GpuConfig;
 use idyll_core::irmb::IrmbConfig;
-use idyll_core::transfw::TransFwConfig;
 use mem_model::interconnect::InterconnectConfig;
 use sim_engine::Cycle;
 use uvm_driver::policy::MigrationPolicy;
 use vm_model::addr::PageSize;
+use vm_model::pte::UNUSED_HI_COUNT;
 use vm_model::tlb::TlbConfig;
+
+/// One of the paper's evaluated design points (Figures 11, 22 and 23).
+/// Each names the mechanisms a run enables; the model asks the scheme
+/// through [`Scheme::lazy`], [`Scheme::directory`] and [`Scheme::transfw`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scheme {
+    /// Broadcast invalidations, no IDYLL mechanism.
+    Baseline,
+    /// Full IDYLL: in-PTE directory plus lazy invalidation (§6).
+    Idyll,
+    /// "Only Lazy" ablation (Figure 11): IRMB without the directory.
+    OnlyLazy,
+    /// "Only In-PTE Directory" ablation (Figure 11).
+    OnlyInPte,
+    /// IDYLL-InMem (§6.4): VM-Table directory plus lazy invalidation.
+    IdyllInMem,
+    /// Idealised zero-latency invalidation (Figures 1, 2 and 11 reference
+    /// bar).
+    ZeroLat,
+    /// Baseline with read replication (§7.4 comparison).
+    Replication,
+    /// Baseline with Trans-FW far-fault forwarding (§7.5).
+    TransFw,
+    /// Full IDYLL combined with Trans-FW (§7.5).
+    IdyllTransFw,
+}
 
 /// Which invalidation directory the driver consults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirectoryMode {
     /// Baseline: broadcast invalidations to every GPU.
     Broadcast,
-    /// IDYLL's in-PTE directory (§6.2) with the given number of access bits.
-    InPte {
-        /// Unused PTE bits used as access bits (11 default; §7.2 studies 4).
-        access_bits: u32,
-    },
+    /// IDYLL's in-PTE directory (§6.2), [`SystemConfig::access_bits`] wide.
+    InPte,
     /// IDYLL-InMem (§6.4): VM-Table + VM-Cache.
     InMem,
 }
 
-/// The IDYLL mechanism set enabled for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdyllConfig {
-    /// Enable lazy invalidation via the IRMB (§6.3).
-    pub lazy: bool,
-    /// Directory mode for filtering invalidations.
-    pub directory: DirectoryMode,
-    /// IRMB geometry (ignored unless `lazy`).
-    pub irmb: IrmbConfig,
-}
+impl Scheme {
+    /// Every scheme, in the order `mgpu-sim --help` lists them.
+    pub const ALL: [Scheme; 9] = [
+        Scheme::Baseline,
+        Scheme::Idyll,
+        Scheme::OnlyLazy,
+        Scheme::OnlyInPte,
+        Scheme::IdyllInMem,
+        Scheme::ZeroLat,
+        Scheme::Replication,
+        Scheme::TransFw,
+        Scheme::IdyllTransFw,
+    ];
 
-impl IdyllConfig {
-    /// Full IDYLL: in-PTE directory + lazy invalidation, default IRMB.
-    pub fn full() -> Self {
-        IdyllConfig {
-            lazy: true,
-            directory: DirectoryMode::InPte { access_bits: 11 },
-            irmb: IrmbConfig::default(),
+    /// The `mgpu-sim --scheme` name, also the report's label.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scheme::Baseline => "baseline",
+            Scheme::Idyll => "idyll",
+            Scheme::OnlyLazy => "only-lazy",
+            Scheme::OnlyInPte => "only-in-pte",
+            Scheme::IdyllInMem => "idyll-inmem",
+            Scheme::ZeroLat => "zerolat",
+            Scheme::Replication => "replication",
+            Scheme::TransFw => "transfw",
+            Scheme::IdyllTransFw => "idyll+transfw",
         }
     }
 
-    /// "Only Lazy" ablation (Figure 11): IRMB without the directory.
-    pub fn only_lazy() -> Self {
-        IdyllConfig {
-            lazy: true,
-            directory: DirectoryMode::Broadcast,
-            irmb: IrmbConfig::default(),
+    /// The scheme whose [`Scheme::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Scheme> {
+        Scheme::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// Whether invalidations are buffered lazily in the IRMB (§6.3).
+    pub fn lazy(self) -> bool {
+        matches!(
+            self,
+            Scheme::Idyll | Scheme::OnlyLazy | Scheme::IdyllInMem | Scheme::IdyllTransFw
+        )
+    }
+
+    /// The directory that filters invalidation targets.
+    pub fn directory(self) -> DirectoryMode {
+        match self {
+            Scheme::Idyll | Scheme::OnlyInPte | Scheme::IdyllTransFw => DirectoryMode::InPte,
+            Scheme::IdyllInMem => DirectoryMode::InMem,
+            Scheme::Baseline
+            | Scheme::OnlyLazy
+            | Scheme::ZeroLat
+            | Scheme::Replication
+            | Scheme::TransFw => DirectoryMode::Broadcast,
         }
     }
 
-    /// "Only In-PTE Directory" ablation (Figure 11).
-    pub fn only_directory() -> Self {
-        IdyllConfig {
-            lazy: false,
-            directory: DirectoryMode::InPte { access_bits: 11 },
-            irmb: IrmbConfig::default(),
-        }
-    }
-
-    /// IDYLL-InMem (§6.4): VM-Table directory + lazy invalidation.
-    pub fn in_mem() -> Self {
-        IdyllConfig {
-            lazy: true,
-            directory: DirectoryMode::InMem,
-            irmb: IrmbConfig::default(),
-        }
+    /// Whether GPUs forward far faults to peers through a Trans-FW PRT.
+    pub fn transfw(self) -> bool {
+        matches!(self, Scheme::TransFw | Scheme::IdyllTransFw)
     }
 }
 
@@ -123,38 +158,24 @@ pub struct SystemConfig {
     pub page_size: PageSize,
     /// GPU-to-GPU migration policy.
     pub policy: MigrationPolicy,
-    /// Enable read replication (§7.4 comparison).
-    pub replication: bool,
-    /// Idealised zero-latency invalidation (Figures 2/11 reference bar).
-    pub zero_latency_invalidation: bool,
-    /// IDYLL mechanisms; `None` = baseline.
-    pub idyll: Option<IdyllConfig>,
-    /// Trans-FW far-fault forwarding (§7.5); composable with IDYLL.
-    pub transfw: Option<TransFwConfig>,
+    /// The evaluated design point.
+    pub scheme: Scheme,
+    /// IRMB geometry (Figure 15); read only when the scheme is
+    /// [`Scheme::lazy`].
+    pub irmb: IrmbConfig,
+    /// Unused PTE bits the in-PTE directory uses as access bits (11; §7.2
+    /// studies 4); read only when the scheme's directory is
+    /// [`DirectoryMode::InPte`].
+    pub access_bits: u32,
     /// Interconnect bandwidths/latencies.
     pub interconnect: InterconnectConfig,
     /// Host driver timing.
     pub host: HostConfig,
     /// Physical frames per device window.
     pub frames_per_device: u64,
-    /// Simulation seed (workload offsets etc.).
-    pub seed: u64,
     /// Safety valve: abort after this many events (0 = default bound).
     pub max_events: u64,
 }
-
-/// The `mgpu-sim --scheme` names [`SystemConfig::apply_scheme`] accepts.
-pub const SCHEMES: [&str; 9] = [
-    "baseline",
-    "idyll",
-    "only-lazy",
-    "only-in-pte",
-    "idyll-inmem",
-    "zerolat",
-    "replication",
-    "transfw",
-    "idyll+transfw",
-];
 
 impl SystemConfig {
     /// The paper's baseline system (Table 2) with `n_gpus` GPUs.
@@ -164,14 +185,12 @@ impl SystemConfig {
             gpu: GpuConfig::default(),
             page_size: PageSize::Size4K,
             policy: MigrationPolicy::baseline(),
-            replication: false,
-            zero_latency_invalidation: false,
-            idyll: None,
-            transfw: None,
+            scheme: Scheme::Baseline,
+            irmb: IrmbConfig::default(),
+            access_bits: UNUSED_HI_COUNT,
             interconnect: InterconnectConfig::default(),
             host: HostConfig::default(),
             frames_per_device: 1 << 20, // 4 GiB of 4 KiB frames
-            seed: 0x1D11,
             max_events: 0,
         }
     }
@@ -179,7 +198,7 @@ impl SystemConfig {
     /// Baseline plus full IDYLL.
     pub fn idyll(n_gpus: usize) -> Self {
         SystemConfig {
-            idyll: Some(IdyllConfig::full()),
+            scheme: Scheme::Idyll,
             ..SystemConfig::baseline(n_gpus)
         }
     }
@@ -201,78 +220,10 @@ impl SystemConfig {
         cfg
     }
 
-    /// Switches on the mechanisms that `scheme`, one of [`SCHEMES`], names.
-    ///
-    /// # Errors
-    /// A name outside [`SCHEMES`].
-    pub fn apply_scheme(&mut self, scheme: &str) -> Result<(), String> {
-        match scheme {
-            "baseline" => {}
-            "idyll" => self.idyll = Some(IdyllConfig::full()),
-            "only-lazy" => self.idyll = Some(IdyllConfig::only_lazy()),
-            "only-in-pte" => self.idyll = Some(IdyllConfig::only_directory()),
-            "idyll-inmem" => self.idyll = Some(IdyllConfig::in_mem()),
-            "zerolat" => self.zero_latency_invalidation = true,
-            "replication" => self.replication = true,
-            "transfw" => self.transfw = Some(TransFwConfig::default()),
-            "idyll+transfw" => {
-                self.idyll = Some(IdyllConfig::full());
-                self.transfw = Some(TransFwConfig::default());
-            }
-            other => return Err(format!("unknown scheme `{other}`")),
-        }
-        Ok(())
-    }
-
-    /// Switches the run to 2 MiB pages (adjusting the radix depth).
+    /// Switches the run to 2 MiB pages.
     pub fn with_large_pages(mut self) -> Self {
         self.page_size = PageSize::Size2M;
-        self.gpu.page_size = PageSize::Size2M;
-        self.gpu.gmmu.levels = PageSize::Size2M.levels();
         self
-    }
-
-    /// Human-readable one-line description of the mechanism set.
-    pub fn scheme_name(&self) -> String {
-        if self.zero_latency_invalidation {
-            return "zero-latency-invalidation".into();
-        }
-        let mut parts: Vec<&str> = Vec::new();
-        match self.idyll {
-            None => parts.push("baseline"),
-            Some(IdyllConfig {
-                lazy, directory, ..
-            }) => match directory {
-                DirectoryMode::Broadcast => {
-                    if lazy {
-                        parts.push("only-lazy");
-                    } else {
-                        parts.push("baseline");
-                    }
-                }
-                DirectoryMode::InPte { .. } => {
-                    if lazy {
-                        parts.push("idyll");
-                    } else {
-                        parts.push("only-in-pte");
-                    }
-                }
-                DirectoryMode::InMem => {
-                    if lazy {
-                        parts.push("idyll-inmem");
-                    } else {
-                        parts.push("inmem-directory");
-                    }
-                }
-            },
-        }
-        if self.transfw.is_some() {
-            parts.push("+trans-fw");
-        }
-        if self.replication {
-            parts.push("+replication");
-        }
-        parts.join("")
     }
 }
 
@@ -297,24 +248,29 @@ mod tests {
         );
         assert_eq!(cfg.host.fault_batch, 256);
         assert_eq!(cfg.page_size, PageSize::Size4K);
+        assert_eq!(cfg.access_bits, 11);
     }
 
     #[test]
-    fn scheme_names() {
-        assert_eq!(SystemConfig::baseline(4).scheme_name(), "baseline");
-        assert_eq!(SystemConfig::idyll(4).scheme_name(), "idyll");
-        let mut z = SystemConfig::baseline(4);
-        z.zero_latency_invalidation = true;
-        assert_eq!(z.scheme_name(), "zero-latency-invalidation");
-        let mut lazy = SystemConfig::baseline(4);
-        lazy.idyll = Some(IdyllConfig::only_lazy());
-        assert_eq!(lazy.scheme_name(), "only-lazy");
-        let mut dir = SystemConfig::baseline(4);
-        dir.idyll = Some(IdyllConfig::only_directory());
-        assert_eq!(dir.scheme_name(), "only-in-pte");
-        let mut inmem = SystemConfig::baseline(4);
-        inmem.idyll = Some(IdyllConfig::in_mem());
-        assert_eq!(inmem.scheme_name(), "idyll-inmem");
+    fn every_scheme_round_trips_through_its_name() {
+        for s in Scheme::ALL {
+            assert_eq!(Scheme::from_name(s.name()), Some(s), "{s:?}");
+        }
+        assert_eq!(Scheme::from_name("zero-latency-invalidation"), None);
+    }
+
+    #[test]
+    fn schemes_enable_the_paper_mechanisms() {
+        assert!(!Scheme::Baseline.lazy());
+        assert_eq!(Scheme::Baseline.directory(), DirectoryMode::Broadcast);
+        assert!(Scheme::Idyll.lazy());
+        assert_eq!(Scheme::Idyll.directory(), DirectoryMode::InPte);
+        assert!(!Scheme::OnlyInPte.lazy());
+        assert_eq!(Scheme::OnlyLazy.directory(), DirectoryMode::Broadcast);
+        assert_eq!(Scheme::IdyllInMem.directory(), DirectoryMode::InMem);
+        let transfw: Vec<Scheme> = Scheme::ALL.into_iter().filter(|s| s.transfw()).collect();
+        assert_eq!(transfw, [Scheme::TransFw, Scheme::IdyllTransFw]);
+        assert!(Scheme::IdyllTransFw.lazy());
     }
 
     #[test]
@@ -329,17 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn large_pages_adjust_levels() {
+    fn large_pages_switch_the_page_size() {
         let cfg = SystemConfig::baseline(4).with_large_pages();
         assert_eq!(cfg.page_size, PageSize::Size2M);
-        assert_eq!(cfg.gpu.gmmu.levels, 4);
-    }
-
-    #[test]
-    fn ablation_configs() {
-        assert!(IdyllConfig::full().lazy);
-        assert!(!IdyllConfig::only_directory().lazy);
-        assert_eq!(IdyllConfig::only_lazy().directory, DirectoryMode::Broadcast);
-        assert_eq!(IdyllConfig::in_mem().directory, DirectoryMode::InMem);
+        assert_eq!(cfg.page_size.levels(), 4);
     }
 }

@@ -21,6 +21,6 @@ pub mod config;
 pub mod metrics;
 pub mod system;
 
-pub use config::{DirectoryMode, IdyllConfig, SystemConfig};
+pub use config::{DirectoryMode, Scheme, SystemConfig};
 pub use metrics::SimReport;
 pub use system::System;

@@ -50,8 +50,8 @@ impl WalkerMix {
 /// Full results of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
-    /// Scheme label (from `SystemConfig::scheme_name`).
-    pub scheme: String,
+    /// The run's [`Scheme::name`](crate::config::Scheme::name).
+    pub scheme: &'static str,
     /// Workload name.
     pub workload: String,
     /// End-to-end execution time: the cycle at which the last warp retired.

@@ -14,6 +14,7 @@ use vm_model::addr::Vpn;
 use vm_model::pte::Pte;
 
 use super::{msg, Ev, GpuLane, HostState, OrInvariant, Shared, SimError};
+use crate::config::Scheme;
 
 impl GpuLane {
     /// Starts the data access for a translated request at time `start`.
@@ -103,7 +104,7 @@ impl GpuLane {
     /// Counts a remote access toward the migration policy and asks the
     /// driver to migrate once the per-page threshold trips.
     fn note_remote_access(&mut self, sh: &Shared, host: &HostState, vpn: Vpn) {
-        if sh.cfg.replication {
+        if sh.cfg.scheme == Scheme::Replication {
             // Replication study: pages replicate on read faults instead of
             // migrating on access counts.
             return;

@@ -15,6 +15,7 @@ use vm_model::pte::Pte;
 
 use super::observe::{HOST_PID, MIG_PID};
 use super::{broadcast_prt_record, lane_mut, msg, Ev, GpuLane, OrInvariant, Shared, SimError};
+use crate::config::Scheme;
 use vm_model::addr::Vpn;
 
 impl super::HostState {
@@ -148,7 +149,7 @@ impl super::HostState {
             Node::Gpu(h) if h == fault.gpu => {
                 // Already local (stale fault raced a completed migration).
                 let holders = self.replicas.holders(fault.vpn);
-                if sh.cfg.replication && fault.is_write && holders.len() > 1 {
+                if sh.cfg.scheme == Scheme::Replication && fault.is_write && holders.len() > 1 {
                     // The writer owns the page but read replicas are still
                     // outstanding: collapse them before granting write
                     // permission.
@@ -163,7 +164,7 @@ impl super::HostState {
                     .pte(fault.vpn)
                     .or_invariant("faulting page lost its host PTE")?
                     .ppn();
-                let writable = !sh.cfg.replication || holders.len() <= 1;
+                let writable = sh.cfg.scheme != Scheme::Replication || holders.len() <= 1;
                 self.send_mapping(
                     lanes,
                     fault.gpu,
@@ -173,9 +174,10 @@ impl super::HostState {
                 );
             }
             Node::Gpu(h) => {
-                if sh.cfg.replication && !fault.is_write {
+                let replication = sh.cfg.scheme == Scheme::Replication;
+                if replication && !fault.is_write {
                     self.grant_replica(sh, lanes, fault, h)?;
-                } else if sh.cfg.replication && fault.is_write {
+                } else if replication && fault.is_write {
                     // Write collapse: invalidate all other copies and move
                     // ownership to the writer. The owner holds a valid local
                     // mapping even when it was never registered as a replica

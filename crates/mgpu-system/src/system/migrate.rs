@@ -12,7 +12,7 @@ use sim_engine::Cycle;
 use vm_model::addr::Vpn;
 use vm_model::pte::Pte;
 
-use crate::config::DirectoryMode;
+use crate::config::{DirectoryMode, Scheme};
 
 use super::{msg, Ev, GpuLane, HostState, OrInvariant, Shared, SimError};
 
@@ -70,11 +70,7 @@ impl HostState {
                 prt.invalidate(vpn);
             }
         }
-        let directory = sh
-            .cfg
-            .idyll
-            .map(|i| i.directory)
-            .unwrap_or(DirectoryMode::Broadcast);
+        let directory = sh.cfg.scheme.directory();
         // The driver always performs its own page-table walk for the
         // invalidation (it must invalidate/update the host PTE).
         let walk_start = self.now.max(self.host_walkers.earliest_free());
@@ -106,7 +102,7 @@ impl HostState {
                         .schedule(host_walk_done_at, Ev::MigHostWalkDone { vpn });
                     self.send_invalidations(lanes, vpn, targets);
                 }
-                DirectoryMode::InPte { .. } => {
+                DirectoryMode::InPte => {
                     // IDYLL: the host walk must complete before the access
                     // bits are readable; targets are determined (and the
                     // invalidations sent) in `on_mig_host_walk_done`.
@@ -338,7 +334,7 @@ impl HostState {
             }
             return Ok(());
         }
-        if sh.cfg.replication {
+        if sh.cfg.scheme == Scheme::Replication {
             self.replicas.add_replica(vpn, m.to);
         }
         self.dir_record(vpn, m.to);
@@ -396,7 +392,7 @@ impl GpuLane {
                 self.gpu.drop_page_lines(base);
             }
         }
-        if sh.cfg.zero_latency_invalidation {
+        if sh.cfg.scheme == Scheme::ZeroLat {
             // Idealised: the PTE is updated instantaneously and the ack is
             // free (it still crosses lanes as a zero-latency message).
             self.inval_done.insert(vpn);

@@ -36,7 +36,7 @@ use gpu_model::gmmu::{DispatchedWalk, WalkClass};
 use gpu_model::gpu::Gpu;
 use idyll_core::directory::{DirectoryConfig, InPteDirectory};
 use idyll_core::irmb::Irmb;
-use idyll_core::transfw::TransFw;
+use idyll_core::transfw::{TransFw, TransFwConfig};
 use idyll_core::vm_table::VmDirectory;
 use mem_model::gpuset::GpuSet;
 use mem_model::interconnect::Node;
@@ -57,7 +57,7 @@ use vm_model::memmap::MemoryMap;
 use vm_model::pte::Pte;
 use workloads::{Access, Workload};
 
-use crate::config::{DirectoryMode, SystemConfig};
+use crate::config::{DirectoryMode, Scheme, SystemConfig};
 use crate::metrics::{SimReport, WalkerMix};
 
 pub use observe::{ProgressCallback, RunProgress};
@@ -523,7 +523,7 @@ pub(crate) fn broadcast_prt_record(
     vpn: Vpn,
     holder: usize,
 ) {
-    if sh.cfg.transfw.is_none() {
+    if !sh.cfg.scheme.transfw() {
         return;
     }
     for (g, lane) in lanes.iter_mut().enumerate() {
@@ -610,11 +610,6 @@ impl System {
         self.threads = threads.max(1);
     }
 
-    /// The configured worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Returns this system's lane queues to `pool` for reuse by a later
     /// [`System::new_with_pool`].
     pub fn recycle(self, pool: &mut QueuePool) {
@@ -635,20 +630,14 @@ impl System {
             "workload GPU count must match the system"
         );
         let memmap = MemoryMap::new(cfg.n_gpus, cfg.frames_per_device);
-        let mut gpu_cfg = cfg.gpu;
-        gpu_cfg.page_size = cfg.page_size;
-        gpu_cfg.gmmu.levels = cfg.page_size.levels();
-        let irmb_cfg = cfg.idyll.filter(|i| i.lazy).map(|i| i.irmb);
-        let in_pte_dir = match cfg.idyll.map(|i| i.directory) {
-            Some(DirectoryMode::InPte { access_bits }) => Some(InPteDirectory::new(
-                DirectoryConfig::with_access_bits(cfg.n_gpus, access_bits),
-            )),
-            _ => None,
-        };
-        let vm_dir = match cfg.idyll.map(|i| i.directory) {
-            Some(DirectoryMode::InMem) => Some(VmDirectory::new(cfg.n_gpus)),
-            _ => None,
-        };
+        let directory = cfg.scheme.directory();
+        let in_pte_dir = (directory == DirectoryMode::InPte).then(|| {
+            InPteDirectory::new(DirectoryConfig::with_access_bits(
+                cfg.n_gpus,
+                cfg.access_bits,
+            ))
+        });
+        let vm_dir = (directory == DirectoryMode::InMem).then(|| VmDirectory::new(cfg.n_gpus));
         let mut host_mem = HostMemory::new(memmap, cfg.page_size);
         // Populate exactly the pages the traces touch (the VA span is
         // sparse by design — see `workloads::gen::spread`), in deterministic
@@ -707,9 +696,12 @@ impl System {
             .map(|g| {
                 Box::new(GpuLane {
                     id: g,
-                    gpu: Gpu::new(g, gpu_cfg),
-                    irmb: irmb_cfg.map(Irmb::new),
-                    prt: cfg.transfw.map(TransFw::new),
+                    gpu: Gpu::new(g, cfg.gpu, cfg.page_size),
+                    irmb: cfg.scheme.lazy().then(|| Irmb::new(cfg.irmb)),
+                    prt: cfg
+                        .scheme
+                        .transfw()
+                        .then(|| TransFw::new(TransFwConfig::default())),
                     warp_cursors: vec![0; sh.warp_plans[g].len()],
                     overflow: std::collections::VecDeque::new(),
                     dispatch_scheduled: false,
@@ -926,7 +918,7 @@ impl System {
         remote_data_latency.merge(&host.remote_data_latency);
         pcie_bytes += host.pcie_down.iter().map(|p| p.bytes_total()).sum::<u64>();
         SimReport {
-            scheme: self.sh.cfg.scheme_name(),
+            scheme: self.sh.cfg.scheme.name(),
             workload: self.sh.workload_name.clone(),
             exec_cycles: finish_cycle.raw(),
             accesses: accesses_done,
@@ -952,7 +944,7 @@ impl System {
             pwc_hit_rate: sim_engine::stats::hit_rate(pwc_hits, pwc_misses),
             vm_cache_hit_rate: host.vm_dir.as_ref().map(|v| v.cache_hit_rate()),
             transfw: if have_prts { Some(transfw_sums) } else { None },
-            replication: if self.sh.cfg.replication {
+            replication: if self.sh.cfg.scheme == Scheme::Replication {
                 Some((host.replicas.replications(), host.replicas.collapses()))
             } else {
                 None

@@ -14,6 +14,7 @@ use vm_model::pte::Pte;
 use vm_model::walker::WalkOutcome;
 
 use super::{msg, Ev, GpuLane, HostState, OrInvariant, PendingUpdate, Req, Shared, SimError};
+use crate::config::Scheme;
 
 impl GpuLane {
     /// A warp asks to issue its next trace access.
@@ -261,7 +262,7 @@ impl GpuLane {
                             rep.map(|r| r.is_write && !pte.is_writable())
                                 .unwrap_or(false)
                         };
-                        if stale || (write_violation && sh.cfg.replication) {
+                        if stale || (write_violation && sh.cfg.scheme == Scheme::Replication) {
                             let is_write = self
                                 .reqs
                                 .get(walk.request.token)

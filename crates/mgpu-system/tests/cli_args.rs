@@ -1,6 +1,6 @@
 //! `mgpu-sim` rejects out-of-range or unknown arguments with an error line
 //! and exit code 1, and a `--trace-filter` with no `--trace` to write with
-//! exit code 2; never with a panic.
+//! exit code 2; never with a panic. A DNN `--app` follows `--scale`.
 
 #![expect(
     clippy::expect_used,
@@ -76,11 +76,38 @@ fn help_lists_every_scheme_and_trace_category() {
     let help = String::from_utf8_lossy(&out.stdout);
     // Undo the help text's line wrapping.
     let flat = help.split_whitespace().collect::<Vec<_>>().join(" ");
-    let schemes = mgpu_system::config::SCHEMES.join(" | ");
+    let schemes = mgpu_system::config::Scheme::ALL
+        .map(mgpu_system::config::Scheme::name)
+        .join(" | ");
     let categories = sim_engine::trace::CATEGORIES.join(", ");
     assert!(flat.contains(&schemes), "--help omits `{schemes}`:\n{help}");
     assert!(
         flat.contains(&categories),
         "--help omits `{categories}`:\n{help}"
     );
+}
+
+#[test]
+fn dnn_apps_follow_the_scale() {
+    // At `test` scale a DNN app runs Figure 24's test-scale trace.
+    let out = mgpu_sim(&["--app", "VGG16", "--scale", "test", "--scheme", "idyll"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("accesses                : 1920\n"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn unknown_scheme_is_an_error() {
+    let out = mgpu_sim(&["--scale", "test", "--scheme", "zero-latency-invalidation"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: unknown scheme `zero-latency-invalidation`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "an unknown scheme still ran");
 }

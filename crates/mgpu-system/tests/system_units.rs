@@ -1,7 +1,7 @@
 //! Focused system-level behaviours on minimal workloads, where the expected
 //! protocol activity can be reasoned about exactly.
 
-use mgpu_system::config::{IdyllConfig, SystemConfig};
+use mgpu_system::config::{Scheme, SystemConfig};
 use mgpu_system::System;
 use uvm_driver::policy::MigrationPolicy;
 use vm_model::addr::Vpn;
@@ -124,7 +124,7 @@ fn idyll_acks_without_walking() {
         .run()
         .expect("completes");
     let mut cfg = small_cfg(2, 3);
-    cfg.idyll = Some(IdyllConfig::only_lazy());
+    cfg.scheme = Scheme::OnlyLazy;
     let lazy = System::new(cfg, &mk()).run().expect("completes");
     assert!(base.migrations > 0);
     assert!(lazy.migrations > 0);

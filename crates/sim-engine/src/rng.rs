@@ -106,20 +106,6 @@ impl DetRng {
             xs.swap(i, j);
         }
     }
-
-    /// Fills `dest` with pseudorandom bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            for (d, s) in rem.iter_mut().zip(self.next_u64().to_le_bytes()) {
-                *d = s;
-            }
-        }
-    }
 }
 
 /// A precomputed Zipfian sampler over `[0, n)` with exponent `theta`.
@@ -266,13 +252,5 @@ mod tests {
         let mut c2 = parent.fork(2);
         let same = (0..100).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert!(same < 3);
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut rng = DetRng::seed(10);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -92,11 +92,6 @@ impl ReplicaDirectory {
     pub fn collapses(&self) -> u64 {
         self.collapses
     }
-
-    /// Pages with at least one tracked holder.
-    pub fn tracked_pages(&self) -> usize {
-        self.replicas.len()
-    }
 }
 
 #[cfg(test)]
@@ -151,6 +146,5 @@ mod tests {
         let dropped = rd.forget(Vpn(1));
         assert_eq!(dropped.len(), 1);
         assert!(rd.holders(Vpn(1)).is_empty());
-        assert_eq!(rd.tracked_pages(), 0);
     }
 }

@@ -156,11 +156,6 @@ impl FrameAllocator {
     pub fn node(&self) -> Node {
         self.node
     }
-
-    /// Frames currently in use.
-    pub fn in_use(&self) -> u64 {
-        self.next - self.free_list.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +198,6 @@ mod tests {
         assert_eq!(fa.alloc(), Some(2));
         assert_eq!(fa.alloc(), None, "window exhausted");
         fa.free(1);
-        assert_eq!(fa.in_use(), 2);
         assert_eq!(fa.alloc(), Some(1), "recycled frame");
         assert_eq!(fa.alloc(), None);
     }

@@ -11,8 +11,8 @@
 /// A raw 64-bit page-table entry.
 ///
 /// The type exposes exactly the fields the simulator needs: validity, write
-/// permission, the physical page number, the accessed/dirty bookkeeping bits
-/// and raw access to the unused bits 62–52 (the in-PTE directory's storage).
+/// permission, the physical page number and raw access to the unused bits
+/// 62–52 (the in-PTE directory's storage).
 ///
 /// # Example
 ///
@@ -32,8 +32,6 @@ pub struct Pte(pub u64);
 
 const BIT_VALID: u64 = 1 << 0;
 const BIT_RW: u64 = 1 << 1;
-const BIT_ACCESSED: u64 = 1 << 5;
-const BIT_DIRTY: u64 = 1 << 6;
 const PPN_SHIFT: u32 = 12;
 const PPN_MASK: u64 = ((1u64 << 40) - 1) << PPN_SHIFT; // bits 51..=12
 
@@ -96,30 +94,6 @@ impl Pte {
     #[inline]
     pub fn validate(&mut self) {
         self.0 |= BIT_VALID;
-    }
-
-    /// Marks the accessed bit.
-    #[inline]
-    pub fn mark_accessed(&mut self) {
-        self.0 |= BIT_ACCESSED;
-    }
-
-    /// Whether the accessed bit is set.
-    #[inline]
-    pub fn accessed(self) -> bool {
-        self.0 & BIT_ACCESSED != 0
-    }
-
-    /// Marks the dirty bit.
-    #[inline]
-    pub fn mark_dirty(&mut self) {
-        self.0 |= BIT_DIRTY;
-    }
-
-    /// Whether the dirty bit is set.
-    #[inline]
-    pub fn dirty(self) -> bool {
-        self.0 & BIT_DIRTY != 0
     }
 
     /// Reads one of the architecturally unused bits (62–52 or 11–9).
@@ -199,12 +173,8 @@ mod tests {
     #[test]
     fn set_ppn_preserves_flags() {
         let mut pte = Pte::new_mapped(1, true);
-        pte.mark_accessed();
-        pte.mark_dirty();
         pte.set_ppn(0xff);
         assert_eq!(pte.ppn(), 0xff);
-        assert!(pte.accessed());
-        assert!(pte.dirty());
         assert!(pte.is_valid());
         assert!(pte.is_writable());
     }

@@ -50,11 +50,6 @@ impl WalkOutcome {
             _ => None,
         }
     }
-
-    /// Whether the requester must raise a far fault.
-    pub fn is_fault(self) -> bool {
-        !matches!(self, WalkOutcome::Mapped(_))
-    }
 }
 
 /// Result of one page-table walk.
@@ -208,7 +203,7 @@ mod tests {
             WalkOutcome::InvalidLeaf(pte) => assert_eq!(pte.ppn(), 9),
             other => panic!("expected InvalidLeaf, got {other:?}"),
         }
-        assert!(r.outcome.is_fault());
+        assert!(r.outcome.mapped().is_none());
         assert_eq!(r.mem_accesses, 5, "full walk reaches the stale leaf");
     }
 

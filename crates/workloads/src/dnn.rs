@@ -25,6 +25,9 @@ pub enum DnnModel {
 }
 
 impl DnnModel {
+    /// Both models, in the order Figure 24 lists them.
+    pub const ALL: [DnnModel; 2] = [DnnModel::Vgg16, DnnModel::Resnet18];
+
     /// Relative per-layer weight sizes (pages at scale 1.0), front-to-back.
     fn weight_pages(self) -> &'static [u64] {
         match self {

@@ -35,7 +35,7 @@ pub mod prelude {
     pub use crate::core::directory::{DirectoryConfig, InPteDirectory};
     pub use crate::core::irmb::{Irmb, IrmbConfig};
     pub use crate::core::vm_table::VmDirectory;
-    pub use crate::system::config::{DirectoryMode, IdyllConfig, SystemConfig};
+    pub use crate::system::config::{DirectoryMode, Scheme, SystemConfig};
     pub use crate::system::{SimReport, System};
     pub use crate::uvm::policy::MigrationPolicy;
     pub use crate::workloads::{AppId, Scale, WorkloadSpec};

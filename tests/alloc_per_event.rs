@@ -6,7 +6,6 @@
 //! its binary: nothing else can allocate while a run is being counted.
 
 use idyll::prelude::*;
-use idyll::system::config::SCHEMES;
 
 /// Measured 0.056–0.079 allocations per event (`replication` highest) on
 /// the test-scale KM cell, from the amortised growth of per-run queues and
@@ -79,14 +78,13 @@ mod counting {
 fn run_allocates_less_than_the_bound_per_event() {
     let wl =
         idyll::workloads::generate(&WorkloadSpec::paper_default(AppId::Km, Scale::Test), 4, 42);
-    for scheme in SCHEMES {
+    for scheme in Scheme::ALL {
         // The cell `mgpu-sim --scale test --scheme <scheme>` runs.
         let mut cfg = SystemConfig::baseline(4);
         cfg.policy = MigrationPolicy::AccessCounter {
             threshold: Scale::Test.counter_threshold(),
         };
-        cfg.seed = 42;
-        cfg.apply_scheme(scheme).expect("a listed scheme");
+        cfg.scheme = scheme;
         let mut sys = System::new(cfg, &wl);
         let (report, allocs) = counting::counted(|| sys.run());
         let report = report.expect("the cell completes");
@@ -94,7 +92,7 @@ fn run_allocates_less_than_the_bound_per_event() {
         let per_event = allocs as f64 / events as f64;
         assert!(
             per_event <= MAX_ALLOCS_PER_EVENT,
-            "{scheme}: {allocs} allocations / {events} events = {per_event:.4} exceeds {MAX_ALLOCS_PER_EVENT}"
+            "{scheme:?}: {allocs} allocations / {events} events = {per_event:.4} exceeds {MAX_ALLOCS_PER_EVENT}"
         );
     }
 }

@@ -16,7 +16,7 @@ fn run_once(seed: u64, idyll_on: bool) -> SimReport {
         threshold: Scale::Test.counter_threshold(),
     };
     if idyll_on {
-        cfg.idyll = Some(IdyllConfig::full());
+        cfg.scheme = Scheme::Idyll;
     }
     let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
     let wl = workloads::generate(&spec, 4, seed);
@@ -31,7 +31,7 @@ fn observed_run_once(seed: u64, idyll_on: bool) -> (String, String, SimReport) {
         threshold: Scale::Test.counter_threshold(),
     };
     if idyll_on {
-        cfg.idyll = Some(IdyllConfig::full());
+        cfg.scheme = Scheme::Idyll;
     }
     let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
     let wl = workloads::generate(&spec, 4, seed);
@@ -173,7 +173,7 @@ fn trace_filter_restricts_categories() {
     cfg.policy = MigrationPolicy::AccessCounter {
         threshold: Scale::Test.counter_threshold(),
     };
-    cfg.idyll = Some(IdyllConfig::full());
+    cfg.scheme = Scheme::Idyll;
     let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
     let wl = workloads::generate(&spec, 4, 11);
     let mut sys = System::new(cfg, &wl);
@@ -206,7 +206,7 @@ fn watched_run_once(
     cfg.policy = MigrationPolicy::AccessCounter {
         threshold: Scale::Test.counter_threshold(),
     };
-    cfg.idyll = Some(IdyllConfig::full());
+    cfg.scheme = Scheme::Idyll;
     let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
     let wl = workloads::generate(&spec, 4, seed);
     let mut sys = System::new(cfg, &wl);
@@ -276,7 +276,7 @@ fn profiler_does_not_perturb_results() {
     cfg.policy = MigrationPolicy::AccessCounter {
         threshold: Scale::Test.counter_threshold(),
     };
-    cfg.idyll = Some(IdyllConfig::full());
+    cfg.scheme = Scheme::Idyll;
     let spec = WorkloadSpec::paper_default(AppId::Km, Scale::Test);
     let wl = workloads::generate(&spec, 4, 11);
     let mut sys = System::new(cfg, &wl);
@@ -323,7 +323,6 @@ fn event_counts_match_the_golden_pin() {
         cfg.policy = MigrationPolicy::AccessCounter {
             threshold: Scale::Test.counter_threshold(),
         };
-        cfg.seed = 42;
         for threads in [1, 4] {
             let mut sys = System::new(cfg.clone(), &wl);
             sys.set_threads(threads);

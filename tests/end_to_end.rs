@@ -52,7 +52,7 @@ fn all_apps_complete_under_baseline() {
 fn all_apps_complete_under_idyll() {
     for app in AppId::ALL {
         let mut cfg = test_config(4);
-        cfg.idyll = Some(IdyllConfig::full());
+        cfg.scheme = Scheme::Idyll;
         run(app, cfg);
     }
 }
@@ -61,7 +61,7 @@ fn all_apps_complete_under_idyll() {
 fn all_apps_complete_under_only_lazy() {
     for app in AppId::ALL {
         let mut cfg = test_config(4);
-        cfg.idyll = Some(IdyllConfig::only_lazy());
+        cfg.scheme = Scheme::OnlyLazy;
         run(app, cfg);
     }
 }
@@ -70,7 +70,7 @@ fn all_apps_complete_under_only_lazy() {
 fn all_apps_complete_under_only_directory() {
     for app in AppId::ALL {
         let mut cfg = test_config(4);
-        cfg.idyll = Some(IdyllConfig::only_directory());
+        cfg.scheme = Scheme::OnlyInPte;
         run(app, cfg);
     }
 }
@@ -79,16 +79,16 @@ fn all_apps_complete_under_only_directory() {
 fn all_apps_complete_under_inmem() {
     for app in AppId::ALL {
         let mut cfg = test_config(4);
-        cfg.idyll = Some(IdyllConfig::in_mem());
+        cfg.scheme = Scheme::IdyllInMem;
         run(app, cfg);
     }
 }
 
 #[test]
-fn all_apps_complete_under_zero_latency_invalidation() {
+fn all_apps_complete_under_zerolat() {
     for app in AppId::ALL {
         let mut cfg = test_config(4);
-        cfg.zero_latency_invalidation = true;
+        cfg.scheme = Scheme::ZeroLat;
         run(app, cfg);
     }
 }
@@ -97,7 +97,7 @@ fn all_apps_complete_under_zero_latency_invalidation() {
 fn all_apps_complete_under_replication() {
     for app in AppId::ALL {
         let mut cfg = test_config(4);
-        cfg.replication = true;
+        cfg.scheme = Scheme::Replication;
         run(app, cfg);
     }
 }
@@ -106,9 +106,9 @@ fn all_apps_complete_under_replication() {
 fn all_apps_complete_under_transfw_and_combined() {
     for app in [AppId::Pr, AppId::Mm, AppId::St] {
         let mut cfg = test_config(4);
-        cfg.transfw = Some(idyll::core::transfw::TransFwConfig::default());
+        cfg.scheme = Scheme::TransFw;
         run(app, cfg.clone());
-        cfg.idyll = Some(IdyllConfig::full());
+        cfg.scheme = Scheme::IdyllTransFw;
         run(app, cfg);
     }
 }
@@ -136,7 +136,7 @@ fn dnn_workloads_complete() {
         for idyll_on in [false, true] {
             let mut cfg = test_config(4);
             if idyll_on {
-                cfg.idyll = Some(IdyllConfig::full());
+                cfg.scheme = Scheme::Idyll;
             }
             let report = System::new(cfg, &wl).run().expect("completes");
             assert_eq!(report.accesses, wl.total_accesses());
@@ -157,7 +157,7 @@ fn large_pages_complete() {
 fn gpu_count_scaling_completes() {
     for n in [1, 2, 8] {
         let mut cfg = test_config(n);
-        cfg.idyll = Some(IdyllConfig::full());
+        cfg.scheme = Scheme::Idyll;
         run(AppId::Km, cfg);
     }
 }

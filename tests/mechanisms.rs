@@ -46,7 +46,7 @@ fn replication_noise(_r: &SimReport) -> u64 {
 fn directory_cuts_invalidation_messages() {
     let base = run(SHARED_APP, base_cfg(4));
     let mut dir_cfg = base_cfg(4);
-    dir_cfg.idyll = Some(IdyllConfig::only_directory());
+    dir_cfg.scheme = Scheme::OnlyInPte;
     let dir = run(SHARED_APP, dir_cfg);
     assert!(dir.migrations > 0);
     let base_per_mig = base.invalidation_messages as f64 / base.migrations as f64;
@@ -64,7 +64,7 @@ fn directory_never_misses_a_holder() {
     // valid PTE behind).
     for app in AppId::ALL {
         let mut cfg = base_cfg(4);
-        cfg.idyll = Some(IdyllConfig::only_directory());
+        cfg.scheme = Scheme::OnlyInPte;
         let r = run(app, cfg);
         assert_eq!(r.stale_translations, 0, "{app}");
     }
@@ -73,7 +73,7 @@ fn directory_never_misses_a_holder() {
 #[test]
 fn lazy_invalidation_exercises_the_irmb() {
     let mut cfg = base_cfg(4);
-    cfg.idyll = Some(IdyllConfig::only_lazy());
+    cfg.scheme = Scheme::OnlyLazy;
     let r = run(SHARED_APP, cfg);
     assert!(r.irmb_inserts > 0, "invalidations must be buffered");
     assert_eq!(
@@ -86,7 +86,7 @@ fn lazy_invalidation_exercises_the_irmb() {
 fn lazy_invalidation_removes_walker_contention() {
     let base = run(SHARED_APP, base_cfg(4));
     let mut cfg = base_cfg(4);
-    cfg.idyll = Some(IdyllConfig::only_lazy());
+    cfg.scheme = Scheme::OnlyLazy;
     let lazy = run(SHARED_APP, cfg);
     // The baseline walks one invalidation per message through the GMMU; the
     // lazy scheme coalesces them, so the invalidation-class walk count must
@@ -102,7 +102,7 @@ fn lazy_invalidation_removes_walker_contention() {
 #[test]
 fn zero_latency_has_no_invalidation_walks() {
     let mut cfg = base_cfg(4);
-    cfg.zero_latency_invalidation = true;
+    cfg.scheme = Scheme::ZeroLat;
     let r = run(SHARED_APP, cfg);
     assert!(r.migrations > 0);
     assert_eq!(r.invalidation_latency.count(), 0);
@@ -113,7 +113,7 @@ fn zero_latency_has_no_invalidation_walks() {
 #[test]
 fn replication_grants_replicas_and_collapses_on_writes() {
     let mut cfg = base_cfg(4);
-    cfg.replication = true;
+    cfg.scheme = Scheme::Replication;
     let r = run(SHARED_APP, cfg);
     let (replications, collapses) = r.replication.expect("replication stats present");
     assert!(replications > 0, "read sharing must create replicas");
@@ -124,7 +124,7 @@ fn replication_grants_replicas_and_collapses_on_writes() {
 #[test]
 fn transfw_probes_and_forwards() {
     let mut cfg = base_cfg(4);
-    cfg.transfw = Some(idyll::core::transfw::TransFwConfig::default());
+    cfg.scheme = Scheme::TransFw;
     let r = run(AppId::Pr, cfg);
     let (probes, hits, _false_forwards) = r.transfw.expect("transfw stats present");
     assert!(probes > 0, "far faults must probe the PRT");
@@ -134,7 +134,7 @@ fn transfw_probes_and_forwards() {
 #[test]
 fn inmem_directory_reports_cache_hit_rate() {
     let mut cfg = base_cfg(4);
-    cfg.idyll = Some(IdyllConfig::in_mem());
+    cfg.scheme = Scheme::IdyllInMem;
     let r = run(SHARED_APP, cfg);
     let rate = r.vm_cache_hit_rate.expect("vm-cache stats present");
     assert!((0.0..=1.0).contains(&rate));
@@ -163,7 +163,7 @@ fn walker_mix_tracks_unnecessary_invalidations_in_baseline() {
 fn idyll_filters_unnecessary_invalidations() {
     let base = run(SHARED_APP, base_cfg(4));
     let mut cfg = base_cfg(4);
-    cfg.idyll = Some(IdyllConfig::full());
+    cfg.scheme = Scheme::Idyll;
     let idy = run(SHARED_APP, cfg);
     let base_unnec =
         base.walker_mix.invalidation_unnecessary as f64 / base.migrations.max(1) as f64;

@@ -8,27 +8,8 @@ fn apps() -> impl Strategy<Value = AppId> {
     prop::sample::select(AppId::ALL.to_vec())
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Scheme {
-    Baseline,
-    Idyll,
-    OnlyLazy,
-    OnlyDirectory,
-    InMem,
-    ZeroLat,
-    Replication,
-}
-
 fn schemes() -> impl Strategy<Value = Scheme> {
-    prop::sample::select(vec![
-        Scheme::Baseline,
-        Scheme::Idyll,
-        Scheme::OnlyLazy,
-        Scheme::OnlyDirectory,
-        Scheme::InMem,
-        Scheme::ZeroLat,
-        Scheme::Replication,
-    ])
+    prop::sample::select(Scheme::ALL.to_vec())
 }
 
 fn build(scheme: Scheme, n_gpus: usize) -> SystemConfig {
@@ -36,15 +17,7 @@ fn build(scheme: Scheme, n_gpus: usize) -> SystemConfig {
     cfg.policy = MigrationPolicy::AccessCounter {
         threshold: Scale::Test.counter_threshold(),
     };
-    match scheme {
-        Scheme::Baseline => {}
-        Scheme::Idyll => cfg.idyll = Some(IdyllConfig::full()),
-        Scheme::OnlyLazy => cfg.idyll = Some(IdyllConfig::only_lazy()),
-        Scheme::OnlyDirectory => cfg.idyll = Some(IdyllConfig::only_directory()),
-        Scheme::InMem => cfg.idyll = Some(IdyllConfig::in_mem()),
-        Scheme::ZeroLat => cfg.zero_latency_invalidation = true,
-        Scheme::Replication => cfg.replication = true,
-    }
+    cfg.scheme = scheme;
     cfg
 }
 

@@ -13,7 +13,7 @@ fn run(n: usize, idyll_on: bool, app: AppId) -> SimReport {
         threshold: Scale::Test.counter_threshold(),
     };
     if idyll_on {
-        cfg.idyll = Some(IdyllConfig::full());
+        cfg.scheme = Scheme::Idyll;
     }
     let spec = WorkloadSpec::paper_default(app, Scale::Test);
     let wl = workloads::generate(&spec, n, 42);

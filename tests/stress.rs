@@ -9,8 +9,6 @@
     reason = "test helpers outside `#[test]` fns; a failed setup fails the test"
 )]
 
-use idyll::core::irmb::IrmbConfig;
-use idyll::core::transfw::TransFwConfig;
 use idyll::prelude::*;
 use idyll::sim::trace::Tracer;
 use idyll::vm::tlb::TlbConfig;
@@ -82,10 +80,8 @@ fn minimal_pwc_still_correct() {
 #[test]
 fn one_by_one_irmb_thrashes_but_stays_coherent() {
     let mut cfg = base();
-    cfg.idyll = Some(IdyllConfig {
-        irmb: IrmbConfig::new(1, 1),
-        ..IdyllConfig::full()
-    });
+    cfg.scheme = Scheme::Idyll;
+    cfg.irmb = IrmbConfig::new(1, 1);
     let r = run(cfg, AppId::Mm);
     assert!(
         r.irmb_evictions > 0,
@@ -117,7 +113,7 @@ fn scarce_device_frames_degrade_gracefully() {
     // especially).
     let mut cfg = base();
     cfg.frames_per_device = 700;
-    cfg.replication = true;
+    cfg.scheme = Scheme::Replication;
     run(cfg, AppId::Bs);
 }
 
@@ -153,32 +149,29 @@ fn combined_worst_case_configuration() {
     cfg.gpu.gmmu.walker_threads = 1;
     cfg.gpu.l2_mshr_entries = 4;
     cfg.gpu.gmmu.pwc_entries = 4;
-    cfg.idyll = Some(IdyllConfig {
-        irmb: IrmbConfig::new(2, 2),
-        ..IdyllConfig::full()
-    });
+    cfg.scheme = Scheme::Idyll;
+    cfg.irmb = IrmbConfig::new(2, 2);
     run(cfg, AppId::Km);
 }
 
 #[test]
 fn replication_with_access_counter_migration_stays_coherent() {
     let mut cfg = base();
-    cfg.replication = true;
+    cfg.scheme = Scheme::Replication;
     run(cfg, AppId::Mt);
 }
 
 #[test]
 fn transfw_stays_coherent() {
     let mut cfg = base();
-    cfg.transfw = Some(TransFwConfig::default());
+    cfg.scheme = Scheme::TransFw;
     run(cfg, AppId::St);
 }
 
 #[test]
 fn transfw_with_full_idyll_stays_coherent() {
     let mut cfg = base();
-    cfg.transfw = Some(TransFwConfig::default());
-    cfg.idyll = Some(IdyllConfig::full());
+    cfg.scheme = Scheme::IdyllTransFw;
     run(cfg, AppId::St);
 }
 
@@ -193,7 +186,7 @@ fn on_touch_terminates_without_livelock() {
 #[test]
 fn replication_with_low_counter_threshold_terminates() {
     let mut cfg = SystemConfig::test(4);
-    cfg.replication = true;
+    cfg.scheme = Scheme::Replication;
     cfg.policy = MigrationPolicy::AccessCounter { threshold: 4 };
     cfg.max_events = 2_000_000;
     run(cfg, AppId::Mt);
@@ -209,7 +202,7 @@ fn one_entry_mshr_wakes_every_parked_lookup() {
         let mut cfg = base();
         cfg.gpu.l2_mshr_entries = 1;
         if idyll_on {
-            cfg.idyll = Some(IdyllConfig::full());
+            cfg.scheme = Scheme::Idyll;
         }
         let spec = WorkloadSpec::paper_default(AppId::Pr, Scale::Test);
         let wl = workloads::generate(&spec, cfg.n_gpus, 42);
@@ -238,7 +231,6 @@ fn stalled_lookups_cost_no_events_while_parked() {
     cfg.policy = MigrationPolicy::AccessCounter {
         threshold: Scale::Test.counter_threshold(),
     };
-    cfg.seed = 42;
     let spec = WorkloadSpec::paper_default(AppId::Pr, Scale::Test);
     let wl = workloads::generate(&spec, n, 42);
     let r = System::new(cfg, &wl).run().expect("completes");

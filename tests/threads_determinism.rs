@@ -38,7 +38,7 @@ fn sweep_configs() -> Vec<SystemConfig> {
         threshold: Scale::Test.counter_threshold(),
     };
     let mut idyll_full = baseline.clone();
-    idyll_full.idyll = Some(IdyllConfig::full());
+    idyll_full.scheme = Scheme::Idyll;
     vec![baseline, idyll_full]
 }
 
