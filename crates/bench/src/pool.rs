@@ -23,6 +23,8 @@ fn run_one(cell: &Cell, sim_threads: usize, pool: &mut QueuePool) -> Result<Time
     // never feeds simulation state or determinism-tested artifacts.
     let t0 = std::time::Instant::now();
     let mut sys = System::new_with_pool(cell.config.clone(), &workload, pool);
+    // The system keeps its own packed copy of the traces.
+    drop(workload);
     sys.set_threads(sim_threads.max(1));
     let report = sys.run();
     // Hand the lane heaps back so the worker's next cell schedules into

@@ -8,15 +8,18 @@
 //! segment, which preserves intra-CTA locality (greedy) the way a thread
 //! block covering its own data tile does.
 
-/// A warp's work list: indices into the GPU trace, in issue order.
-pub type WarpPlan = Vec<usize>;
+use std::ops::Range;
+
+/// A warp's work list: the indices into the GPU trace it issues, in order.
+pub type WarpPlan = Range<usize>;
 
 /// Builds the per-warp access plans for a trace of `len` accesses dealt to
 /// `warps` warps: each warp owns one contiguous trace segment (a thread
 /// block covering its own data tile), the paper's locality-preserving
 /// scheduling.
 ///
-/// Every index in `0..len` appears in exactly one plan exactly once.
+/// The plans partition `0..len` in order: each starts where the previous
+/// one ends.
 ///
 /// # Panics
 /// Panics if `warps == 0`.
@@ -26,14 +29,13 @@ pub type WarpPlan = Vec<usize>;
 /// ```
 /// use gpu_model::scheduler::plan_warps;
 /// let plans = plan_warps(10, 2);
-/// assert_eq!(plans[0], vec![0, 1, 2, 3, 4]);
-/// assert_eq!(plans[1], vec![5, 6, 7, 8, 9]);
+/// assert_eq!(plans, [0..5, 5..10]);
 /// ```
 pub fn plan_warps(len: usize, warps: usize) -> Vec<WarpPlan> {
     assert!(warps > 0, "need at least one warp");
     let seg = len.div_ceil(warps);
     (0..warps)
-        .map(|w| ((w * seg).min(len)..((w + 1) * seg).min(len)).collect())
+        .map(|w| (w * seg).min(len)..((w + 1) * seg).min(len))
         .collect()
 }
 
@@ -41,33 +43,31 @@ pub fn plan_warps(len: usize, warps: usize) -> Vec<WarpPlan> {
 mod tests {
     use super::*;
 
+    /// The plans tile `0..len`: contiguous, in order, none reversed.
     fn assert_partition(plans: &[WarpPlan], len: usize) {
-        let mut seen = vec![false; len];
+        let mut next = 0;
         for plan in plans {
-            for &i in plan {
-                assert!(i < len);
-                assert!(!seen[i], "index {i} dealt twice");
-                seen[i] = true;
-            }
+            assert_eq!(plan.start, next, "plans must tile the trace in order");
+            assert!(plan.start <= plan.end, "reversed plan {plan:?}");
+            next = plan.end;
         }
-        assert!(seen.iter().all(|&s| s), "some index never dealt");
+        assert_eq!(next, len, "some index never dealt");
     }
 
     #[test]
     fn contiguous_segments_partition_and_preserve_order() {
         let plans = plan_warps(103, 8);
         assert_partition(&plans, 103);
-        for plan in &plans {
-            for pair in plan.windows(2) {
-                assert_eq!(pair[1], pair[0] + 1, "contiguity broken");
-            }
-        }
+        assert!(plans.iter().all(|p| p.len() <= 13), "{plans:?}");
+        assert_eq!(plans[7], 91..103);
     }
 
     #[test]
     fn degenerate_shapes() {
         assert_partition(&plan_warps(0, 4), 0);
-        assert_partition(&plan_warps(3, 8), 3);
+        let plans = plan_warps(3, 8);
+        assert_partition(&plans, 3);
+        assert_eq!(plans.iter().filter(|p| p.is_empty()).count(), 5);
     }
 
     #[test]

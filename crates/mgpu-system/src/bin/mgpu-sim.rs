@@ -20,11 +20,17 @@ use mgpu_system::config::{Scheme, SystemConfig};
 use mgpu_system::System;
 use sim_engine::trace::{Tracer, CATEGORIES};
 use uvm_driver::policy::MigrationPolicy;
-use workloads::{Scale, Workload, WorkloadSource};
+use workloads::{AppId, DnnModel, Scale, Workload, WorkloadSource};
 
-/// The `--help` text. The `--scheme` and `--trace-filter` lines list
-/// [`Scheme::ALL`] and [`CATEGORIES`], the names the parser accepts.
+/// The `--help` text. The `--app`, `--scheme` and `--trace-filter` lines
+/// list [`AppId::ALL`] and [`DnnModel::ALL`], [`Scheme::ALL`] and
+/// [`CATEGORIES`], the names the parser accepts.
 fn usage() -> String {
+    let apps = [
+        AppId::ALL.map(AppId::name).as_slice(),
+        &DnnModel::ALL.map(DnnModel::name),
+    ]
+    .concat();
     format!(
         "\
 mgpu-sim — IDYLL multi-GPU translation simulator
@@ -33,7 +39,8 @@ USAGE:
     mgpu-sim [OPTIONS]
 
 OPTIONS:
-    --app <MT|MM|PR|ST|SC|KM|IM|C2D|BS|VGG16|RESNET18>   workload (default KM)
+    --app <NAME>            workload (default KM), any case, one of:
+                            {apps}
     --trace <FILE>          write a Chrome-trace/Perfetto timeline JSON
     --trace-filter <CATS>   with --trace, record only these comma-separated
                             categories: {categories}
@@ -51,6 +58,7 @@ OPTIONS:
     --large-pages           use 2 MiB pages
     -h, --help              print this help
 ",
+        apps = listing(&apps, " | ", 6),
         categories = listing(&CATEGORIES, ", ", 4),
         schemes = listing(&Scheme::ALL.map(Scheme::name), " | ", 4),
     )
@@ -215,6 +223,8 @@ fn main() -> ExitCode {
         }
     };
     let mut sys = System::new(cfg, &workload);
+    // The system keeps its own packed copy of the traces.
+    drop(workload);
     sys.set_threads(args.threads);
     if args.trace_out.is_some() {
         sys.set_tracer(args.trace_filter.clone().unwrap_or_else(Tracer::enabled));

@@ -56,8 +56,7 @@ impl System {
         let limit = if self.sh.cfg.max_events > 0 {
             self.sh.cfg.max_events
         } else {
-            limit_multiplier * self.sh.traces.iter().map(|t| t.len() as u64).sum::<u64>()
-                + 10_000_000
+            limit_multiplier * self.sh.traces.total_accesses() + 10_000_000
         };
         self.fork_shards();
         let threads = self.threads.max(1).min(self.lanes.len().max(1));

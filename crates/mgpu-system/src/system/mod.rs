@@ -55,7 +55,7 @@ use uvm_driver::replication::ReplicaDirectory;
 use vm_model::addr::Vpn;
 use vm_model::memmap::MemoryMap;
 use vm_model::pte::Pte;
-use workloads::{Access, Workload};
+use workloads::{PackedTraces, PageCensus, Workload};
 
 use crate::config::{DirectoryMode, Scheme, SystemConfig};
 use crate::metrics::{SimReport, WalkerMix};
@@ -254,9 +254,10 @@ impl std::error::Error for SimError {}
 pub(crate) struct Shared {
     pub cfg: SystemConfig,
     pub memmap: MemoryMap,
-    pub traces: Vec<Vec<Access>>,
+    /// The workload's traces at 4 bytes per access.
+    pub traces: PackedTraces,
     /// Per-(gpu, warp) issue plans into the GPU trace (built by the CTA
-    /// scheduling policy): `warp_plans[gpu][warp_index]` is the list of
+    /// scheduling policy): `warp_plans[gpu][warp_index]` is the range of
     /// trace indices the warp issues.
     pub warp_plans: Vec<Vec<gpu_model::scheduler::WarpPlan>>,
     pub compute_gap: Cycle,
@@ -591,7 +592,8 @@ impl System {
     /// Builds a system for `cfg` loaded with `workload`.
     ///
     /// # Panics
-    /// Panics if the workload has a different GPU count than the config.
+    /// Panics if the workload has a different GPU count than the config,
+    /// or breaks the page-span contract [`PackedTraces::new`] checks.
     pub fn new(cfg: SystemConfig, workload: &Workload) -> System {
         Self::build(cfg, workload, None)
     }
@@ -621,7 +623,7 @@ impl System {
 
     #[expect(
         clippy::indexing_slicing,
-        reason = "g < n_gpus indexes the per-GPU traces and plans built here from the same config"
+        reason = "g < n_gpus indexes the per-GPU plans, and census indices the placed flags, all built here"
     )]
     fn build(cfg: SystemConfig, workload: &Workload, pool: Option<&mut QueuePool>) -> System {
         assert_eq!(
@@ -638,16 +640,16 @@ impl System {
             ))
         });
         let vm_dir = (directory == DirectoryMode::InMem).then(|| VmDirectory::new(cfg.n_gpus));
+        // One pass over the workload's traces packs them; the census of
+        // touched pages taken from the packed copy drives host population,
+        // pre-placement and the sharing distribution.
+        let traces = PackedTraces::new(workload);
+        let census = PageCensus::new(&traces);
         let mut host_mem = HostMemory::new(memmap, cfg.page_size);
         // Populate exactly the pages the traces touch (the VA span is
-        // sparse by design — see `workloads::gen::spread`), in deterministic
-        // order.
-        let touched: std::collections::BTreeSet<Vpn> = workload
-            .traces
-            .iter()
-            .flat_map(|t| t.accesses.iter().map(|a| a.vpn))
-            .collect();
-        for &vpn in &touched {
+        // sparse by design — see `workloads::gen::spread`), in ascending
+        // VPN order.
+        for vpn in census.pages() {
             #[expect(
                 clippy::expect_used,
                 reason = "construction-time capacity check, documented panic"
@@ -668,9 +670,8 @@ impl System {
         );
         // Deal each GPU's trace to its warps in contiguous segments.
         let warps_per_gpu = cfg.gpu.cus * cfg.gpu.warps_per_cu;
-        let traces: Vec<Vec<Access>> = workload.traces.iter().map(|t| t.accesses.clone()).collect();
         let warp_plans: Vec<Vec<gpu_model::scheduler::WarpPlan>> = (0..cfg.n_gpus)
-            .map(|g| gpu_model::scheduler::plan_warps(traces[g].len(), warps_per_gpu.max(1)))
+            .map(|g| gpu_model::scheduler::plan_warps(traces.len(g), warps_per_gpu.max(1)))
             .collect();
         let sh = Shared {
             memmap,
@@ -679,7 +680,7 @@ impl System {
             compute_gap: Cycle(workload.compute_gap),
             workload_name: workload.name.clone(),
             instructions: workload.total_instructions(),
-            sharing_distribution: workload.access_sharing_distribution(),
+            sharing_distribution: census.sharing_distribution(),
             lookahead,
             cfg: cfg.clone(),
         };
@@ -770,25 +771,33 @@ impl System {
         // phase), so simulation starts from the steady state in which each
         // page lives on the GPU that first touches it, with that GPU's local
         // page table warm. Remote GPUs still far-fault on first access.
-        {
-            let max_len = sh.traces.iter().map(|t| t.len()).max().unwrap_or(0);
-            for pos in 0..max_len {
-                for (g, lane) in lanes.iter_mut().enumerate() {
-                    let Some(access) = sh.traces[g].get(pos) else {
-                        continue;
-                    };
-                    let vpn = access.vpn;
-                    if host.host_mem.owner_of(vpn) == Some(Node::Host)
-                        && host.host_mem.move_page(vpn, Node::Gpu(g)).is_ok()
-                    {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "construction-time: the page was just moved"
-                        )]
-                        let ppn = host.host_mem.pte(vpn).expect("populated").ppn();
-                        lane.gpu.page_table.insert(vpn, Pte::new_mapped(ppn, true));
-                        host.dir_record(vpn, g);
-                    }
+        // The scan visits accesses by trace position, GPU 0 first at each
+        // position, which fixes every page's frame. A page counts as placed
+        // only once a move succeeds: a full GPU leaves it on the host for
+        // the next GPU that touches it.
+        let mut placed = vec![false; census.len()];
+        let mut unplaced = census.len();
+        let max_len = (0..cfg.n_gpus).map(|g| sh.traces.len(g)).max().unwrap_or(0);
+        for pos in 0..max_len {
+            if unplaced == 0 {
+                break;
+            }
+            for (g, lane) in lanes.iter_mut().enumerate() {
+                let Some(access) = sh.traces.get(g, pos) else {
+                    continue;
+                };
+                let vpn = access.vpn;
+                let Some(page) = census.index(vpn) else {
+                    continue;
+                };
+                if placed[page] {
+                    continue;
+                }
+                if let Ok((_, ppn)) = host.host_mem.move_page(vpn, Node::Gpu(g)) {
+                    placed[page] = true;
+                    unplaced -= 1;
+                    lane.gpu.page_table.insert(vpn, Pte::new_mapped(ppn, true));
+                    host.dir_record(vpn, g);
                 }
             }
         }

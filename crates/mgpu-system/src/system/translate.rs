@@ -38,24 +38,24 @@ impl GpuLane {
             .or_invariant(NO_WARP)?;
         let cu_state = self.gpu.cus.get_mut(cu).or_invariant(NO_WARP)?;
         // Plan exhausted → retire the warp.
-        let Some(&slot) = plan.get(*cursor) else {
+        let slot = plan.start + *cursor;
+        if slot >= plan.end {
             cu_state.retire(warp);
             if self.gpu.all_done() {
                 self.finished = true;
                 self.finish_cycle = self.finish_cycle.max(self.now);
             }
             return Ok(());
-        };
+        }
         // One issue per CU per cycle.
         if !cu_state.try_issue_port(self.now) {
             let at = self.now + 1;
             self.q.schedule(at, Ev::WarpReady { cu, warp });
             return Ok(());
         }
-        let access = *sh
+        let access = sh
             .traces
-            .get(self.id)
-            .and_then(|t| t.get(slot))
+            .get(self.id, slot)
             .or_invariant("warp plan points past its GPU's trace")?;
         *cursor += 1;
         cu_state.issue(warp);

@@ -80,6 +80,13 @@ fn help_lists_every_scheme_and_trace_category() {
         .map(mgpu_system::config::Scheme::name)
         .join(" | ");
     let categories = sim_engine::trace::CATEGORIES.join(", ");
+    let apps = [
+        workloads::AppId::ALL.map(workloads::AppId::name).as_slice(),
+        &workloads::DnnModel::ALL.map(workloads::DnnModel::name),
+    ]
+    .concat()
+    .join(" | ");
+    assert!(flat.contains(&apps), "--help omits `{apps}`:\n{help}");
     assert!(flat.contains(&schemes), "--help omits `{schemes}`:\n{help}");
     assert!(
         flat.contains(&categories),

@@ -47,6 +47,14 @@ fn single_gpu_never_migrates_or_invalidates() {
 }
 
 #[test]
+#[should_panic(expected = "trace access outside the workload's page span")]
+fn access_outside_the_page_span_is_refused_at_construction() {
+    // `Workload::pages` promises every VPN lies in [base_vpn, base_vpn + pages).
+    let wl = workload(vec![vec![(3, false), (64, false)]], 64);
+    System::new(small_cfg(1, 4), &wl);
+}
+
+#[test]
 fn private_working_sets_never_migrate() {
     // Each GPU touches only its own pages: sharing never happens.
     let wl = workload(

@@ -357,8 +357,12 @@ mod tests {
     fn reuse_controls_distinct_pages() {
         let streaming = generate(&WorkloadSpec::paper_default(AppId::Mt, Scale::Small), 4, 3);
         let cached = generate(&WorkloadSpec::paper_default(AppId::Bs, Scale::Small), 4, 3);
-        let mt_pages = streaming.traces[0].distinct_pages();
-        let bs_pages = cached.traces[0].distinct_pages();
+        let distinct = |w: &Workload| {
+            let pages: std::collections::BTreeSet<Vpn> =
+                w.traces[0].accesses.iter().map(|a| a.vpn).collect();
+            pages.len()
+        };
+        let (mt_pages, bs_pages) = (distinct(&streaming), distinct(&cached));
         assert!(
             mt_pages > bs_pages * 2,
             "MT should touch far more pages: {mt_pages} vs {bs_pages}"

@@ -330,11 +330,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Instructions modelled per access (compute gap + the access itself).
-    pub fn instructions_per_access(&self) -> u64 {
-        self.compute_gap + 1
-    }
-
     /// Doubles the footprint (used for the 2 MB-page study, §7.3, which
     /// enlarges inputs to stress the VM subsystem).
     pub fn enlarged(mut self, factor: u64) -> WorkloadSpec {
@@ -389,12 +384,6 @@ mod tests {
         assert!(t.accesses_per_gpu < s.accesses_per_gpu);
         assert!(s.accesses_per_gpu < f.accesses_per_gpu);
         assert!(t.pages < f.pages);
-    }
-
-    #[test]
-    fn instruction_accounting() {
-        let spec = WorkloadSpec::paper_default(AppId::Bs, Scale::Test);
-        assert_eq!(spec.instructions_per_access(), 17);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Trace containers: per-GPU streams of memory accesses.
 
+use crate::census::{PackedTraces, PageCensus};
 use vm_model::addr::Vpn;
 
 /// One memory access in a trace.
@@ -36,14 +37,6 @@ impl GpuTrace {
         }
         self.accesses.iter().filter(|a| a.is_write).count() as f64 / self.accesses.len() as f64
     }
-
-    /// Distinct pages touched.
-    pub fn distinct_pages(&self) -> usize {
-        let mut pages: Vec<u64> = self.accesses.iter().map(|a| a.vpn.0).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages.len()
-    }
 }
 
 /// A complete multi-GPU workload.
@@ -76,33 +69,12 @@ impl Workload {
     /// GPUs access it — and, as the paper's Figure 4 measures it, the
     /// fraction of *accesses* that reference pages shared by 1, 2, …, N
     /// GPUs. Returns `shares[d-1] = fraction of accesses to pages shared by
-    /// exactly d GPUs`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "every access's page holds 1..=n holder bits, so `d - 1` indexes the n counts"
-    )]
+    /// exactly d GPUs` (see [`PageCensus::sharing_distribution`]).
+    ///
+    /// # Panics
+    /// Like [`PackedTraces::new`] and [`PageCensus::new`].
     pub fn access_sharing_distribution(&self) -> Vec<f64> {
-        use sim_engine::collections::DetHashMap;
-        let n = self.traces.len();
-        let mut holders: DetHashMap<u64, u64> = DetHashMap::default();
-        for (g, trace) in self.traces.iter().enumerate() {
-            for a in &trace.accesses {
-                *holders.entry(a.vpn.0).or_insert(0) |= 1u64 << g;
-            }
-        }
-        let mut counts = vec![0u64; n];
-        let mut total = 0u64;
-        for trace in &self.traces {
-            for a in &trace.accesses {
-                let d = holders.get(&a.vpn.0).map_or(0, |h| h.count_ones() as usize);
-                counts[d - 1] += 1;
-                total += 1;
-            }
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f64 / total.max(1) as f64)
-            .collect()
+        PageCensus::new(&PackedTraces::new(self)).sharing_distribution()
     }
 }
 
@@ -143,7 +115,6 @@ mod tests {
         let w = wl(vec![vec![(1, false), (1, true), (2, true), (1, false)]]);
         let t = &w.traces[0];
         assert_eq!(t.len(), 4);
-        assert_eq!(t.distinct_pages(), 2);
         assert_eq!(t.write_fraction(), 0.5);
     }
 
@@ -166,6 +137,5 @@ mod tests {
         let t = GpuTrace::default();
         assert!(t.is_empty());
         assert_eq!(t.write_fraction(), 0.0);
-        assert_eq!(t.distinct_pages(), 0);
     }
 }
