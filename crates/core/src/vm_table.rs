@@ -17,7 +17,7 @@ use vm_model::addr::Vpn;
 pub const VM_ACCESS_BITS: u32 = 19;
 
 /// A cached VM-Table line: the access-bit vector plus a dirty flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct VmLine {
     bits: u32,
     dirty: bool,

@@ -1,12 +1,10 @@
-//! One GPU: compute units, TLB hierarchy, GMMU, fault buffer and data path.
+//! One GPU: compute units, TLB hierarchy, GMMU and data path.
 
 use mem_model::cache::{Cache, CacheGeometry};
 use mem_model::dram::Dram;
 use mem_model::interconnect::GpuId;
 use mem_model::mshr::Mshr;
-use sim_engine::queue::BoundedQueue;
 use sim_engine::Cycle;
-use uvm_driver::fault::FarFault;
 use vm_model::addr::{PageSize, Vpn};
 use vm_model::page_table::PageTable;
 use vm_model::tlb::{Tlb, TlbBank, TlbConfig};
@@ -29,8 +27,6 @@ pub struct GpuConfig {
     pub l2_mshr_entries: usize,
     /// GMMU parameters.
     pub gmmu: GmmuConfig,
-    /// GPU fault buffer entries.
-    pub fault_buffer_entries: usize,
     /// L2 data cache geometry (256 KiB, 16-way).
     pub l2_cache: CacheGeometry,
     /// Device DRAM banks.
@@ -54,7 +50,6 @@ impl Default for GpuConfig {
             l2_tlb: TlbConfig::baseline_l2(),
             l2_mshr_entries: 64,
             gmmu: GmmuConfig::default(),
-            fault_buffer_entries: 4096,
             l2_cache: CacheGeometry::new(256 * 1024, 16, 64),
             dram_banks: 32,
             dram_latency: Cycle(200),
@@ -97,8 +92,6 @@ pub struct Gpu {
     pub page_table: PageTable,
     /// The GMMU.
     pub gmmu: Gmmu,
-    /// GPU fault buffer holding far faults awaiting driver pickup.
-    pub fault_buffer: BoundedQueue<FarFault>,
     /// Shared L2 data cache.
     pub l2_cache: Cache,
     /// Device memory.
@@ -119,7 +112,6 @@ impl Gpu {
             l2_mshr: Mshr::new(config.l2_mshr_entries),
             page_table: PageTable::new(page_size),
             gmmu: Gmmu::new(config.gmmu, page_size),
-            fault_buffer: BoundedQueue::new(config.fault_buffer_entries),
             l2_cache: Cache::new(config.l2_cache),
             dram: Dram::new(
                 config.dram_banks,

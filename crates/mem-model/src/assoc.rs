@@ -7,6 +7,8 @@
 //! Storage is flat: tags, stamps and payloads live in three contiguous
 //! arrays of `sets × ways` slots, and a per-set occupancy says how many of
 //! a set's slots are live. Live ways are packed to the left of their set.
+//! Payloads are small `Copy` values stored bare: a free slot keeps whatever
+//! its last occupant left, and only the occupancy says it is free.
 
 /// What happened on an insertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,8 +55,8 @@ pub struct SetAssoc<V> {
     tags: Vec<u64>,
     /// LRU stamps, parallel to `tags`.
     stamps: Vec<u64>,
-    /// Payloads, parallel to `tags`; `None` exactly in the free slots.
-    values: Vec<Option<V>>,
+    /// Payloads, parallel to `tags`; meaningful only in live slots.
+    values: Vec<V>,
     /// Live ways per set.
     lens: Vec<usize>,
     ways: usize,
@@ -70,7 +72,7 @@ pub struct SetAssoc<V> {
     clippy::indexing_slicing,
     reason = "slots come from `live(set)`, `find` and `lru`, so they lie inside the table; a set index is masked by `set_of` or is a caller's documented `# Panics` contract"
 )]
-impl<V> SetAssoc<V> {
+impl<V: Copy + Default> SetAssoc<V> {
     /// Creates an array of `sets × ways` slots.
     ///
     /// # Panics
@@ -82,7 +84,7 @@ impl<V> SetAssoc<V> {
         SetAssoc {
             tags: vec![0; slots],
             stamps: vec![0; slots],
-            values: (0..slots).map(|_| None).collect(),
+            values: vec![V::default(); slots],
             lens: vec![0; sets],
             ways,
             clock: 0,
@@ -103,6 +105,15 @@ impl<V> SetAssoc<V> {
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
         self.tags.len()
+    }
+
+    /// Bytes of the tag, stamp and payload arrays and the per-set
+    /// occupancy, all fixed by the geometry.
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of_val(self.tags.as_slice())
+            + std::mem::size_of_val(self.stamps.as_slice())
+            + std::mem::size_of_val(self.values.as_slice())
+            + std::mem::size_of_val(self.lens.as_slice())
     }
 
     /// Number of occupied entries.
@@ -184,7 +195,7 @@ impl<V> SetAssoc<V> {
         let stamp = self.tick();
         let slot = self.find(set, key)?;
         self.stamps[slot] = stamp;
-        self.values[slot].as_mut()
+        Some(&mut self.values[slot])
     }
 
     /// Checks presence without disturbing recency (a "probe").
@@ -200,7 +211,7 @@ impl<V> SetAssoc<V> {
     /// Reads without disturbing recency.
     pub fn peek(&self, key: u64) -> Option<&V> {
         let slot = self.find(self.set_of(key), key)?;
-        self.values[slot].as_ref()
+        Some(&self.values[slot])
     }
 
     /// Inserts `key → value`, evicting the per-set LRU entry if necessary.
@@ -216,17 +227,14 @@ impl<V> SetAssoc<V> {
         let stamp = self.tick();
         if let Some(slot) = self.find(set, key) {
             self.stamps[slot] = stamp;
-            return match self.values[slot].replace(value) {
-                Some(old) => Inserted::Updated(old),
-                None => Inserted::Filled,
-            };
+            return Inserted::Updated(std::mem::replace(&mut self.values[slot], value));
         }
         let live = self.live(set);
         if live.len() < self.ways {
             let slot = live.end;
             self.tags[slot] = key;
             self.stamps[slot] = stamp;
-            self.values[slot] = Some(value);
+            self.values[slot] = value;
             self.lens[set] += 1;
             return Inserted::Filled;
         }
@@ -236,10 +244,8 @@ impl<V> SetAssoc<V> {
         };
         let tag = std::mem::replace(&mut self.tags[slot], key);
         self.stamps[slot] = stamp;
-        match self.values[slot].replace(value) {
-            Some(value) => Inserted::Evicted { tag, value },
-            None => Inserted::Filled,
-        }
+        let value = std::mem::replace(&mut self.values[slot], value);
+        Inserted::Evicted { tag, value }
     }
 
     /// Removes `key`, returning its payload.
@@ -252,12 +258,12 @@ impl<V> SetAssoc<V> {
     pub fn invalidate_in(&mut self, set: usize, key: u64) -> Option<V> {
         let slot = self.find(set, key)?;
         let last = self.live(set).end - 1;
-        let value = self.values[slot].take();
+        let value = self.values[slot];
         self.tags[slot] = self.tags[last];
         self.stamps[slot] = self.stamps[last];
-        self.values.swap(slot, last);
+        self.values[slot] = self.values[last];
         self.lens[set] -= 1;
-        value
+        Some(value)
     }
 
     /// Removes the entries of `set` matching `pred`, keeping the survivors
@@ -267,17 +273,11 @@ impl<V> SetAssoc<V> {
         let (start, before) = (live.start, live.len());
         let mut kept = start;
         for slot in live {
-            let drop = match &self.values[slot] {
-                Some(v) => pred(self.tags[slot], v),
-                None => true,
-            };
-            if drop {
-                self.values[slot] = None;
-            } else {
+            if !pred(self.tags[slot], &self.values[slot]) {
                 if kept != slot {
                     self.tags[kept] = self.tags[slot];
                     self.stamps[kept] = self.stamps[slot];
-                    self.values.swap(kept, slot);
+                    self.values[kept] = self.values[slot];
                 }
                 kept += 1;
             }
@@ -316,7 +316,6 @@ impl<V> SetAssoc<V> {
     pub fn flush(&mut self) -> usize {
         let n = self.len();
         self.lens.iter_mut().for_each(|len| *len = 0);
-        self.values.iter_mut().for_each(|v| *v = None);
         n
     }
 
@@ -324,7 +323,7 @@ impl<V> SetAssoc<V> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         (0..self.sets()).flat_map(move |set| {
             self.live(set)
-                .filter_map(move |slot| Some((self.tags[slot], self.values[slot].as_ref()?)))
+                .map(move |slot| (self.tags[slot], &self.values[slot]))
         })
     }
 
@@ -427,6 +426,48 @@ mod tests {
         assert_eq!(sa.len(), 8);
         assert_eq!(sa.flush(), 8);
         assert!(sa.is_empty());
+    }
+
+    #[test]
+    fn a_freed_slot_never_returns_its_old_payload() {
+        // Payloads are stored bare, so a freed slot keeps its last value;
+        // only the occupancy may say which slots are live.
+        let mut sa: SetAssoc<u32> = SetAssoc::new(1, 3);
+        sa.insert(1, 10);
+        sa.insert(2, 20);
+        sa.insert(3, 30);
+        // Invalidated: the last way (3) moves into the hole.
+        assert_eq!(sa.invalidate(1), Some(10));
+        assert_eq!(sa.get(1), None);
+        assert_eq!(sa.peek(1), None);
+        assert_eq!(sa.peek(3), Some(&30));
+        // Evicted: 2 is now LRU and its slot takes key 4.
+        sa.insert(5, 50);
+        assert!(matches!(
+            sa.insert(4, 40),
+            Inserted::Evicted { tag: 2, value: 20 }
+        ));
+        assert_eq!(sa.get(2), None);
+        assert_eq!(sa.peek(2), None);
+        // Removed by predicate: the survivors close up and the tail slot
+        // keeps a stale copy that must stay invisible.
+        assert_eq!(sa.invalidate_matching(|tag, _| tag == 3), 1);
+        assert_eq!(sa.peek(3), None);
+        let mut live: Vec<(u64, u32)> = sa.iter().map(|(t, &v)| (t, v)).collect();
+        live.sort_unstable();
+        assert_eq!(live, vec![(4, 40), (5, 50)]);
+        // Flushed: nothing is visible, and refills see only their own
+        // payloads.
+        assert_eq!(sa.flush(), 2);
+        assert_eq!(sa.get(4), None);
+        assert_eq!(sa.peek(5), None);
+        assert_eq!(sa.iter().count(), 0);
+        assert_eq!(sa.insert(6, 60), Inserted::Filled);
+        assert_eq!(
+            sa.iter().map(|(t, &v)| (t, v)).collect::<Vec<_>>(),
+            vec![(6, 60)]
+        );
+        assert_eq!(sa.invalidate(4), None);
     }
 
     #[test]

@@ -131,6 +131,11 @@ impl Cache {
         self.geometry
     }
 
+    /// Bytes of the tag store, fixed by the geometry.
+    pub fn footprint_bytes(&self) -> usize {
+        self.lines.footprint_bytes()
+    }
+
     /// Hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.get()

@@ -27,6 +27,10 @@ pub enum MshrOutcome {
 /// A table of miss-status holding registers keyed by `u64` (page number or
 /// line address) holding opaque waiter tokens `W`.
 ///
+/// Waiter lists are recycled: hand the list [`Mshr::complete`] returns back
+/// through [`Mshr::recycle`] and the next allocated entry reuses its
+/// buffer, so a steady state allocates nothing.
+///
 /// # Example
 ///
 /// ```
@@ -34,15 +38,19 @@ pub enum MshrOutcome {
 /// let mut mshr: Mshr<u32> = Mshr::new(16);
 /// assert_eq!(mshr.register(0x42, 1), MshrOutcome::Allocated);
 /// assert_eq!(mshr.register(0x42, 2), MshrOutcome::Merged);
-/// assert_eq!(mshr.complete(0x42), vec![1, 2]);
+/// let waiters = mshr.complete(0x42);
+/// assert_eq!(waiters, vec![1, 2]);
+/// mshr.recycle(waiters);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr<W> {
     /// Key → (waiters, allocated by [`Mshr::register_forced`]).
     entries: DetHashMap<u64, (Vec<W>, bool)>,
-    /// Entries allocated by [`Mshr::register_forced`]; they live in the
-    /// fault buffer and do not count toward `capacity`.
+    /// Entries allocated by [`Mshr::register_forced`]; they do not count
+    /// toward `capacity`.
     forced: usize,
+    /// Emptied waiter lists handed back by [`Mshr::recycle`].
+    spare: Vec<Vec<W>>,
     capacity: usize,
     merges: u64,
     peak: usize,
@@ -58,6 +66,7 @@ impl<W> Mshr<W> {
         Mshr {
             entries: DetHashMap::default(),
             forced: 0,
+            spare: Vec::new(),
             capacity,
             merges: 0,
             peak: 0,
@@ -74,9 +83,8 @@ impl<W> Mshr<W> {
 
     /// Registers a miss on `key` ignoring the capacity limit. Used by fault
     /// paths that must never stall (a stalled fault can deadlock a
-    /// migration); the overflow is architecturally backed by the GPU fault
-    /// buffer rather than an MSHR entry, so a forced entry never counts
-    /// toward capacity.
+    /// migration): a forced entry never counts toward capacity, so it
+    /// neither needs a free entry nor takes one from [`Mshr::register`].
     pub fn register_forced(&mut self, key: u64, w: W) -> MshrOutcome {
         self.insert(key, w, true)
     }
@@ -87,7 +95,9 @@ impl<W> Mshr<W> {
             self.merges += 1;
             return MshrOutcome::Merged;
         }
-        self.entries.insert(key, (vec![w], forced));
+        let mut waiters = self.spare.pop().unwrap_or_default();
+        waiters.push(w);
+        self.entries.insert(key, (waiters, forced));
         self.forced += usize::from(forced);
         self.peak = self.peak.max(self.entries.len());
         MshrOutcome::Allocated
@@ -103,6 +113,13 @@ impl<W> Mshr<W> {
             }
             None => Vec::new(),
         }
+    }
+
+    /// Hands back a waiter list returned by [`Mshr::complete`] so a later
+    /// entry reuses its buffer.
+    pub fn recycle(&mut self, mut waiters: Vec<W>) {
+        waiters.clear();
+        self.spare.push(waiters);
     }
 
     /// Whether an entry for `key` is outstanding.
@@ -134,6 +151,12 @@ impl<W> Mshr<W> {
     /// Highest simultaneous occupancy.
     pub fn peak(&self) -> usize {
         self.peak
+    }
+
+    /// Bytes of the entry table at its peak occupancy, one key and
+    /// waiter-list header per entry (waiter elements not counted).
+    pub fn footprint_bytes(&self) -> usize {
+        self.peak * std::mem::size_of::<(u64, (Vec<W>, bool))>()
     }
 }
 
@@ -170,7 +193,7 @@ mod tests {
         assert_eq!(m.register(1, 0), MshrOutcome::Allocated);
         assert_eq!(m.register_forced(2, 0), MshrOutcome::Allocated);
         assert_eq!(m.register_forced(3, 0), MshrOutcome::Allocated);
-        assert!(!m.is_full(), "forced entries live in the fault buffer");
+        assert!(!m.is_full(), "forced entries take no capacity");
         assert_eq!(m.register(4, 0), MshrOutcome::Allocated);
         assert_eq!(m.len(), 4);
         assert!(m.is_full());
@@ -181,6 +204,22 @@ mod tests {
         assert_eq!(m.register(5, 0), MshrOutcome::Full);
         m.complete(1);
         assert_eq!(m.register(5, 0), MshrOutcome::Allocated);
+    }
+
+    #[test]
+    fn recycled_waiter_lists_come_back_empty() {
+        let mut m: Mshr<u8> = Mshr::new(2);
+        m.register(1, 10);
+        m.register(1, 11);
+        let waiters = m.complete(1);
+        assert_eq!(waiters, vec![10, 11]);
+        m.recycle(waiters);
+        m.register(2, 20);
+        assert_eq!(
+            m.complete(2),
+            vec![20],
+            "no waiter of key 1 leaks into key 2"
+        );
     }
 
     #[test]

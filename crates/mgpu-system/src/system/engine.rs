@@ -492,7 +492,7 @@ impl GpuLane {
                 self.dispatch_scheduled = false;
                 self.dispatch_walks()
             }
-            Ev::WalkDone { walk } => self.on_walk_done(sh, host, walk),
+            Ev::WalkDone { slot } => self.on_walk_done(sh, host, slot),
             Ev::MappingToGpu { vpn, pte } => self.on_mapping_to_gpu(vpn, pte),
             Ev::InvalArrive { vpn } => self.on_inval_arrive(sh, vpn),
             Ev::AccessDone { token } => self.on_access_done(sh, token),
@@ -570,7 +570,7 @@ impl HostState {
     )]
     fn handle(&mut self, sh: &Shared, lanes: &mut [Box<GpuLane>], ev: Ev) -> Result<(), SimError> {
         match ev {
-            Ev::FaultAtHost { fault } => self.on_fault_at_host(sh, lanes, fault),
+            Ev::FaultAtHost { fault } => self.on_fault_at_host(sh, fault),
             Ev::BatchWindow => self.on_batch_window(sh),
             Ev::FaultResolved { fault } => self.on_fault_resolved(sh, lanes, fault),
             Ev::AckAtHost { gpu, vpn } => self.on_ack_at_host(sh, lanes, gpu, vpn),

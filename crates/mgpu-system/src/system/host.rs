@@ -24,11 +24,8 @@ impl super::HostState {
     pub(crate) fn on_fault_at_host(
         &mut self,
         sh: &Shared,
-        lanes: &mut [Box<GpuLane>],
         fault: FarFault,
     ) -> Result<(), SimError> {
-        // The fault leaves the GPU fault buffer when the driver fetches it.
-        let _ = lane_mut(lanes, fault.gpu).gpu.fault_buffer.pop();
         if let Some(batch) = self.batcher.push(fault) {
             self.process_fault_batch(sh, batch)?;
         } else if !self.batch_flush_scheduled {

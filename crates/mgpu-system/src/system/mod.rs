@@ -31,8 +31,9 @@ mod migrate;
 mod observe;
 mod reqs;
 mod translate;
+mod walks;
 
-use gpu_model::gmmu::{DispatchedWalk, WalkClass};
+use gpu_model::gmmu::WalkClass;
 use gpu_model::gpu::Gpu;
 use idyll_core::directory::{DirectoryConfig, InPteDirectory};
 use idyll_core::irmb::Irmb;
@@ -93,8 +94,8 @@ pub(crate) enum Ev {
     L2Lookup { token: u64 },
     /// Try to start queued page walks.
     DispatchWalks,
-    /// A page walk finished.
-    WalkDone { walk: DispatchedWalk },
+    /// A page walk finished; the walk waits in [`GpuLane::walks`].
+    WalkDone { slot: u32 },
     /// A new mapping arrived (rides the PTE-update path).
     MappingToGpu { vpn: Vpn, pte: Pte },
     /// An invalidation request arrived.
@@ -140,6 +141,10 @@ pub(crate) enum Ev {
     /// Off-critical-path directory notification (Trans-FW grant path).
     DirRecord { vpn: Vpn, gpu: usize },
 }
+
+// Every lane-queue slot, outbox entry and barrier route holds an `Ev`, so
+// its size is what they copy; the largest variant is `RemoteProbeReply`.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 56);
 
 impl Ev {
     /// The self-profiler phase this event's handler is charged to.
@@ -332,6 +337,8 @@ pub(crate) struct GpuLane {
     pub prt: Option<TransFw>,
     /// Per-warp cursor into this lane's warp plans.
     pub warp_cursors: Vec<usize>,
+    /// Dispatched walks awaiting their [`Ev::WalkDone`].
+    pub walks: walks::WalkSlab,
     /// Walk requests that found the page-walk queue full (upstream stall
     /// buffer, drained before new dispatches).
     pub overflow: std::collections::VecDeque<(Vpn, WalkClass, u64)>,
@@ -571,7 +578,7 @@ pub struct System {
     /// Boxed so the parallel driver hands lanes to its workers by pointer.
     #[expect(
         clippy::vec_box,
-        reason = "a lane is 2.7 kB; the parallel driver moves every lane out and back each epoch"
+        reason = "`size_of::<GpuLane>()` is 2 712 B; the parallel driver moves every lane out and back each epoch"
     )]
     pub(crate) lanes: Vec<Box<GpuLane>>,
     pub(crate) host: HostState,
@@ -704,6 +711,7 @@ impl System {
                         .transfw()
                         .then(|| TransFw::new(TransFwConfig::default())),
                     warp_cursors: vec![0; sh.warp_plans[g].len()],
+                    walks: walks::WalkSlab::default(),
                     overflow: std::collections::VecDeque::new(),
                     dispatch_scheduled: false,
                     mshr_waiters: std::collections::VecDeque::new(),

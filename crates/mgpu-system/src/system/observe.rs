@@ -179,6 +179,15 @@ impl System {
             drv.count("migrations_started", host.migrations.started());
             drv.count("migrations_deduped", host.migrations.dropped_duplicates());
         }
+        {
+            let mut mem = reg.scope("mem");
+            let mut total = 0;
+            for (name, bytes) in self.lane_footprint() {
+                mem.count(name, bytes);
+                total += bytes;
+            }
+            mem.count("lanes_bytes", total);
+        }
         for (g, lane) in self.lanes.iter().enumerate() {
             let gpu = &lane.gpu;
             let mut scope = reg.scope(format!("gpu{g}"));
@@ -234,6 +243,48 @@ impl System {
             }
         }
         reg
+    }
+
+    /// Bytes of each per-lane structure, summed over the GPU lanes. Each is
+    /// computed from element counts and fixed geometry, never from a
+    /// reserved capacity, so it is the same for any thread count or hash
+    /// seed: caches and TLBs by their geometry, hash tables by their live
+    /// entries at run end (one key and value each, table overhead not
+    /// counted), and transient tables (MSHR, walk slab, lane queue) at
+    /// their high-water mark.
+    fn lane_footprint(&self) -> [(&'static str, u64); 10] {
+        let mut sums = [
+            "l1_tlb_bytes",
+            "l2_tlb_bytes",
+            "l2_cache_bytes",
+            "pwc_bytes",
+            "page_table_bytes",
+            "mshr_bytes",
+            "walk_slab_bytes",
+            "lane_queue_bytes",
+            "reqs_bytes",
+            "access_counters_bytes",
+        ]
+        .map(|name| (name, 0u64));
+        for lane in &self.lanes {
+            let gpu = &lane.gpu;
+            let bytes = [
+                gpu.l1_tlbs.footprint_bytes(),
+                gpu.l2_tlb.footprint_bytes(),
+                gpu.l2_cache.footprint_bytes(),
+                gpu.gmmu.pwc().footprint_bytes(),
+                gpu.page_table.footprint_bytes(),
+                gpu.l2_mshr.footprint_bytes(),
+                lane.walks.footprint_bytes(),
+                lane.q.footprint_bytes(),
+                lane.reqs.footprint_bytes(),
+                lane.counters.footprint_bytes(),
+            ];
+            for ((_, sum), b) in sums.iter_mut().zip(bytes) {
+                *sum += b as u64;
+            }
+        }
+        sums
     }
 
     /// Renders the failure state dump used by [`System::run_debug`]:

@@ -44,6 +44,11 @@ impl ReqTable {
         Some(token)
     }
 
+    /// Bytes of the slot table, one slot per warp.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        std::mem::size_of_val(self.slots.as_slice())
+    }
+
     /// The issue sequence number `token` was minted with (what traces
     /// print, and what spreads accesses across a page's cache lines).
     pub(crate) fn seq(&self, token: u64) -> u64 {

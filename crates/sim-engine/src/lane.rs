@@ -240,6 +240,14 @@ impl<E> LaneQueue<E> {
         self.locate().map(|(at, _)| at)
     }
 
+    /// Bytes of the bucket ring plus one arena slot per event ever in
+    /// flight at once since the queue was built or recycled (the arena's
+    /// high-water mark, not its reserved capacity).
+    #[must_use]
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of::<Ring>() + std::mem::size_of_val(self.arena.as_slice())
+    }
+
     /// Number of events currently pending.
     #[must_use]
     pub fn len(&self) -> usize {

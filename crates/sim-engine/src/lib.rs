@@ -12,7 +12,7 @@
 //!   [`LaneQueue`] and the cross-lane merge rule are tested against,
 //! * [`DetRng`] — a seedable, reproducible random number generator,
 //! * [`stats`] — counters, accumulators and histograms used for reporting,
-//! * [`queue::BoundedQueue`] — a bounded FIFO with occupancy statistics,
+//! * [`queue::BoundedQueue`] — a bounded FIFO that counts rejected pushes,
 //! * [`resource::ThreadPool`] — an abstract pool of latency-occupied threads
 //!   (used to model page-table-walker threads and similar units),
 //! * [`trace`] — span/event tracing with a Chrome-trace (Perfetto) exporter,

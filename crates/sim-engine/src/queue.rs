@@ -23,7 +23,6 @@ pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
     rejected: u64,
-    peak: usize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -37,7 +36,6 @@ impl<T> BoundedQueue<T> {
             items: VecDeque::with_capacity(capacity),
             capacity,
             rejected: 0,
-            peak: 0,
         }
     }
 
@@ -51,18 +49,12 @@ impl<T> BoundedQueue<T> {
             return Err(item);
         }
         self.items.push_back(item);
-        self.peak = self.peak.max(self.items.len());
         Ok(())
     }
 
     /// Removes the oldest element.
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
-    }
-
-    /// Borrows the oldest element.
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
     }
 
     /// Current occupancy.
@@ -75,16 +67,6 @@ impl<T> BoundedQueue<T> {
         self.items.is_empty()
     }
 
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Free slots remaining.
     pub fn free(&self) -> usize {
         self.capacity - self.items.len()
@@ -93,16 +75,6 @@ impl<T> BoundedQueue<T> {
     /// Number of rejected pushes (back-pressure events).
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// Highest occupancy ever observed.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Iterates over queued elements front-to-back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
     }
 }
 
@@ -126,7 +98,7 @@ mod tests {
     fn rejects_when_full_and_counts() {
         let mut q = BoundedQueue::new(1);
         q.push('a').unwrap();
-        assert!(q.is_full());
+        assert_eq!(q.free(), 0);
         assert_eq!(q.push('b'), Err('b'));
         assert_eq!(q.rejected(), 1);
         q.pop();
@@ -141,10 +113,9 @@ mod tests {
         q.push(2).unwrap();
         assert_eq!(q.len(), 2);
         assert_eq!(q.free(), 1);
-        assert_eq!(q.peak(), 2);
-        q.pop();
-        assert_eq!(q.peak(), 2, "peak is sticky");
-        assert_eq!(q.front(), Some(&2));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.free(), 2);
+        assert!(!q.is_empty());
     }
 
     #[test]

@@ -110,6 +110,11 @@ impl AccessCounters {
         self.counts.len()
     }
 
+    /// Bytes of the live counters, one key and count each.
+    pub fn footprint_bytes(&self) -> usize {
+        self.counts.len() * std::mem::size_of::<(Vpn, u32)>()
+    }
+
     /// Whether no counters are live.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()

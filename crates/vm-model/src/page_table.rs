@@ -72,6 +72,13 @@ impl PageTable {
         self.leaves.len()
     }
 
+    /// Bytes of the leaf entries and materialised interior nodes, one key
+    /// and value each.
+    pub fn footprint_bytes(&self) -> usize {
+        self.leaves.len() * std::mem::size_of::<(Vpn, Pte)>()
+            + self.nodes.len() * std::mem::size_of::<(u32, u64)>()
+    }
+
     /// Whether the table has no leaf entries.
     pub fn is_empty(&self) -> bool {
         self.leaves.is_empty()

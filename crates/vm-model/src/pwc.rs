@@ -119,6 +119,11 @@ impl PageWalkCache {
         sim_engine::stats::hit_rate(self.hits.get(), self.misses.get())
     }
 
+    /// Bytes of the entry store, fixed by the capacity.
+    pub fn footprint_bytes(&self) -> usize {
+        self.entries.footprint_bytes()
+    }
+
     /// Total number of radix levels of the table this PWC serves.
     pub fn levels(&self) -> u32 {
         self.levels

@@ -153,6 +153,11 @@ impl Tlb {
         self.config
     }
 
+    /// Bytes of the entry store, fixed by the geometry.
+    pub fn footprint_bytes(&self) -> usize {
+        self.entries.footprint_bytes()
+    }
+
     /// Hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.get()
@@ -323,6 +328,13 @@ impl TlbBank {
     /// Number of CUs.
     pub fn cus(&self) -> usize {
         self.cus
+    }
+
+    /// Bytes of every CU's entry store (fixed by the geometry) plus one
+    /// key and mask per live holder-index entry.
+    pub fn footprint_bytes(&self) -> usize {
+        self.entries.footprint_bytes()
+            + self.holders.len() * std::mem::size_of::<((u64, usize), u64)>()
     }
 
     /// Hits so far, summed over CUs.
