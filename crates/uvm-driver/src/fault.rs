@@ -1,8 +1,9 @@
 //! Far faults and the driver's fault batcher.
 //!
-//! GPUs report far faults through their fault buffers; the UVM driver
-//! "fetches the fault information, groups faults into batches, and caches it
-//! on the host (the batch size is 256)" (§3.2). The batcher here is pure
+//! GPUs report far faults through their fault buffers (modelled as one
+//! PCIe message per fault); the UVM driver "fetches the fault information,
+//! groups faults into batches, and caches it on the host (the batch size is
+//! 256)" (§3.2). The batcher here is pure
 //! mechanism: the system layer decides *when* to flush a partial batch
 //! (a configurable batching window models the driver's periodic service).
 
