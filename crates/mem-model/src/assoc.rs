@@ -2,13 +2,15 @@
 //!
 //! This is the structural workhorse shared by TLBs, data caches, the
 //! page-walk cache and the VM-Cache: `sets × ways` slots, each holding a
-//! `(tag, payload)` pair, with per-set LRU stamps.
+//! `(tag, payload)` pair.
 //!
-//! Storage is flat: tags, stamps and payloads live in three contiguous
-//! arrays of `sets × ways` slots, and a per-set occupancy says how many of
-//! a set's slots are live. Live ways are packed to the left of their set.
-//! Payloads are small `Copy` values stored bare: a free slot keeps whatever
-//! its last occupant left, and only the occupancy says it is free.
+//! Storage is flat: tags and payloads live in two contiguous arrays of
+//! `sets × ways` slots, and a per-set occupancy says how many of a set's
+//! slots are live. Live ways are packed to the left of their set in
+//! recency order, least recently used first, so the order itself is the
+//! LRU state and no per-way stamp is kept. Payloads are small `Copy`
+//! values stored bare: a free slot keeps whatever its last occupant left,
+//! and only the occupancy says it is free.
 
 /// What happened on an insertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,10 +33,13 @@ pub enum Inserted<V> {
 /// be addressed to the same set.
 ///
 /// Order semantics, which callers observing [`SetAssoc::iter`] or running a
-/// side-effecting [`SetAssoc::invalidate_matching`] predicate rely on: a
-/// fill appends to the set, [`SetAssoc::invalidate`] moves the set's last
-/// way into the hole, `invalidate_matching` keeps survivors in order, and
-/// the LRU victim is the first way with the smallest stamp.
+/// side-effecting [`SetAssoc::invalidate_matching`] predicate rely on: each
+/// set's live ways sit in recency order, least recently used first. A hit
+/// ([`SetAssoc::get`], [`SetAssoc::get_mut`]) or an
+/// [`Inserted::Updated`] insert moves its way to the most-recently-used
+/// (MRU) end, a fill appends there, a fill into a full set evicts the first
+/// way, and a removal closes the gap with the survivors kept in order.
+/// [`SetAssoc::peek`] and [`SetAssoc::contains`] leave the order alone.
 ///
 /// # Example
 ///
@@ -51,16 +56,14 @@ pub enum Inserted<V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssoc<V> {
-    /// `tags[set * ways + i]` for `i < lens[set]` are the set's live tags.
+    /// `tags[set * ways + i]` for `i < lens[set]` are the set's live tags,
+    /// least recently used first.
     tags: Vec<u64>,
-    /// LRU stamps, parallel to `tags`.
-    stamps: Vec<u64>,
     /// Payloads, parallel to `tags`; meaningful only in live slots.
     values: Vec<V>,
     /// Live ways per set.
     lens: Vec<usize>,
     ways: usize,
-    clock: u64,
     /// `sets - 1` when the set count is a power of two, letting set
     /// selection use a mask instead of a 64-bit modulo. Every production
     /// geometry (TLBs, PWC, L2, VM-Cache) is a power of two, and the mask
@@ -70,7 +73,7 @@ pub struct SetAssoc<V> {
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "slots come from `live(set)`, `find` and `lru`, so they lie inside the table; a set index is masked by `set_of` or is a caller's documented `# Panics` contract"
+    reason = "slots come from `live(set)` and `find`, so they lie inside the table; a set index is masked by `set_of` or is a caller's documented `# Panics` contract"
 )]
 impl<V: Copy + Default> SetAssoc<V> {
     /// Creates an array of `sets × ways` slots.
@@ -83,11 +86,9 @@ impl<V: Copy + Default> SetAssoc<V> {
         let slots = sets * ways;
         SetAssoc {
             tags: vec![0; slots],
-            stamps: vec![0; slots],
             values: vec![V::default(); slots],
             lens: vec![0; sets],
             ways,
-            clock: 0,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
         }
     }
@@ -107,11 +108,10 @@ impl<V: Copy + Default> SetAssoc<V> {
         self.tags.len()
     }
 
-    /// Bytes of the tag, stamp and payload arrays and the per-set
-    /// occupancy, all fixed by the geometry.
+    /// Bytes of the tag and payload arrays and the per-set occupancy, all
+    /// fixed by the geometry.
     pub fn footprint_bytes(&self) -> usize {
         std::mem::size_of_val(self.tags.as_slice())
-            + std::mem::size_of_val(self.stamps.as_slice())
             + std::mem::size_of_val(self.values.as_slice())
             + std::mem::size_of_val(self.lens.as_slice())
     }
@@ -138,12 +138,6 @@ impl<V: Copy + Default> SetAssoc<V> {
         }
     }
 
-    #[inline]
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
     /// Slot range of `set`'s live ways (empty for an out-of-range set).
     #[inline]
     fn live(&self, set: usize) -> std::ops::Range<usize> {
@@ -152,28 +146,35 @@ impl<V: Copy + Default> SetAssoc<V> {
         start..start + len
     }
 
-    /// Slot index of `key` in `set`, if present.
+    /// Slot index of `key` among `live`, scanning from the MRU end.
     #[inline]
-    fn find(&self, set: usize, key: u64) -> Option<usize> {
-        let live = self.live(set);
+    fn find(&self, live: std::ops::Range<usize>, key: u64) -> Option<usize> {
         let start = live.start;
-        let pos = self.tags.get(live)?.iter().position(|&t| t == key)?;
+        let pos = self.tags.get(live)?.iter().rposition(|&t| t == key)?;
         Some(start + pos)
     }
 
-    /// Slot index of the first least-recently-used way of `set`.
+    /// Removes the way in `slot`, sliding the more recent ways of its set
+    /// (those before `end`) down by one. Returns the removed way.
     #[inline]
-    fn lru(&self, set: usize) -> Option<usize> {
-        let live = self.live(set);
-        let start = live.start;
-        let pos = self
-            .stamps
-            .get(live)?
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &stamp)| stamp)
-            .map(|(i, _)| i)?;
-        Some(start + pos)
+    fn take_out(&mut self, slot: usize, end: usize) -> (u64, V) {
+        let way = (self.tags[slot], self.values[slot]);
+        self.tags.copy_within(slot + 1..end, slot);
+        self.values.copy_within(slot + 1..end, slot);
+        way
+    }
+
+    /// Moves the way in `slot` to the MRU end `end - 1` of its set, keeping
+    /// the other ways in order. Returns the slot it now occupies.
+    #[inline]
+    fn promote(&mut self, slot: usize, end: usize) -> usize {
+        let last = end - 1;
+        if slot != last {
+            let (tag, value) = self.take_out(slot, end);
+            self.tags[last] = tag;
+            self.values[last] = value;
+        }
+        last
     }
 
     /// Looks up `key`, refreshing its LRU position on a hit.
@@ -192,9 +193,10 @@ impl<V: Copy + Default> SetAssoc<V> {
     }
 
     fn get_mut_in(&mut self, set: usize, key: u64) -> Option<&mut V> {
-        let stamp = self.tick();
-        let slot = self.find(set, key)?;
-        self.stamps[slot] = stamp;
+        let live = self.live(set);
+        let end = live.end;
+        let slot = self.find(live, key)?;
+        let slot = self.promote(slot, end);
         Some(&mut self.values[slot])
     }
 
@@ -205,12 +207,12 @@ impl<V: Copy + Default> SetAssoc<V> {
 
     /// [`SetAssoc::contains`] in an explicitly chosen set.
     pub fn contains_in(&self, set: usize, key: u64) -> bool {
-        self.find(set, key).is_some()
+        self.find(self.live(set), key).is_some()
     }
 
     /// Reads without disturbing recency.
     pub fn peek(&self, key: u64) -> Option<&V> {
-        let slot = self.find(self.set_of(key), key)?;
+        let slot = self.find(self.live(self.set_of(key)), key)?;
         Some(&self.values[slot])
     }
 
@@ -224,28 +226,21 @@ impl<V: Copy + Default> SetAssoc<V> {
     /// # Panics
     /// Panics if `set >= self.sets()`.
     pub fn insert_in(&mut self, set: usize, key: u64, value: V) -> Inserted<V> {
-        let stamp = self.tick();
-        if let Some(slot) = self.find(set, key) {
-            self.stamps[slot] = stamp;
+        let live = self.live(set);
+        if let Some(slot) = self.find(live.clone(), key) {
+            let slot = self.promote(slot, live.end);
             return Inserted::Updated(std::mem::replace(&mut self.values[slot], value));
         }
-        let live = self.live(set);
         if live.len() < self.ways {
-            let slot = live.end;
-            self.tags[slot] = key;
-            self.stamps[slot] = stamp;
-            self.values[slot] = value;
+            self.tags[live.end] = key;
+            self.values[live.end] = value;
             self.lens[set] += 1;
             return Inserted::Filled;
         }
-        let Some(slot) = self.lru(set) else {
-            // Unreachable: a full set has at least one way.
-            return Inserted::Filled;
-        };
-        let tag = std::mem::replace(&mut self.tags[slot], key);
-        self.stamps[slot] = stamp;
-        let value = std::mem::replace(&mut self.values[slot], value);
-        Inserted::Evicted { tag, value }
+        let (tag, old) = self.take_out(live.start, live.end);
+        self.tags[live.end - 1] = key;
+        self.values[live.end - 1] = value;
+        Inserted::Evicted { tag, value: old }
     }
 
     /// Removes `key`, returning its payload.
@@ -253,15 +248,13 @@ impl<V: Copy + Default> SetAssoc<V> {
         self.invalidate_in(self.set_of(key), key)
     }
 
-    /// [`SetAssoc::invalidate`] in an explicitly chosen set: the set's last
-    /// live way moves into the hole.
+    /// [`SetAssoc::invalidate`] in an explicitly chosen set: the more
+    /// recent ways close the gap.
     pub fn invalidate_in(&mut self, set: usize, key: u64) -> Option<V> {
-        let slot = self.find(set, key)?;
-        let last = self.live(set).end - 1;
-        let value = self.values[slot];
-        self.tags[slot] = self.tags[last];
-        self.stamps[slot] = self.stamps[last];
-        self.values[slot] = self.values[last];
+        let live = self.live(set);
+        let end = live.end;
+        let slot = self.find(live, key)?;
+        let (_, value) = self.take_out(slot, end);
         self.lens[set] -= 1;
         Some(value)
     }
@@ -276,7 +269,6 @@ impl<V: Copy + Default> SetAssoc<V> {
             if !pred(self.tags[slot], &self.values[slot]) {
                 if kept != slot {
                     self.tags[kept] = self.tags[slot];
-                    self.stamps[kept] = self.stamps[slot];
                     self.values[kept] = self.values[slot];
                 }
                 kept += 1;
@@ -290,7 +282,8 @@ impl<V: Copy + Default> SetAssoc<V> {
     }
 
     /// Removes every entry matching `pred`, returning the count removed.
-    /// Sets are visited in order and ways in order within a set.
+    /// Sets are visited in order and each set's ways least recently used
+    /// first.
     pub fn invalidate_matching<F: FnMut(u64, &V) -> bool>(&mut self, mut pred: F) -> usize {
         (0..self.sets())
             .map(|set| self.retain_set(set, &mut pred))
@@ -299,17 +292,17 @@ impl<V: Copy + Default> SetAssoc<V> {
 
     /// Removes every entry whose tag lies in `first..=last`, returning the
     /// count removed. When the range is narrower than the set count its
-    /// tags map to distinct sets, so only those sets are visited; a wider
-    /// range scans every set. Either way the result equals
-    /// `invalidate_matching` over the same range.
+    /// tags map to distinct sets and each set holds a tag at most once, so
+    /// each key is removed on its own; a wider range scans every set.
+    /// Either way the result equals `invalidate_matching` over the same
+    /// range.
     pub fn invalidate_range(&mut self, first: u64, last: u64) -> usize {
-        let mut in_range = |tag: u64, _: &V| tag >= first && tag <= last;
         if last.saturating_sub(first) >= self.sets() as u64 - 1 {
-            return self.invalidate_matching(in_range);
+            return self.invalidate_matching(|tag, _| tag >= first && tag <= last);
         }
         (first..=last)
-            .map(|key| self.retain_set(self.set_of(key), &mut in_range))
-            .sum()
+            .filter(|&key| self.invalidate(key).is_some())
+            .count()
     }
 
     /// Removes all entries.
@@ -319,21 +312,13 @@ impl<V: Copy + Default> SetAssoc<V> {
         n
     }
 
-    /// Iterates over `(tag, &value)` pairs in unspecified order.
+    /// Iterates over `(tag, &value)` pairs: sets in order, each set's ways
+    /// least recently used first.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         (0..self.sets()).flat_map(move |set| {
             self.live(set)
                 .map(move |slot| (self.tags[slot], &self.values[slot]))
         })
-    }
-
-    /// The LRU victim tag for the set `key` maps to, if that set is full.
-    pub fn would_evict(&self, key: u64) -> Option<u64> {
-        let set = self.set_of(key);
-        if self.live(set).len() < self.ways || self.contains_in(set, key) {
-            return None;
-        }
-        self.lru(set).map(|slot| self.tags[slot])
     }
 }
 
@@ -428,6 +413,79 @@ mod tests {
         assert!(sa.is_empty());
     }
 
+    /// `(tag, payload)` pairs in iteration order.
+    fn ways_of(sa: &SetAssoc<u32>) -> Vec<(u64, u32)> {
+        sa.iter().map(|(t, &v)| (t, v)).collect()
+    }
+
+    #[test]
+    fn a_hit_moves_to_the_mru_end() {
+        let mut sa: SetAssoc<u32> = SetAssoc::new(1, 4);
+        for k in 1..=4u32 {
+            sa.insert(u64::from(k), k * 10);
+        }
+        assert_eq!(sa.get(2), Some(&20));
+        assert_eq!(ways_of(&sa), vec![(1, 10), (3, 30), (4, 40), (2, 20)]);
+        *sa.get_mut(1).unwrap() += 1;
+        assert_eq!(ways_of(&sa), vec![(3, 30), (4, 40), (2, 20), (1, 11)]);
+        assert_eq!(sa.insert(4, 41), Inserted::Updated(40));
+        assert_eq!(ways_of(&sa), vec![(3, 30), (2, 20), (1, 11), (4, 41)]);
+        // A hit on the MRU way, a probe and a miss leave the order alone.
+        sa.get(4);
+        assert!(sa.contains(3));
+        assert_eq!(sa.peek(3), Some(&30));
+        assert_eq!(sa.get(9), None);
+        assert_eq!(ways_of(&sa), vec![(3, 30), (2, 20), (1, 11), (4, 41)]);
+    }
+
+    #[test]
+    fn a_full_set_evicts_its_first_way() {
+        let mut sa: SetAssoc<u32> = SetAssoc::new(1, 3);
+        for k in 1..=3u32 {
+            assert_eq!(sa.insert(u64::from(k), k), Inserted::Filled);
+        }
+        sa.get(1);
+        assert_eq!(ways_of(&sa), vec![(2, 2), (3, 3), (1, 1)]);
+        assert_eq!(
+            sa.insert(4, 4),
+            Inserted::Evicted { tag: 2, value: 2 },
+            "the first way is the LRU one"
+        );
+        assert_eq!(ways_of(&sa), vec![(3, 3), (1, 1), (4, 4)]);
+        assert_eq!(sa.insert(5, 5), Inserted::Evicted { tag: 3, value: 3 });
+        assert_eq!(ways_of(&sa), vec![(1, 1), (4, 4), (5, 5)]);
+    }
+
+    #[test]
+    fn invalidate_and_a_page_drop_keep_the_survivors_in_order() {
+        let mut sa: SetAssoc<u32> = SetAssoc::new(1, 5);
+        for k in 1..=5u32 {
+            sa.insert(u64::from(k), k);
+        }
+        sa.get(2);
+        assert_eq!(sa.invalidate(3), Some(3));
+        assert_eq!(ways_of(&sa), vec![(1, 1), (4, 4), (5, 5), (2, 2)]);
+        assert_eq!(sa.invalidate(2), Some(2), "the MRU way can go too");
+        assert_eq!(ways_of(&sa), vec![(1, 1), (4, 4), (5, 5)]);
+
+        // Four sets of three ways: a range narrower than the set count
+        // takes the per-key path, a wider one scans every set.
+        let mut sa: SetAssoc<u32> = SetAssoc::new(4, 3);
+        for k in 0..12u32 {
+            sa.insert(u64::from(k), k);
+        }
+        sa.get(0);
+        sa.get(1);
+        let tags = |sa: &SetAssoc<u32>| sa.iter().map(|(t, _)| t).collect::<Vec<_>>();
+        assert_eq!(sa.invalidate_range(4, 6), 3);
+        assert_eq!(tags(&sa), vec![8, 0, 9, 1, 2, 10, 3, 7, 11]);
+        assert_eq!(sa.invalidate_range(9, 20), 3);
+        assert_eq!(tags(&sa), vec![8, 0, 1, 2, 3, 7]);
+        // An `Evicted` insert still takes each set's first way.
+        assert_eq!(sa.insert(4, 4), Inserted::Filled);
+        assert_eq!(sa.insert(16, 16), Inserted::Evicted { tag: 8, value: 8 });
+    }
+
     #[test]
     fn a_freed_slot_never_returns_its_old_payload() {
         // Payloads are stored bare, so a freed slot keeps its last value;
@@ -436,12 +494,14 @@ mod tests {
         sa.insert(1, 10);
         sa.insert(2, 20);
         sa.insert(3, 30);
-        // Invalidated: the last way (3) moves into the hole.
+        // Invalidated: 2 and 3 slide down, and the tail slot keeps a stale
+        // copy of 3.
         assert_eq!(sa.invalidate(1), Some(10));
         assert_eq!(sa.get(1), None);
         assert_eq!(sa.peek(1), None);
         assert_eq!(sa.peek(3), Some(&30));
-        // Evicted: 2 is now LRU and its slot takes key 4.
+        assert_eq!(ways_of(&sa), vec![(2, 20), (3, 30)]);
+        // Evicted: 2 is the first way, and 4 goes to the MRU end.
         sa.insert(5, 50);
         assert!(matches!(
             sa.insert(4, 40),
@@ -453,9 +513,11 @@ mod tests {
         // keeps a stale copy that must stay invisible.
         assert_eq!(sa.invalidate_matching(|tag, _| tag == 3), 1);
         assert_eq!(sa.peek(3), None);
-        let mut live: Vec<(u64, u32)> = sa.iter().map(|(t, &v)| (t, v)).collect();
-        live.sort_unstable();
-        assert_eq!(live, vec![(4, 40), (5, 50)]);
+        assert_eq!(ways_of(&sa), vec![(5, 50), (4, 40)]);
+        // A hit rotates the live ways only: the stale tail stays out.
+        sa.get(5);
+        assert_eq!(ways_of(&sa), vec![(4, 40), (5, 50)]);
+        assert_eq!(sa.peek(3), None);
         // Flushed: nothing is visible, and refills see only their own
         // payloads.
         assert_eq!(sa.flush(), 2);
@@ -463,24 +525,9 @@ mod tests {
         assert_eq!(sa.peek(5), None);
         assert_eq!(sa.iter().count(), 0);
         assert_eq!(sa.insert(6, 60), Inserted::Filled);
-        assert_eq!(
-            sa.iter().map(|(t, &v)| (t, v)).collect::<Vec<_>>(),
-            vec![(6, 60)]
-        );
+        assert_eq!(ways_of(&sa), vec![(6, 60)]);
         assert_eq!(sa.invalidate(4), None);
-    }
-
-    #[test]
-    fn would_evict_matches_actual_eviction() {
-        let mut sa: SetAssoc<u8> = SetAssoc::new(1, 2);
-        sa.insert(1, 0);
-        assert_eq!(sa.would_evict(3), None, "set not yet full");
-        sa.insert(2, 0);
-        let predicted = sa.would_evict(3).unwrap();
-        match sa.insert(3, 0) {
-            Inserted::Evicted { tag, .. } => assert_eq!(tag, predicted),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(sa.invalidate_range(3, 5), 0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! paper's evaluation depends on:
 //!
 //! * [`assoc::SetAssoc`] — a generic set-associative array with LRU
-//!   replacement, reused by data caches, TLBs and the page-walk cache;
+//!   replacement (each set kept in recency order, no per-way stamps),
+//!   reused by data caches, TLBs and the page-walk cache;
 //! * [`cache::Cache`] — a tag-only cache model with hit/miss statistics;
 //! * [`mshr::Mshr`] — miss-status holding registers that merge concurrent
 //!   misses to the same block;

@@ -69,7 +69,7 @@ impl super::HostState {
             );
         }
         let latency = Cycle(sh.cfg.host.walk_latency.raw());
-        for fault in batch {
+        for &fault in &batch {
             let start = self.now.max(self.host_walkers.earliest_free());
             self.host_walkers
                 .try_acquire(start, latency)
@@ -77,6 +77,7 @@ impl super::HostState {
             self.q
                 .schedule(start + latency, Ev::FaultResolved { fault });
         }
+        self.batcher.recycle(batch);
         Ok(())
     }
 

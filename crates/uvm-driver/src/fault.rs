@@ -89,6 +89,16 @@ impl FaultBatcher {
         }
     }
 
+    /// Hands back a batch returned by [`FaultBatcher::push`] or
+    /// [`FaultBatcher::flush`] so the next batch reuses its buffer. A batch
+    /// handed back while faults are pending is dropped.
+    pub fn recycle(&mut self, mut batch: Vec<FarFault>) {
+        if self.pending.is_empty() {
+            batch.clear();
+            self.pending = batch;
+        }
+    }
+
     /// Pending fault count.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -160,6 +170,24 @@ mod tests {
         let batch = b.flush().unwrap();
         assert_eq!(batch.len(), 2);
         assert!(b.flush().is_none());
+    }
+
+    #[test]
+    fn a_recycled_batch_comes_back_empty() {
+        let mut b = FaultBatcher::new(2);
+        b.push(fault(1));
+        let batch = b.push(fault(2)).unwrap();
+        let buffer = batch.as_ptr();
+        b.recycle(batch);
+        assert!(b.is_empty(), "no fault of the old batch is pending");
+        b.push(fault(3));
+        let batch = b.flush().unwrap();
+        assert_eq!(batch.iter().map(|f| f.token).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(batch.as_ptr(), buffer, "the buffer was reused");
+        // Handed back while a fault is pending: dropped, nothing lost.
+        b.push(fault(4));
+        b.recycle(batch);
+        assert_eq!(b.flush().unwrap().len(), 1);
     }
 
     #[test]

@@ -128,9 +128,17 @@ impl PageTable {
     ///
     /// The root level is always resident. Interior levels are counted until
     /// the first non-materialised node; if all interior nodes exist, the
-    /// walk also touches the leaf level.
+    /// walk also touches the leaf level. Interior nodes are never removed
+    /// and `insert` materialises a leaf's whole path, so a present leaf
+    /// answers at once with every level.
     pub fn probe(&self, vpn: Vpn) -> WalkPath {
         let total = self.page_size.levels();
+        if let Some(leaf) = self.lookup(vpn) {
+            return WalkPath {
+                levels_present: total,
+                leaf: Some(leaf),
+            };
+        }
         let mut levels_present = 1; // the root access always happens
         for level in (2..=total).rev() {
             if self.nodes.contains(&(level, vpn.prefix_at(level - 1))) {
@@ -144,7 +152,7 @@ impl PageTable {
         }
         WalkPath {
             levels_present,
-            leaf: self.lookup(vpn),
+            leaf: None,
         }
     }
 
@@ -212,6 +220,56 @@ mod tests {
         // A distant VPN shares only the root.
         let q = pt.probe(Vpn(0x200 ^ (1 << 40)));
         assert_eq!(q.levels_present, 1);
+    }
+
+    /// The node-by-node walk `probe` stood for before it answered present
+    /// leaves first.
+    fn probe_node_by_node(pt: &PageTable, vpn: Vpn) -> WalkPath {
+        let total = pt.page_size.levels();
+        let mut levels_present = 1;
+        for level in (2..=total).rev() {
+            if !pt.nodes.contains(&(level, vpn.prefix_at(level - 1))) {
+                return WalkPath {
+                    levels_present,
+                    leaf: None,
+                };
+            }
+            levels_present += 1;
+        }
+        WalkPath {
+            levels_present,
+            leaf: pt.lookup(vpn),
+        }
+    }
+
+    #[test]
+    fn probe_equals_the_node_by_node_walk() {
+        for size in [PageSize::Size4K, PageSize::Size2M] {
+            let mut pt = PageTable::new(size);
+            for vpn in [0x42, 0x43, 0x200, 0x1_0000, 1 << 30] {
+                pt.insert(Vpn(vpn), Pte::new_mapped(vpn, true));
+            }
+            pt.invalidate(Vpn(0x43));
+            pt.remove(Vpn(0x200));
+            let vpns = [
+                0x42,            // present
+                0x43,            // invalidated
+                0x200,           // removed: its nodes stay
+                0x201,           // never inserted, full path
+                0x1_0001,        // never inserted, shares some nodes
+                (1 << 30) ^ 0x7, // never inserted, sibling of a leaf
+                1 << 40,         // never inserted, root only
+            ];
+            for vpn in vpns {
+                assert_eq!(
+                    pt.probe(Vpn(vpn)),
+                    probe_node_by_node(&pt, Vpn(vpn)),
+                    "{size:?} vpn {vpn:#x}"
+                );
+            }
+            let leaf = pt.probe(Vpn(0x43)).leaf.unwrap();
+            assert!(!leaf.is_valid(), "an invalidated leaf is still walked to");
+        }
     }
 
     #[test]

@@ -188,9 +188,9 @@ impl Tlb {
 ///
 /// CU `c` owns the contiguous run of sets `c × S .. (c + 1) × S`, where
 /// `S = entries / ways` is one CU's set count, so each CU keeps the exact
-/// geometry and LRU order of a standalone [`Tlb`]. The bank shares one LRU
-/// clock (stamps are only compared within a set, so the victims are the
-/// same) and keeps aggregate hit/miss counts — the only ones reported.
+/// geometry and LRU order of a standalone [`Tlb`] (recency is kept per
+/// set, so the victims are the same). The bank keeps aggregate hit/miss
+/// counts — the only ones reported.
 ///
 /// A holder index maps each cached VPN to the CUs holding it (one 64-bit
 /// mask per 64 CUs), kept exact by every fill, eviction and shootdown, so a
