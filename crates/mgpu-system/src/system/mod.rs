@@ -600,7 +600,7 @@ impl System {
     ///
     /// # Panics
     /// Panics if the workload has a different GPU count than the config,
-    /// or breaks the page-span contract [`PackedTraces::new`] checks.
+    /// or has more than 64 GPUs (the [`PageCensus`] limit).
     pub fn new(cfg: SystemConfig, workload: &Workload) -> System {
         Self::build(cfg, workload, None)
     }
@@ -634,7 +634,7 @@ impl System {
     )]
     fn build(cfg: SystemConfig, workload: &Workload, pool: Option<&mut QueuePool>) -> System {
         assert_eq!(
-            workload.traces.len(),
+            workload.traces.gpus(),
             cfg.n_gpus,
             "workload GPU count must match the system"
         );
@@ -647,10 +647,10 @@ impl System {
             ))
         });
         let vm_dir = (directory == DirectoryMode::InMem).then(|| VmDirectory::new(cfg.n_gpus));
-        // One pass over the workload's traces packs them; the census of
-        // touched pages taken from the packed copy drives host population,
-        // pre-placement and the sharing distribution.
-        let traces = PackedTraces::new(workload);
+        // The run keeps its own copy of the packed traces (4 bytes per
+        // access); the census of touched pages taken from it drives host
+        // population, pre-placement and the sharing distribution.
+        let traces = workload.traces.clone();
         let census = PageCensus::new(&traces);
         let mut host_mem = HostMemory::new(memmap, cfg.page_size);
         // Populate exactly the pages the traces touch (the VA span is

@@ -187,6 +187,8 @@ impl System {
                 total += bytes;
             }
             mem.count("lanes_bytes", total);
+            // One 4-byte packed word per access, shared by every lane.
+            mem.count("trace_bytes", 4 * self.sh.traces.total_accesses());
         }
         for (g, lane) in self.lanes.iter().enumerate() {
             let gpu = &lane.gpu;

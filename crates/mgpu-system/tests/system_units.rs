@@ -5,28 +5,22 @@ use mgpu_system::config::{Scheme, SystemConfig};
 use mgpu_system::System;
 use uvm_driver::policy::MigrationPolicy;
 use vm_model::addr::Vpn;
-use workloads::{Access, GpuTrace, Workload};
+use workloads::{Access, Workload};
 
 /// Builds a hand-written workload from per-GPU (vpn, is_write) lists.
 fn workload(traces: Vec<Vec<(u64, bool)>>, pages: u64) -> Workload {
-    Workload {
-        name: "hand".into(),
-        traces: traces
-            .into_iter()
-            .map(|t| GpuTrace {
-                accesses: t
-                    .into_iter()
-                    .map(|(v, w)| Access {
-                        vpn: Vpn(v),
-                        is_write: w,
-                    })
-                    .collect(),
-            })
-            .collect(),
-        pages,
-        base_vpn: Vpn(0),
-        compute_gap: 2,
-    }
+    let traces = traces
+        .into_iter()
+        .map(|t| {
+            t.into_iter()
+                .map(|(v, w)| Access {
+                    vpn: Vpn(v),
+                    is_write: w,
+                })
+                .collect()
+        })
+        .collect();
+    Workload::from_accesses("hand", Vpn(0), pages, traces, 2)
 }
 
 fn small_cfg(n: usize, threshold: u32) -> SystemConfig {
@@ -49,9 +43,9 @@ fn single_gpu_never_migrates_or_invalidates() {
 #[test]
 #[should_panic(expected = "trace access outside the workload's page span")]
 fn access_outside_the_page_span_is_refused_at_construction() {
-    // `Workload::pages` promises every VPN lies in [base_vpn, base_vpn + pages).
-    let wl = workload(vec![vec![(3, false), (64, false)]], 64);
-    System::new(small_cfg(1, 4), &wl);
+    // `Workload::pages` promises every VPN lies in [base_vpn, base_vpn + pages),
+    // so a workload breaking it cannot be built for any system.
+    workload(vec![vec![(3, false), (64, false)]], 64);
 }
 
 #[test]
@@ -98,24 +92,16 @@ fn first_touch_pins_pages_despite_hammering() {
 
 #[test]
 fn on_touch_migrates_on_first_remote_fault() {
-    let gpu0: Vec<(u64, bool)> = (0..20).map(|i| (10 + i % 4, false)).collect();
+    let mut gpu0: Vec<(u64, bool)> = (0..20).map(|i| (10 + i % 4, false)).collect();
     let gpu1: Vec<(u64, bool)> = (0..20).map(|_| (0u64, false)).collect();
-    let wl = workload(vec![gpu0, gpu1], 64);
     let mut cfg = small_cfg(2, 4);
     cfg.policy = MigrationPolicy::OnTouch;
     // Page 0 is first touched by GPU 0 (position 0 scanning order is
     // round-robin across GPUs, GPU 0 first) — wait: GPU 0 touches page 10
     // first; page 0 is first touched by GPU 1, so GPU 1 owns it and never
     // faults. Give GPU 0 a touch of page 0 first to set up remoteness.
-    let mut traces = wl.traces.clone();
-    traces[0].accesses.insert(
-        0,
-        Access {
-            vpn: Vpn(0),
-            is_write: false,
-        },
-    );
-    let wl = Workload { traces, ..wl };
+    gpu0.insert(0, (0, false));
+    let wl = workload(vec![gpu0, gpu1], 64);
     let r = System::new(cfg, &wl).run().expect("completes");
     assert!(r.migrations >= 1, "on-touch must migrate the shared page");
 }

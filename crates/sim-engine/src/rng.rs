@@ -113,9 +113,16 @@ impl DetRng {
 /// Zipfian access is used by the PageRank-style random workloads: a small set
 /// of hub pages absorbs most accesses, which is what drives their high
 /// sharing degree in the paper's Figure 4.
+///
+/// A draw `u` maps to the first rank whose CDF value is `≥ u`. A guide
+/// table over `n` equal buckets of `[0, 1]` starts that search a few
+/// steps from the answer instead of bisecting the whole CDF.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]`: the first rank `i` with `cdf[i] ≥ b / n`, for `b` in
+    /// `0..=n` (`n − 1` when none is).
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -123,7 +130,8 @@ impl Zipf {
     /// typical web-graph skew is 0.8–1.0).
     ///
     /// # Panics
-    /// Panics if `n == 0` or `theta < 0`.
+    /// Panics if `n == 0` or `theta < 0`, or if the CDF is not strictly
+    /// increasing (a `theta` so steep that tail ranks round to no mass).
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf over empty domain");
         assert!(theta >= 0.0, "negative zipf exponent");
@@ -137,16 +145,60 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        Zipf::from_cdf(cdf)
+    }
+
+    /// The sampler for `cdf`, which must be non-empty, strictly increasing
+    /// and end at 1.
+    fn from_cdf(cdf: Vec<f64>) -> Self {
+        assert!(
+            cdf.windows(2).all(|w| w.first() < w.last()),
+            "zipf CDF must be strictly increasing"
+        );
+        let n = cdf.len();
+        let mut guide = Vec::with_capacity(n + 1);
+        let mut i = 0;
+        for b in 0..=n {
+            let edge = b as f64 / n as f64;
+            while i + 1 < n && cdf.get(i).is_some_and(|&c| c < edge) {
+                i += 1;
+            }
+            guide.push(i);
+        }
+        Zipf { cdf, guide }
     }
 
     /// Draws a rank in `[0, n)`; rank 0 is the hottest item.
+    #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.f64();
-        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.index_of(rng.f64())
+    }
+
+    /// The first rank `i` with `cdf[i] ≥ u`, clamped to `n − 1`: the
+    /// index `binary_search_by(total_cmp)` finds in a strictly increasing
+    /// CDF.
+    #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the guide has n + 1 entries and bucket ≤ n; the loops keep 0 ≤ i ≤ n − 1 before reading cdf[i] or cdf[i − 1]"
+    )]
+    fn index_of(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "u·n lies in [0, n] for u in [0, 1]; the float-to-int cast saturates"
+        )]
+        let bucket = ((u * n as f64) as usize).min(n);
+        let mut i = self.guide[bucket];
+        // ⌊u·n⌋ may round up a bucket: step back past ranks that also
+        // cover u.
+        while i > 0 && self.cdf[i - 1] >= u {
+            i -= 1;
         }
+        while i + 1 < n && self.cdf[i] < u {
+            i += 1;
+        }
+        i
     }
 
     /// Number of items in the domain.
@@ -242,6 +294,66 @@ mod tests {
         }
         for &c in &counts {
             assert!((700..1300).contains(&c), "non-uniform bucket: {c}");
+        }
+    }
+
+    /// The rule `Zipf::index_of` replaces: bisect the whole CDF.
+    fn bisect(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|p| p.total_cmp(&u)) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn zipf_guide_finds_the_index_bisection_finds() {
+        let mut rng = DetRng::seed(10);
+        for n in [1, 2, 7, 64, 1_500, 6_000, 12_000] {
+            for theta in [0.0, 0.5, 0.85, 0.99, 1.2] {
+                let z = Zipf::new(n, theta);
+                let check = |u: f64| {
+                    assert_eq!(
+                        z.index_of(u),
+                        bisect(&z.cdf, u),
+                        "n {n}, theta {theta}, u {u:e}"
+                    );
+                };
+                for _ in 0..100_000 {
+                    check(rng.f64());
+                }
+                for &c in &z.cdf {
+                    check(c);
+                    check(c.next_down());
+                    check(c.next_up());
+                }
+                for b in 0..=n {
+                    let edge = b as f64 / n as f64;
+                    check(edge);
+                    check(edge.next_down().max(0.0));
+                    check(edge.next_up());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_guide_steps_back_when_a_bucket_rounds_up() {
+        // ⌊u·6⌋ rounds up to bucket 5 for the float just below 5/6, whose
+        // guide entry (rank 5) is one past the rank that covers u.
+        let u = (5.0f64 / 6.0).next_down();
+        assert_eq!((u * 6.0).floor(), 5.0);
+        let z = Zipf::from_cdf(vec![1.0 / 6.0, 2.0 / 6.0, 0.5, 4.0 / 6.0, u, 1.0]);
+        assert_eq!(z.guide[5], 5);
+        assert_eq!(z.index_of(u), 4);
+        assert_eq!(bisect(&z.cdf, u), 4);
+    }
+
+    #[test]
+    fn zipf_guide_starts_at_the_first_rank_covering_its_bucket() {
+        let z = Zipf::new(64, 0.99);
+        assert_eq!(z.guide.len(), 65);
+        for (b, &g) in z.guide.iter().enumerate() {
+            assert_eq!(g, bisect(&z.cdf, b as f64 / 64.0), "bucket {b}");
         }
     }
 

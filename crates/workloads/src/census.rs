@@ -1,107 +1,14 @@
-//! A workload's traces packed to 4 bytes per access, and the per-page
-//! census (holder mask and access count per touched page) taken from them.
+//! The per-page census of a workload's traces: holder mask and access
+//! count per touched page.
 //!
-//! The simulator keeps the packed copy for the whole run and builds its
-//! host population, pre-placement and sharing distribution from the
-//! census, so none of them needs a map keyed by page.
+//! The simulator builds its host population, pre-placement and sharing
+//! distribution from the census, so none of them needs a map keyed by page.
 
-use crate::trace::{Access, Workload};
+use crate::trace::PackedTraces;
 use vm_model::addr::Vpn;
-
-/// Largest page span the packed encoding holds: the offset takes the 31
-/// bits above the write bit.
-const MAX_SPAN: u64 = 1 << 31;
 
 /// Most GPUs a census holds: one bit each in a `u64` holder mask.
 const MAX_GPUS: usize = 64;
-
-/// A workload's traces at 4 bytes per access. Access `i` of GPU `g` is
-/// stored as `(vpn − base_vpn) << 1 | is_write`.
-#[derive(Debug)]
-pub struct PackedTraces {
-    base_vpn: Vpn,
-    pages: u64,
-    traces: Vec<Vec<u32>>,
-}
-
-impl PackedTraces {
-    /// Packs every trace of `workload`.
-    ///
-    /// # Panics
-    /// Panics if `workload.pages` exceeds 2^31 ("workload page span does
-    /// not fit the 4-byte trace encoding") or an access lies outside
-    /// `[base_vpn, base_vpn + pages)` ("trace access outside the workload's
-    /// page span").
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use workloads::{AppId, PackedTraces, Scale, WorkloadSpec};
-    ///
-    /// let wl = workloads::generate(&WorkloadSpec::paper_default(AppId::Km, Scale::Test), 2, 1);
-    /// let packed = PackedTraces::new(&wl);
-    /// assert_eq!(packed.get(1, 3), Some(wl.traces[1].accesses[3]));
-    /// assert_eq!(packed.total_accesses(), wl.total_accesses());
-    /// ```
-    pub fn new(workload: &Workload) -> PackedTraces {
-        let base = workload.base_vpn.0;
-        let pages = workload.pages;
-        assert!(
-            pages <= MAX_SPAN,
-            "workload page span does not fit the 4-byte trace encoding: {pages} pages > 2^31"
-        );
-        let traces = workload
-            .traces
-            .iter()
-            .map(|t| t.accesses.iter().map(|&a| pack(a, base, pages)).collect())
-            .collect();
-        PackedTraces {
-            base_vpn: workload.base_vpn,
-            pages,
-            traces,
-        }
-    }
-
-    /// Number of GPU traces.
-    fn gpus(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Length of GPU `gpu`'s trace (0 for a GPU outside the workload).
-    pub fn len(&self, gpu: usize) -> usize {
-        self.traces.get(gpu).map_or(0, Vec::len)
-    }
-
-    /// Total accesses across GPUs.
-    pub fn total_accesses(&self) -> u64 {
-        self.traces.iter().map(|t| t.len() as u64).sum()
-    }
-
-    /// Access `i` of GPU `gpu`'s trace.
-    pub fn get(&self, gpu: usize, i: usize) -> Option<Access> {
-        let word = *self.traces.get(gpu)?.get(i)?;
-        Some(Access {
-            vpn: Vpn(self.base_vpn.0 + u64::from(word >> 1)),
-            is_write: word & 1 == 1,
-        })
-    }
-}
-
-/// Encodes one access; see [`PackedTraces`].
-fn pack(access: Access, base: u64, pages: u64) -> u32 {
-    let offset = access.vpn.0.wrapping_sub(base);
-    assert!(
-        offset < pages,
-        "trace access outside the workload's page span: {:#x} is not within {pages} pages from {base:#x}",
-        access.vpn.0
-    );
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "offset < pages ≤ 2^31, asserted here and in PackedTraces::new"
-    )]
-    let offset = offset as u32;
-    (offset << 1) | u32::from(access.is_write)
-}
 
 /// Per touched page: the mask of GPUs that access it and its access
 /// count. Touched pages are numbered densely in ascending VPN order; a
@@ -143,9 +50,9 @@ impl PageCensus {
             clippy::cast_possible_truncation,
             reason = "pages ≤ 2^31 (asserted when packing), so the word count fits"
         )]
-        let words = traces.pages.div_ceil(64) as usize;
+        let words = traces.pages().div_ceil(64) as usize;
         let mut touched = vec![0u64; words];
-        for &word in traces.traces.iter().flatten() {
+        for &word in (0..traces.gpus()).flat_map(|g| traces.words(g)) {
             let offset = word >> 1;
             touched[(offset / 64) as usize] |= 1 << (offset % 64);
         }
@@ -156,15 +63,15 @@ impl PageCensus {
             pages += bits.count_ones();
         }
         let mut census = PageCensus {
-            base_vpn: traces.base_vpn,
+            base_vpn: traces.base_vpn(),
             gpus: traces.gpus(),
             touched,
             rank,
             holders: vec![0; pages as usize],
             accesses: vec![0; pages as usize],
         };
-        for (g, trace) in traces.traces.iter().enumerate() {
-            for &word in trace {
+        for g in 0..traces.gpus() {
+            for &word in traces.words(g) {
                 let i = census.slot(word >> 1);
                 census.holders[i] |= 1 << g;
                 census.accesses[i] += 1;
@@ -240,45 +147,26 @@ impl PageCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::GpuTrace;
+    use crate::trace::tests::wl;
+    use crate::trace::Workload;
     use crate::{AppId, DnnModel, Scale, WorkloadSource};
     use std::collections::BTreeMap;
-
-    fn wl(base: u64, pages: u64, traces: Vec<Vec<(u64, bool)>>) -> Workload {
-        Workload {
-            name: "hand".into(),
-            traces: traces
-                .into_iter()
-                .map(|t| GpuTrace {
-                    accesses: t
-                        .into_iter()
-                        .map(|(v, w)| Access {
-                            vpn: Vpn(v),
-                            is_write: w,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            pages,
-            base_vpn: Vpn(base),
-            compute_gap: 1,
-        }
-    }
 
     /// Recounts every page's holder mask and access count with a
     /// `BTreeMap` and checks the census, and its sharing distribution,
     /// against the recount.
     fn assert_matches_naive_recount(w: &Workload) {
+        let gpus = w.traces.gpus();
         let mut naive: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for (g, t) in w.traces.iter().enumerate() {
-            for a in &t.accesses {
+        for g in 0..gpus {
+            for a in w.traces.accesses(g) {
                 let (holders, accesses) = naive.entry(a.vpn.0).or_default();
                 *holders |= 1 << g;
                 *accesses += 1;
             }
         }
-        let what = format!("{} on {} GPUs", w.name, w.traces.len());
-        let c = PageCensus::new(&PackedTraces::new(w));
+        let what = format!("{} on {gpus} GPUs", w.name);
+        let c = PageCensus::new(&w.traces);
         let pages: Vec<u64> = c.pages().map(|v| v.0).collect();
         assert_eq!(pages, naive.keys().copied().collect::<Vec<_>>(), "{what}");
         let holders: Vec<u64> = naive.values().map(|e| e.0).collect();
@@ -289,8 +177,8 @@ mod tests {
             let expected = pages.binary_search(&probe).ok();
             assert_eq!(c.index(Vpn(probe)), expected, "{what}: {probe:#x}");
         }
-        let mut counts = vec![0u64; w.traces.len()];
-        for a in w.traces.iter().flat_map(|t| &t.accesses) {
+        let mut counts = vec![0u64; gpus];
+        for a in (0..gpus).flat_map(|g| w.traces.accesses(g)) {
             counts[naive[&a.vpn.0].0.count_ones() as usize - 1] += 1;
         }
         let total = w.total_accesses().max(1) as f64;
@@ -324,54 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn packing_round_trips_every_access() {
-        let w = wl(
-            0x1000,
-            200,
-            vec![
-                vec![(0x1000, true), (0x10c7, false), (0x1040, true)],
-                vec![],
-            ],
-        );
-        let p = PackedTraces::new(&w);
-        assert_eq!(p.gpus(), 2);
-        assert_eq!((p.len(0), p.len(1), p.len(2)), (3, 0, 0));
-        for (i, &a) in w.traces[0].accesses.iter().enumerate() {
-            assert_eq!(p.get(0, i), Some(a));
-        }
-        assert_eq!(p.get(0, 3), None);
-        assert_eq!(p.get(1, 0), None);
-    }
-
-    #[test]
     fn empty_workload_has_an_empty_census() {
-        let c = PageCensus::new(&PackedTraces::new(&wl(0, 0, vec![vec![], vec![]])));
+        let c = PageCensus::new(&wl(0, 0, vec![vec![], vec![]]).traces);
         assert!(c.is_empty());
         assert_eq!(c.pages().count(), 0);
         assert_eq!(c.sharing_distribution(), [0.0, 0.0]);
     }
 
     #[test]
-    #[should_panic(expected = "trace access outside the workload's page span")]
-    fn access_above_the_span_is_refused() {
-        PackedTraces::new(&wl(100, 16, vec![vec![(100, false), (116, false)]]));
-    }
-
-    #[test]
-    #[should_panic(expected = "trace access outside the workload's page span")]
-    fn access_below_the_base_is_refused() {
-        PackedTraces::new(&wl(100, 16, vec![vec![(99, false)]]));
-    }
-
-    #[test]
-    #[should_panic(expected = "workload page span does not fit the 4-byte trace encoding")]
-    fn oversized_span_is_refused() {
-        PackedTraces::new(&wl(0, MAX_SPAN + 1, vec![vec![]]));
-    }
-
-    #[test]
     #[should_panic(expected = "a page census holds at most 64 GPUs")]
     fn more_than_64_gpus_is_refused() {
-        PageCensus::new(&PackedTraces::new(&wl(0, 1, vec![vec![]; 65])));
+        PageCensus::new(&wl(0, 1, vec![vec![]; 65]).traces);
     }
 }
